@@ -14,12 +14,12 @@ from fractions import Fraction
 from .errors import (AmbiguousComparison, InsufficientTruncation,
                      InternalInconsistency, NotRegularSemisimple,
                      ReductionUnavailable, SpecrigError)
-from .matrf import (MatRF, charpoly, default_truncation, localize,
-                    localize_charpoly, pole_order)
+from .matrf import (CharpolyDiscriminant, MatRF, charpoly,
+                    default_truncation, localize, localize_charpoly,
+                    pole_order)
 from .puiseux import (PuiseuxCluster, _diff_nonzero, _lcm,
                       _phase_denominator, contact_pair_sum,
-                      discriminant_valuation, principal_contact_negative,
-                      puiseux_clusters)
+                      principal_contact_negative, puiseux_clusters)
 from .qpoly import UPoly
 from .series import Series
 from .tower import FieldTower, TowerElem
@@ -53,10 +53,10 @@ class LocalModule:
 
     __slots__ = ("pole", "n", "nu", "cells", "clusters", "tower",
                  "local_charpoly", "local_matrix", "mode", "violation",
-                 "warnings", "nterms")
+                 "warnings", "nterms", "vdisc")
 
     def __init__(self, pole, n, nu, cells, clusters, tower, local_charpoly,
-                 local_matrix, nterms):
+                 local_matrix, nterms, vdisc):
         self.pole = pole
         self.n = n
         self.nu = nu
@@ -66,6 +66,7 @@ class LocalModule:
         self.local_charpoly = local_charpoly
         self.local_matrix = local_matrix
         self.nterms = nterms
+        self.vdisc = vdisc  # ord disc_y of local_charpoly, from cp alone
         self.mode = None
         self.violation = None
         self.warnings = []
@@ -76,12 +77,16 @@ class LocalModule:
 
 
 def build_local(a_mat: MatRF, a, nterms=None, degree_bound: int = 4,
-                cp=None) -> LocalModule:
+                cp=None, disc=None) -> LocalModule:
     """Localize, expand, cluster; retries at doubled truncation when a
-    series is consulted past its certified order."""
+    series is consulted past its certified order.  cp and its
+    :class:`CharpolyDiscriminant` disc are computed when not supplied."""
     n = a_mat.n
     if cp is None:
         cp = charpoly(a_mat)
+    if disc is None:
+        disc = CharpolyDiscriminant(cp)
+    vdisc = disc.valuation(a)
     nu = pole_order(a_mat, a)
     if nterms is None:
         nterms = default_truncation(n, nu)
@@ -89,23 +94,24 @@ def build_local(a_mat: MatRF, a, nterms=None, degree_bound: int = 4,
     for attempt in range(4):
         try:
             return _build_local_once(a_mat, a, cp, n, nu, nterms,
-                                     degree_bound)
+                                     degree_bound, vdisc)
         except InsufficientTruncation as exc:
             last = exc
             nterms *= 2
     raise last
 
 
-def _build_local_once(a_mat, a, cp, n, nu, nterms, degree_bound):
+def _build_local_once(a_mat, a, cp, n, nu, nterms, degree_bound, vdisc):
     coeffs = localize_charpoly(cp, a, nterms)
     f_local = UPoly(coeffs)
     g_local, _ = localize(a_mat, a, nterms)
-    clusters, tower = puiseux_clusters(f_local, degree_bound=degree_bound)
+    clusters, tower = puiseux_clusters(f_local, degree_bound=degree_bound,
+                                       vdisc=vdisc)
     cells = [HTLCell(c) for c in clusters]
     cells.sort(key=lambda c: (-Fraction(c.p, c.r), str(sorted(
         (str(e), str(v)) for e, v in c.q.terms.items()))))
     return LocalModule(a, n, nu, cells, [c.cluster for c in cells], tower,
-                       f_local, g_local, nterms)
+                       f_local, g_local, nterms, vdisc)
 
 
 # -- assumption check --------------------------------------------------------
@@ -153,8 +159,10 @@ def check_assumption(local: LocalModule) -> bool:
     if all(c.r == 1 for c in cells) and len(cells) == local.n:
         try:
             ok = reduction_cross_check(local)
-        except (NotRegularSemisimple, ReductionUnavailable):
+        except (NotRegularSemisimple, ReductionUnavailable) as exc:
             ok = False
+            reason = (f"{reason}, and the regular-semisimple check is "
+                      f"unavailable: {exc}")
         if ok:
             forms = [(tuple(sorted(c.q.terms.items(), key=lambda t: t[0])),
                       c.residue) for c in cells]
@@ -307,8 +315,8 @@ def delta_end(local: LocalModule) -> int:
 
 def discriminant_identity_holds(local: LocalModule) -> bool:
     """2 * sum of pairwise root contacts == ord_z disc_y of the local
-    characteristic polynomial (the independent valuation oracle)."""
+    characteristic polynomial (the independent valuation oracle, read off
+    the exact global discriminant of cp)."""
     if local.n < 2:
         return True
-    vdisc = discriminant_valuation(local.local_charpoly)
-    return contact_pair_sum(local.clusters) == vdisc
+    return contact_pair_sum(local.clusters) == local.vdisc

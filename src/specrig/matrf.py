@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedPoleLocation, SpecrigError
-from .qpoly import UPoly, det_cofactor
+from .qpoly import UPoly, det_cofactor, poly_gcd, resultant_det
 from .ratfn import RatFn, INFINITY, expand_at
 from .series import Series
 
@@ -80,6 +80,53 @@ def charpoly(m: MatRF) -> UPoly:
     det = det_cofactor(rows)
     return UPoly([c if isinstance(c, RatFn) else RatFn.const(c)
                   for c in det.coeffs])
+
+
+def cleared_charpoly(cp: UPoly):
+    """Multiply through by the denominator lcm: returns (F, D) with F a
+    polynomial in y whose coefficients are polynomials in z, and D(z) the
+    clearing factor (vanishing only at poles)."""
+    den = UPoly([Fraction(1)])
+    for c in cp.coeffs:
+        if isinstance(c, RatFn) and not c.is_zero():
+            g = poly_gcd(den, c.den)
+            den = den * (c.den // g)
+    out = []
+    for c in cp.coeffs:
+        if not c or (isinstance(c, RatFn) and c.is_zero()):
+            out.append(UPoly())
+        else:
+            out.append(c.num * (den // c.den))
+    return UPoly(out), den
+
+
+class CharpolyDiscriminant:
+    """The y-discriminant of a charpoly, computed once, exactly over Q[z].
+
+    res = Res_y(F, F_y) for the cleared F = D cp.  As cp is monic of
+    degree n, res = D^(2n-1) Res_y(cp, cp_y), so :meth:`valuation` reads
+    the discriminant valuation of every local charpoly off one polynomial
+    instead of one Sylvester determinant over series per pole.
+    """
+
+    __slots__ = ("n", "cleared", "den", "res")
+
+    def __init__(self, cp: UPoly):
+        self.n = cp.degree
+        self.cleared, self.den = cleared_charpoly(cp)
+        res = resultant_det(self.cleared, self.cleared.derivative())
+        self.res = res if isinstance(res, UPoly) else UPoly.const(res)
+
+    def valuation(self, a):
+        """ord of Res_y(f, f_y) for the local charpoly f of
+        :func:`localize_charpoly` at a.  At infinity the chart scales every
+        root by -w^-2, which multiplies the discriminant by w^(-2n(n-1))."""
+        if self.res.is_zero():
+            raise SpecrigError("polynomial is not squarefree in y")
+        n = self.n
+        v = (RatFn(self.res).valuation(a)
+             - (2 * n - 1) * RatFn(self.den).valuation(a))
+        return Fraction(v - 2 * n * (n - 1) if a == INFINITY else v)
 
 
 def entry_form_valuation(f: RatFn, a):

@@ -10,7 +10,7 @@ from .germs import GermData, delta_identity_holds
 from .localmod import (build_local, check_assumption, delta_end,
                        discriminant_identity_holds, hor_dim, irr_end,
                        irregularity, reduction_cross_check)
-from .matrf import charpoly, validate_poles
+from .matrf import CharpolyDiscriminant, charpoly, validate_poles
 from .parsing import ProblemSpec
 from .ratfn import INFINITY
 from .rigidity import (CurveClass, arithmetic_genus, cohomology_dims,
@@ -44,13 +44,15 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     a_mat = spec.matrix
     warnings = list(validate_poles(a_mat, spec.poles))
     cp = charpoly(a_mat)
+    disc = CharpolyDiscriminant(cp)
     locals_ = []
     germs = []
     for pole in spec.poles:
         nterms = truncation
         last = None
         for _ in range(4):
-            local = build_local(a_mat, pole, nterms=nterms, cp=cp)
+            local = build_local(a_mat, pole, nterms=nterms, cp=cp,
+                                disc=disc)
             if not check_assumption(local):
                 raise AssumptionFailure(_pole_str(pole), local.violation)
             if not discriminant_identity_holds(local):
@@ -83,7 +85,7 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     delta_sum = sum(g.delta for g in germs)
     rig = rigidity_index(locals_, spec.genus)
     smooth_status, smooth_detail = smoothness_check_finite_part(
-        cp, spec.poles)
+        cp, spec.poles, disc=disc)
     irred = irreducibility_status(cp, locals_)
     if irred == "unknown" and assume_irreducible_curve:
         irred = "assumed-irreducible"

@@ -180,17 +180,19 @@ def min_root_order(F: UPoly):
     return min(e.rho for e in poly.edges)
 
 
-def default_target_depth(F: UPoly):
+def default_target_depth(F: UPoly, vdisc=None):
     """Separation depth: strictly exceeds every pairwise root contact.
 
     With monic squarefree F, ord disc = 2 * sum of contacts over unordered
     root pairs, and each contact is at least the minimal root order, so
-    each contact is at most vdisc/2 - (pairs - 1) * minord.
+    each contact is at most vdisc/2 - (pairs - 1) * minord.  vdisc is
+    ord_z disc_y(F), computed here from F when not supplied.
     """
     n = F.degree
     if n < 2:
         return Fraction(1)
-    vdisc = discriminant_valuation(F)
+    if vdisc is None:
+        vdisc = discriminant_valuation(F)
     minord = min_root_order(F)
     pairs = n * (n - 1) // 2
     bound = Fraction(vdisc, 2) - (pairs - 1) * min(minord, 0)
@@ -198,23 +200,25 @@ def default_target_depth(F: UPoly):
 
 
 def puiseux_clusters(F: UPoly, tower: FieldTower = None,
-                     target_depth=None, degree_bound: int = 4):
+                     target_depth=None, degree_bound: int = 4, vdisc=None):
     """All Puiseux root clusters of monic squarefree F over Series.
 
     Returns (clusters, tower); sum of r over clusters = deg_y F.
     Expansions are carried past target_depth so that every pairwise
-    contact valuation is decided.
+    contact valuation is decided.  vdisc, the valuation of disc_y(F),
+    may come from an exact global discriminant; otherwise it is computed
+    from F, which also gates on squarefreeness.
     """
     if tower is None:
         tower = FieldTower(degree_bound)
     n = F.degree
     if n < 1:
         raise SpecrigError("need deg_y >= 1")
+    if n >= 2 and vdisc is None:
+        vdisc = discriminant_valuation(F)  # squarefree gate
     if target_depth is None:
-        target_depth = default_target_depth(F)
+        target_depth = default_target_depth(F, vdisc)
     target_depth = Fraction(target_depth)
-    if n >= 2:
-        discriminant_valuation(F)  # squarefree gate
     clusters = []
     _descend(F, {}, None, 1, n, tower, target_depth, clusters, 0)
     if sum(c.r for c in clusters) != n:

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import SpecrigError
+from .errors import (InsufficientTruncation, InternalInconsistency,
+                     SpecrigError)
+from .series import Series
 
 
 class UPoly:
@@ -250,10 +252,18 @@ def sylvester_matrix(f: UPoly, g: UPoly):
     return rows
 
 
-def det_cofactor(rows):
-    """Determinant by cofactor expansion; fine for the small sizes here.
+def _exact_zero(a) -> bool:
+    """Provably zero.  A series that vanishes only up to its precision is
+    not: its unknown tail may carry the value."""
+    return a.is_zero() if isinstance(a, Series) else not a
 
-    Works over any commutative ring (no divisions).
+
+def det_cofactor(rows):
+    """Determinant by cofactor expansion; factorial cost.
+
+    Works over any commutative ring (no divisions).  Kept as the test
+    reference for :func:`det_bareiss` and for the small charpoly
+    determinants, where it beats elimination over Q(z)[y].
     """
     size = len(rows)
     if size == 0:
@@ -263,7 +273,7 @@ def det_cofactor(rows):
     acc = None
     for j in range(size):
         a = rows[0][j]
-        if not a:
+        if _exact_zero(a):
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = a * det_cofactor(minor)
@@ -273,8 +283,78 @@ def det_cofactor(rows):
     return acc if acc is not None else rows[0][0] * 0
 
 
+def _pivot_order(a):
+    return a.valuation() if isinstance(a, Series) else 0
+
+
+def _exact_quotient(num, den):
+    """num / den where the division is known to be exact in the ring.
+
+    Polynomials must leave no remainder; series use their own division,
+    which is exact for exact operands and certified for truncated ones.
+    """
+    if isinstance(num, UPoly):
+        quot, rem = num.divmod(den)
+        if rem:
+            raise InternalInconsistency(
+                "fraction-free elimination: inexact polynomial division")
+        return quot
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
+
+
+def det_bareiss(rows):
+    """Determinant by fraction-free (Bareiss) elimination, O(n^3) ring
+    operations.
+
+    Step k replaces each trailing entry by the bordered minor
+    (M[k][k] M[i][j] - M[i][k] M[k][j]) / (previous pivot), a division
+    that is exact in any integral domain.  Over truncated series the
+    pivot is a certified-nonzero entry of lowest valuation, only exact
+    zeros are skipped, and a pivot column that vanishes only to its
+    precision raises InsufficientTruncation: the precision of the result
+    is whatever Series arithmetic certifies.
+    """
+    m = [list(r) for r in rows]
+    size = len(m)
+    if size == 0:
+        return 1
+    negate = False
+    prev = None
+    for k in range(size - 1):
+        live = [i for i in range(k, size) if m[i][k]]
+        if not live:
+            if all(_exact_zero(m[i][k]) for i in range(k, size)):
+                return m[k][k] * 0
+            raise InsufficientTruncation(
+                "pivot column vanishes only to its precision; "
+                "determinant undecided")
+        p = min(live, key=lambda i: _pivot_order(m[i][k]))
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            negate = not negate
+        top = m[k]
+        piv = top[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            cross = not _exact_zero(lead)
+            for j in range(k + 1, size):
+                a = row[j]
+                val = a if _exact_zero(a) else a * piv
+                if cross and not _exact_zero(top[j]):
+                    val = val - lead * top[j]
+                if prev is not None and not _exact_zero(val):
+                    val = _exact_quotient(val, prev)
+                row[j] = val
+        prev = piv
+    det = m[-1][-1]
+    return -det if negate else det
+
+
 def resultant_det(f: UPoly, g: UPoly):
-    """Resultant via the Sylvester determinant; valid over any ring."""
+    """Resultant via the Sylvester determinant; valid over any integral
+    domain whose division is exact (see :func:`det_bareiss`)."""
     if f.is_zero() and g.is_zero():
         raise SpecrigError("resultant of two zero polynomials")
     if f.is_zero() or g.is_zero():
@@ -283,7 +363,7 @@ def resultant_det(f: UPoly, g: UPoly):
         return f.lc() ** g.degree
     if g.degree == 0:
         return g.lc() ** f.degree
-    return det_cofactor(sylvester_matrix(f, g))
+    return det_bareiss(sylvester_matrix(f, g))
 
 
 def discriminant(f: UPoly):

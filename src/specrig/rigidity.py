@@ -16,9 +16,8 @@ import sympy
 from .errors import InternalInconsistency, SpecrigError
 from .germs import GermData
 from .localmod import LocalModule, delta_end
-from .qpoly import UPoly, factor_rational, poly_gcd, resultant_det, \
-    squarefree_part
-from .ratfn import RatFn
+from .matrf import CharpolyDiscriminant, cleared_charpoly
+from .qpoly import UPoly, factor_rational, poly_gcd, squarefree_part
 from .tower import FieldTower
 
 
@@ -78,24 +77,6 @@ def cohomology_dims(rig: int):
 
 # -- bivariate helpers -------------------------------------------------------
 
-def cleared_charpoly(cp: UPoly):
-    """Multiply through by the denominator lcm: returns (F, D) with F a
-    polynomial in y whose coefficients are polynomials in z, and D(z) the
-    clearing factor (vanishing only at poles)."""
-    den = UPoly([Fraction(1)])
-    for c in cp.coeffs:
-        if isinstance(c, RatFn) and not c.is_zero():
-            g = poly_gcd(den, c.den)
-            den = den * (c.den // g)
-    out = []
-    for c in cp.coeffs:
-        if not c or (isinstance(c, RatFn) and c.is_zero()):
-            out.append(UPoly())
-        else:
-            out.append(c.num * (den // c.den))
-    return UPoly(out), den
-
-
 _Y, _Z = sympy.symbols("y z")
 
 
@@ -126,22 +107,20 @@ def irreducibility_status(cp: UPoly, locals_) -> str:
 
 
 def smoothness_check_finite_part(cp: UPoly, declared_poles,
-                                 degree_bound: int = 4):
+                                 degree_bound: int = 4, disc=None):
     """Singular points of the spectral curve away from the poles.
 
     Returns (status, detail): status 'ok', 'singular', or 'indeterminate'.
+    disc is the problem's :class:`CharpolyDiscriminant`, built from cp when
+    not supplied.
     """
-    f, den = cleared_charpoly(cp)
-    if f.degree < 1:
+    if cp.degree < 1:
         raise SpecrigError("characteristic polynomial has no y degree")
+    if disc is None:
+        disc = CharpolyDiscriminant(cp)
+    f, den, s = disc.cleared, disc.den, disc.res
     fy = f.derivative()
     fz = f.map_coeffs(lambda c: c.derivative())
-    if f.degree == 0:
-        return "ok", None
-    s = resultant_det(f, fy) if f.degree >= 1 and not fy.is_zero() \
-        else UPoly()
-    if not isinstance(s, UPoly):
-        s = UPoly.const(s)
     if s.is_zero():
         return "indeterminate", "discriminant vanishes identically"
     declared = {p for p in declared_poles if p != "inf"}

@@ -223,9 +223,50 @@ class Series:
         return acc.shift(-v) * Series.const(1 / c0)
 
     def __truediv__(self, other):
+        """Quotient, exact whenever it can be certified.
+
+        An exact multi-term divisor has no finite inverse: an exact
+        dividend is long-divided (raising unless the quotient is a Laurent
+        polynomial), a truncated one is multiplied by an inverse carried
+        just far enough to keep the dividend's relative precision.
+        """
         if not isinstance(other, Series):
             other = Series.const(other)
+        if other.prec is None and len(other.terms) > 1:
+            if self.prec is None:
+                return self._long_divide(other)
+            return self * other.inverse(order=self.prec - self.low())
         return self * other.inverse()
+
+    def _long_divide(self, other):
+        """Exact quotient of two exact series, highest exponent first.
+
+        A true quotient q has min(q) = min(self) - min(other), so a
+        remainder that would need a lower exponent proves inexactness.
+        """
+        if not self.terms:
+            return Series.zero()
+        top_d = max(other.terms)
+        lead = other.terms[top_d]
+        floor = min(self.terms) - min(other.terms)
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            top = max(rem)
+            e = top - top_d
+            if e < floor:
+                raise SpecrigError(
+                    "exact series division leaves a nonzero remainder")
+            c = rem[top] / lead
+            quot[e] = c
+            for ed, cd in other.terms.items():
+                k = ed + e
+                v = rem.get(k, 0) - c * cd
+                if v:
+                    rem[k] = v
+                else:
+                    rem.pop(k, None)
+        return Series(quot)
 
     def __bool__(self):
         # nonzero as far as we can see; exact-zero is falsy

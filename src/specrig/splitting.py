@@ -97,10 +97,8 @@ def null_vector(a):
 
 
 def sylvester_solve(p, q, c):
-    """Unique T with T q - p T = c when spectra of p and q are disjoint."""
-    res = resultant_det(cmat_charpoly(p), cmat_charpoly(q))
-    if not res:
-        raise SpectraOverlap("blocks share an eigenvalue")
+    """Unique T with T q - p T = c when spectra of p and q are disjoint;
+    raises SpectraOverlap (from solve_linear) when they are not."""
     np_, nq = len(p), len(q[0])
     size = np_ * nq
     m = [[Fraction(0)] * size for _ in range(size)]

@@ -73,6 +73,15 @@ class TestAssumptionGate:
         assert not check_assumption(local)
         assert "not pairwise distinct" in local.violation
 
+    def test_failed_fallback_keeps_its_reason(self):
+        # Jordan-block residue: two regular cells, and the splitting route
+        # cannot separate the repeated eigenvalue of the leading matrix
+        a = mat([["1/z", "1/z"], ["0", "1/z + 1"]])
+        local = build_local(a, F(0))
+        assert not check_assumption(local)
+        assert "2 regular cells (q = 0) coincide" in local.violation
+        assert "repeated eigenvalue" in local.violation
+
     def test_distinct_residues_rescue(self):
         # same exponential part is fine when the residues differ
         a = mat([["1/z^2", "0"], ["0", "1/z^2 + 1/z"]])

@@ -3,13 +3,19 @@
 import random
 from fractions import Fraction
 
+from pathlib import Path
+
 import pytest
 
 from conftest import mat
-from specrig.errors import InputError, UnsupportedPoleLocation
-from specrig.matrf import (charpoly, default_truncation, entry_form_valuation,
-                           localize, localize_charpoly, pole_order,
-                           validate_poles)
+from specrig.errors import InputError, SpecrigError, UnsupportedPoleLocation
+from specrig.localmod import build_local
+from specrig.matrf import (CharpolyDiscriminant, charpoly, default_truncation,
+                           entry_form_valuation, localize, localize_charpoly,
+                           pole_order, validate_poles)
+from specrig.parsing import parse_problem
+from specrig.puiseux import discriminant_valuation
+from specrig.qpoly import UPoly
 from specrig.ratfn import INFINITY, RatFn
 
 
@@ -126,3 +132,74 @@ class TestValidatePoles:
 def test_default_truncation_floor():
     assert default_truncation(2, 3) == 2 * (6 + 4 + 4)
     assert default_truncation(1, 0) >= 8
+
+
+# -- the global discriminant, read at each pole ------------------------------
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_input"
+
+
+def _problem(poles, rows):
+    return "poles " + ", ".join(poles) + "\nmatrix\n" + "\n".join(
+        ", ".join(row) for row in rows) + "\nend\n"
+
+
+def _airy(n):
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = "1"
+    rows[n - 1][0] = "z"
+    return _problem(["inf"], rows)
+
+
+def _gen_airy(k):
+    return _problem(["inf"], [["0", "1"], [f"z^{k}", "0"]])
+
+
+def _diag_irreg(n):
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = f"{i + 1}/z^2" + (f" + {i}/z" if i else "")
+    return _problem(["0", "inf"], rows)
+
+
+def _dense_fuchs(n):
+    return _problem(["0", "1", "inf"],
+                    [[f"{i + 2 * j + 1}/z + {(i * j) % 3 + 1}/(z - 1)"
+                      for j in range(n)] for i in range(n)])
+
+
+GLOBAL_DISC_CASES = (
+    {f"example_{p.stem}": p.read_text() for p in sorted(
+        EXAMPLES.glob("*.txt"))}
+    | {f"diag_irreg_rank{n}": _diag_irreg(n) for n in range(2, 5)}
+    | {"dense_fuchs_rank2": _dense_fuchs(2)}
+    | {f"airy_rank{n}": _airy(n) for n in range(2, 7)}
+    | {f"gen_airy_k{k}": _gen_airy(k) for k in range(1, 6)})
+
+
+class TestCharpolyDiscriminant:
+    def test_airy_chart_at_infinity(self):
+        # cp = y^2 - z: Res_y = -4z; the local charpoly y^2 - w^-5 at
+        # infinity has discriminant 4 w^-5
+        disc = CharpolyDiscriminant(charpoly(mat([["0", "1"], ["z", "0"]])))
+        assert disc.res == UPoly([F(0), F(-4)])
+        assert disc.valuation(INFINITY) == -5
+        assert disc.valuation(F(0)) == 1
+
+    def test_not_squarefree_refused(self):
+        disc = CharpolyDiscriminant(charpoly(mat([["1/z", "0"],
+                                                  ["0", "1/z"]])))
+        with pytest.raises(SpecrigError):
+            disc.valuation(F(0))
+
+    @pytest.mark.parametrize("name", sorted(GLOBAL_DISC_CASES))
+    def test_matches_local_sylvester_valuation(self, name):
+        spec = parse_problem(GLOBAL_DISC_CASES[name])
+        cp = charpoly(spec.matrix)
+        disc = CharpolyDiscriminant(cp)
+        for pole in spec.poles:
+            local = build_local(spec.matrix, pole, cp=cp, disc=disc)
+            assert local.vdisc == disc.valuation(pole)
+            assert disc.valuation(pole) == \
+                discriminant_valuation(local.local_charpoly)

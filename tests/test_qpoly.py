@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specrig.errors import SpecrigError
-from specrig.qpoly import (UPoly, det_cofactor, discriminant, factor_rational,
-                           is_irreducible_rational, poly_gcd, poly_xgcd,
-                           rational_roots, resultant, resultant_det,
-                           squarefree_part, sylvester_matrix)
+from specrig.errors import InsufficientTruncation, SpecrigError
+from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, discriminant,
+                           factor_rational, is_irreducible_rational,
+                           poly_gcd, poly_xgcd, rational_roots, resultant,
+                           resultant_det, squarefree_part, sylvester_matrix)
+from specrig.series import Series
+from specrig.tower import FieldTower
 
 
 X = UPoly([Fraction(0), Fraction(1)])
@@ -137,6 +140,102 @@ class TestDetCofactor:
 
     def test_zero_row(self):
         assert det_cofactor([[0, 0], [1, 2]]) == 0
+
+    @pytest.mark.parametrize("det", [det_cofactor, det_bareiss])
+    def test_zero_to_precision_is_not_exact_zero(self, det):
+        # O(z) - z^2 = O(z): the valuation is undecided, never 2
+        rows = [[Series.zero(prec=1), Series({2: Fraction(1)})],
+                [Series.const(Fraction(1)), Series.const(Fraction(1))]]
+        d = det(rows)
+        assert d.prec == 1
+        with pytest.raises(InsufficientTruncation):
+            d.valuation()
+
+
+# -- fraction-free elimination against the cofactor reference ---------------
+
+_Q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_SQRT2 = FieldTower().adjoin(P(-2, 0, 1))
+_EXPONENTS = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
+              Fraction(1)]
+
+
+def _square(entries):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+_RINGS = {
+    "Q": _Q,
+    "Q[z]": st.lists(_Q, max_size=3).map(UPoly),
+    "Q(sqrt 2)": st.tuples(_Q, _Q).map(lambda ab: ab[0] + ab[1] * _SQRT2),
+    "exact series": st.dictionaries(st.sampled_from(_EXPONENTS), _Q,
+                                    max_size=3).map(Series),
+}
+
+
+def _truncated_series():
+    def build(args):
+        v, coeffs, extra = args
+        terms = {v + i: c for i, c in enumerate(coeffs)}
+        return Series(terms, v + len(coeffs) + extra)
+    lead = st.sampled_from([Fraction(k) for k in (-2, -1, 1, 2)])
+    return st.tuples(st.integers(-2, 2),
+                     st.tuples(lead, _Q, _Q).map(list),
+                     st.integers(0, 3)).map(build)
+
+
+class TestDetBareiss:
+    @pytest.mark.parametrize("ring", sorted(_RINGS))
+    def test_equals_cofactor(self, ring):
+        @settings(max_examples=60, deadline=None)
+        @given(_square(_RINGS[ring]))
+        def check(rows):
+            assert det_bareiss(rows) == det_cofactor(rows)
+        check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_square(_truncated_series()))
+    def test_truncated_series_never_certifies_a_wrong_value(self, rows):
+        # every entry carries a certified leading term; elimination may
+        # certify less precision than the cofactor sum, never other terms
+        ref = det_cofactor(rows)
+        try:
+            d = det_bareiss(rows)
+        except InsufficientTruncation:
+            return
+        common = min(d.prec, ref.prec)
+        for e in set(d.terms) | set(ref.terms):
+            if e < common:
+                assert d.terms.get(e, 0) == ref.terms.get(e, 0)
+        if d.terms and ref.terms:
+            assert d.valuation() == ref.valuation()
+
+    def test_lowest_valuation_pivot(self):
+        z = Series({1: Fraction(1)}, prec=6)
+        one = Series({0: Fraction(1)}, prec=5)
+        rows = [[z, one, one], [one, z, one], [one, one, z]]
+        d = det_bareiss(rows)
+        assert d.valuation() == 0 and d.leading() == 2
+        assert d.prec == det_cofactor(rows).prec
+
+    def test_zero_pivot_column_to_precision_raises(self):
+        rows = [[Series.zero(prec=2), Series.const(Fraction(1))],
+                [Series.zero(prec=3), Series.const(Fraction(2))]]
+        with pytest.raises(InsufficientTruncation):
+            det_bareiss(rows)
+
+    def test_exact_zero_column(self):
+        rows = [[Series.zero(), Series.const(Fraction(1))],
+                [Series.zero(), Series({1: Fraction(1)}, prec=4)]]
+        assert det_bareiss(rows).is_zero()
+
+    def test_resultant_over_polynomials(self):
+        # Res_y(y^2 - z, 2y) = 4 * (-z) over Q[z]
+        z = UPoly([Fraction(0), Fraction(1)])
+        f = UPoly([-z, UPoly(), UPoly.const(Fraction(1))])
+        assert resultant_det(f, f.derivative()) == z.scale(-4)
 
 
 class TestRationalFactorization:

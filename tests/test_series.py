@@ -119,6 +119,35 @@ class TestInverse:
         assert all(q.coeff(k) == 0 for k in range(1, int(q.prec)))
 
 
+class TestExactDivision:
+    def test_monomial_divisor(self):
+        q = Series({1: F(2), 3: F(4)}) / Series.monomial(F(2), 1)
+        assert q.terms == {F(0): 1, F(2): 2}
+        assert q.is_exact()
+
+    def test_multiterm_divisor(self):
+        d = Series({0: F(1), 1: F(1)})  # 1 + z
+        f = Series({-1: F(1), 0: F(3), 2: F(-1)})
+        q = (f * d) / d
+        assert q == f
+
+    def test_fractional_exponents(self):
+        d = Series({F(-1, 3): F(1), F(1, 3): F(2)})
+        f = Series({F(1, 2): F(5), 1: F(-1)})
+        assert (f * d) / d == f
+
+    def test_inexact_quotient_raises(self):
+        with pytest.raises(SpecrigError):
+            Series.const(F(1)) / Series({0: F(1), 1: F(1)})
+
+    def test_truncated_dividend_keeps_relative_precision(self):
+        d = Series({1: F(1), 2: F(-1)})  # z - z^2
+        f = Series({2: F(3), 3: F(1)}, prec=7)
+        q = f / d
+        assert q.prec == 6
+        assert (q * d - f).known_zero_to_prec()
+
+
 class TestParts:
     def test_integer_part(self):
         s = Series({F(-3, 2): 1, -1: 2, F(1, 2): 5, 2: 3})
