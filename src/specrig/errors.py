@@ -33,11 +33,6 @@ class ReductionUnavailable(SpecrigError):
     """The splitting-based HTL cross-check cannot run for this germ."""
 
 
-class AssumptionViolation(SpecrigError):
-    """The local normal form is neither multiplicity free nor regular
-    semisimple, so the invariant formulas do not apply."""
-
-
 class AmbiguousComparison(SpecrigError):
     """Deciding equality would require a root of unity the coefficient
     tower does not pin down to a single embedding."""

@@ -48,10 +48,6 @@ def unbounded_branches(local: LocalModule):
     return [c for c in local.cells if c.cluster.order < 0]
 
 
-def local_inf_intersection(g: GermData) -> int:
-    return g.local_inf
-
-
 def branch_intersection(g: GermData, i: int, j: int) -> int:
     """(C_i, C_j) = p_i r_j + p_j r_i + r_i r_j - Irr(Hom)."""
     if i == j:

@@ -416,7 +416,3 @@ def is_irreducible_rational(f: UPoly) -> bool:
         return False
     factors = factor_rational(f)
     return len(factors) == 1 and factors[0][1] == 1
-
-
-QQ_ZERO = Fraction(0)
-QQ_ONE = Fraction(1)

@@ -38,16 +38,14 @@ def total_inf_intersection(germs) -> int:
     return sum(g.local_inf for g in germs)
 
 
-def arithmetic_genus(c: CurveClass, spectral: bool = True):
+def arithmetic_genus(c: CurveClass) -> int:
     """g_a = (n^2 (2g - 2) + (2n - 2) b) / 2 + 1."""
     val = Fraction(c.n ** 2 * (2 * c.g - 2) + (2 * c.n - 2) * c.b, 2) + 1
-    if spectral:
-        if val.denominator != 1:
-            raise InternalInconsistency(
-                f"arithmetic genus {val} of a spectral curve class is "
-                "not an integer")
-        return int(val)
-    return val
+    if val.denominator != 1:
+        raise InternalInconsistency(
+            f"arithmetic genus {val} of a spectral curve class is "
+            "not an integer")
+    return int(val)
 
 
 def euler_char_normalization(g_a: int, germs) -> int:
@@ -151,17 +149,3 @@ def _common_root_at(f, fy, fz, z0):
     fzv = UPoly([c.eval(z0) for c in fz.coeffs])
     g = poly_gcd(poly_gcd(fv, fyv), fzv)
     return g.degree >= 1
-
-
-class GlobalReport:
-    """Aggregated result of one analysis run."""
-
-    __slots__ = ("n", "genus", "poles", "locals", "germs", "curve",
-                 "g_a", "delta_sum", "chi", "rig", "hdims",
-                 "milnor_ok", "delta_identity_ok", "main_theorem",
-                 "irreducibility", "smoothness", "warnings")
-
-    def __init__(self):
-        self.warnings = []
-        self.hdims = None
-        self.main_theorem = None

@@ -8,12 +8,18 @@ eigenvalue series of G, an HTL-cell extraction independent of the
 Newton-Puiseux route.  No derivative term appears: similarity preserves
 eigenvalue series, and the correction a genuine gauge transform adds has
 order >= 0, so principal parts through the t^{-1} coefficient agree.
+
+A split certifies every block to the precision of its input: the
+t^{r + m} coefficient of B comes from A_0 .. A_m alone.  So full_split
+cuts its input below t^0, the part the HTL route (htl_from_reduction)
+reads, which certifies the principal part and the residue and nothing
+beyond them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      NotRegularSemisimple, SpecrigError, SpectraOverlap)
@@ -33,10 +39,6 @@ def cmat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
              for j in range(m)] for i in range(n)]
-
-
-def cmat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def cmat_charpoly(a) -> UPoly:
@@ -182,23 +184,22 @@ class SplitCertificate:
         return [row[n1:] for row in self.B[n1:]]
 
 
-def split_once(g, n1, order=None) -> SplitCertificate:
+def split_once(g, n1) -> SplitCertificate:
     """One block split of g with leading coefficient block diagonal in
-    sizes (n1, n - n1); verifies the residual T g - B T literally."""
+    sizes (n1, n - n1), to every order g certifies; verifies the residual
+    T g - B T literally."""
     n = len(g)
     r0 = smat_val(g)
     if r0 != int(r0):
         raise SpecrigError("series matrix must have integer exponents")
     r0 = int(r0)
     prec = smat_prec(g)
-    if order is None:
-        if prec == INF:
-            raise SpecrigError("split_once needs an explicit order for "
-                               "exact input")
-        order = int(prec - r0) - (0 if prec - r0 != int(prec - r0) else 1)
-        # largest m with r0 + m < prec
-        while r0 + order >= prec:
-            order -= 1
+    if prec == INF:
+        raise SpecrigError("split_once needs truncated input")
+    order = int(prec - r0) - (0 if prec - r0 != int(prec - r0) else 1)
+    # largest m with r0 + m < prec
+    while r0 + order >= prec:
+        order -= 1
     if order < 0:
         raise InsufficientTruncation("no certified orders beyond leading")
     a = [smat_coeff(g, r0 + m) for m in range(order + 1)]
@@ -269,12 +270,19 @@ def _charpoly_squarefree(cp: UPoly) -> bool:
     return bool(resultant_det(cp, der))
 
 
-def full_split(g, tower: FieldTower, order=None):
-    """Eigenvalue series of g as scalar blocks, by repeated splitting.
+def full_split(g, tower: FieldTower):
+    """Eigenvalue series of g as scalar blocks, by repeated splitting,
+    each certified below t^0 (below t^{r0 + 1} at least).
 
     Requires the leading matrix (after scalar stripping and diagonal power
     balancing, both similarity moves) to have pairwise distinct eigenvalues
-    over the tower.
+    over the tower.  The regular-semisimple input, exact or truncated, is
+    cut to precision max(0, r0 + 1) before splitting.  The cut is exact:
+    the t^{r0 + m} coefficient of every block depends only on the
+    coefficients of g through t^{r0 + m}, and the constant conjugation in
+    front of it, like the stripping and balancing before it, leaves the
+    eigenvalue series unchanged.  Balancing runs before the cut and so
+    sees the full precision of g.
     """
     n = len(g)
     if n == 1:
@@ -291,6 +299,9 @@ def full_split(g, tower: FieldTower, order=None):
         eigs = [e for e, _ in tower.split_completely(cp)]
         if len(eigs) != n:
             raise InternalInconsistency("eigenvalue count mismatch")
+        cut = max(0, r0 + 1)
+        if smat_prec(g) > cut:
+            g = [[e.truncate(cut) for e in row] for row in g]
         vcols = [null_vector([[a0[i][j] - (eig if i == j else 0)
                                for j in range(n)] for i in range(n)])
                  for eig in eigs]
@@ -299,10 +310,9 @@ def full_split(g, tower: FieldTower, order=None):
         h = smat_conjugate_const(g, v, vinv)
         out = []
         while len(h) > 1:
-            cert = split_once(h, 1, order)
+            cert = split_once(h, 1)
             out.append(cert.block(0)[0][0])
             h = cert.block(1)
-            order = None
         out.append(h[0][0])
         return out
     c = _is_scalar(a0)
@@ -310,10 +320,10 @@ def full_split(g, tower: FieldTower, order=None):
         scalar = Series.monomial(c, r0)
         stripped = [[g[i][j] - (scalar if i == j else Series.zero())
                      for j in range(n)] for i in range(n)]
-        return [scalar + b for b in full_split(stripped, tower, order)]
+        return [scalar + b for b in full_split(stripped, tower)]
     balanced = _balance(g, tower)
     if balanced is not None:
-        return full_split(balanced, tower, order)
+        return full_split(balanced, tower)
     raise NotRegularSemisimple(
         "leading matrix has a repeated eigenvalue and no balancing "
         "diagonal power gauge separates it")
@@ -326,12 +336,11 @@ def _balance(g, tower):
     vals = [[(e.valuation() if e.terms else None) for e in row] for row in g]
     progressions = [tuple(c * i for i in range(1, n))
                     for c in range(-24, 25) if c]
-    brute = product(range(-6, 7), repeat=n - 1)
-    seen = set()
-    for ks in list(progressions) + list(brute):
-        if ks in seen:
-            continue
-        seen.add(ks)
+    tried = set(progressions)
+    # a generator: at rank 7 the brute range has 13^6 ~ 4.8M tuples
+    brute = (ks for ks in product(range(-6, 7), repeat=n - 1)
+             if ks not in tried)
+    for ks in chain(progressions, brute):
         k = (0,) + ks
         if all(x == 0 for x in k):
             continue
@@ -392,15 +401,12 @@ def htl_from_reduction(g, s_hint: int, tower: FieldTower):
     coefficient of z * eigenvalue, divided through the pullback chain rule.
     t * block = s * (z * y)(t^s), so dividing by s and scaling exponents by
     1/s recovers the z-side data.
+
+    Both are read from the blocks below t^0, the precision full_split
+    certifies for exact and truncated g alike; the route certifies q and
+    the residue and nothing beyond them.
     """
     gt = ramified_pullback(g, s_hint)
-    if smat_prec(gt) == INF:
-        # exact input: enough certified orders for principal parts and
-        # residues, with headroom for diagonal power balancing
-        vs = [e.valuation() for row in gt for e in row if e.terms]
-        spread = int(max(vs) - min(vs)) if vs else 0
-        cap = Fraction(4 + 2 * spread)
-        gt = [[e.truncate(cap) for e in row] for row in gt]
     blocks = full_split(gt, tower)
     cells = []
     for b in blocks:

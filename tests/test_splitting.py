@@ -1,17 +1,23 @@
 """Block splitting by similarity: certificates and eigenvalue series."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from specrig import splitting
 from specrig.errors import NotRegularSemisimple, SpecrigError, SpectraOverlap
-from specrig.matrf import localize
-from specrig.series import Series
-from specrig.splitting import (cmat_charpoly, cmat_identity, cmat_mul,
+from specrig.matrf import default_truncation, localize, pole_order
+from specrig.series import INF, Series
+from specrig.splitting import (_balance, _charpoly_squarefree,
+                               cmat_charpoly, cmat_identity, cmat_mul,
                                full_split, htl_from_reduction, null_vector,
-                               ramified_pullback, smat_mul, smat_sub,
-                               solve_linear, split_once, sylvester_solve)
+                               ramified_pullback, smat_mul, smat_prec,
+                               smat_sub, smat_val, solve_linear, split_once,
+                               sylvester_solve)
 from specrig.tower import FieldTower
 
 from conftest import mat
@@ -185,6 +191,143 @@ class TestHtlFromReduction:
         cells = htl_from_reduction(g, 1, FieldTower())
         assert sorted(res for _, res in cells) == [F(1, 3), F(1, 2)]
         assert all(not q.terms for q, _ in cells)
+
+
+def airy(n):
+    return mat([["z" if (i, j) == (n - 1, 0) else "1" if j == i + 1 else "0"
+                 for j in range(n)] for i in range(n)])
+
+
+def dense_fuchs(n):
+    return mat([[f"{i + 2 * j + 1}/z + {(i * j) % 3 + 1}/(z-1)"
+                 for j in range(n)] for i in range(n)])
+
+
+class TestReductionPrecision:
+    """The route splits only below t^0, so the cells must not depend on
+    how far the input was expanded."""
+
+    @pytest.mark.parametrize("a, pole, s", [
+        (dense_fuchs(3), 0, 1),
+        (dense_fuchs(3), 1, 1),
+        (dense_fuchs(3), "inf", 1),
+        (airy(2), "inf", 2),
+    ])
+    def test_cells_independent_of_truncation(self, a, pole, s):
+        default = default_truncation(a.n, pole_order(a, pole))
+        tower = FieldTower()
+        # one tower, so equal cells print alike; the block order may differ
+        cells = [sorted(map(repr, htl_from_reduction(
+                     localize(a, pole, nterms)[0], s, tower)))
+                 for nterms in (8, default, 2 * default)]
+        assert cells[0] == cells[1] == cells[2]
+
+    @pytest.mark.parametrize("g, s", [
+        (localize(airy(2), "inf", 8)[0], 2),
+        (localize(airy(3), "inf", 8)[0], 3),
+        (smat([[{-1: F(1, 2)}, 0], [0, {-1: F(1, 3)}]]), 1),
+    ])
+    def test_exact_input_is_cut_like_truncated_input(self, g, s):
+        # airy at inf localizes exactly: its entries are polynomials in z
+        assert smat_prec(g) == INF
+        tower = FieldTower()
+        cells = [sorted(map(repr, htl_from_reduction(
+                     [[e if prec is None else e.truncate(prec) for e in row]
+                      for row in g], s, tower)))
+                 for prec in (None, 1, 4)]
+        assert cells[0] == cells[1] == cells[2]
+
+    def test_split_input_stops_at_the_residue(self, monkeypatch):
+        seen = []
+        original = splitting.split_once
+
+        def spy(g, n1):
+            seen.append((smat_val(g), smat_prec(g)))
+            return original(g, n1)
+
+        monkeypatch.setattr(splitting, "split_once", spy)
+        g, _ = localize(dense_fuchs(3), 0, 32)
+        htl_from_reduction(g, 1, FieldTower())
+        assert seen
+        assert all(prec <= max(0, val + 1) for val, prec in seen)
+
+
+def _balance_reference(g):
+    """The list-based search _balance replaced: same candidates, same
+    order, every tuple materialised up front."""
+    n = len(g)
+    vals = [[(e.valuation() if e.terms else None) for e in row] for row in g]
+    progressions = [tuple(c * i for i in range(1, n))
+                    for c in range(-24, 25) if c]
+    brute = product(range(-6, 7), repeat=n - 1)
+    seen = set()
+    for ks in list(progressions) + list(brute):
+        if ks in seen:
+            continue
+        seen.add(ks)
+        k = (0,) + ks
+        if all(x == 0 for x in k):
+            continue
+        r0 = INF
+        for i in range(n):
+            for j in range(n):
+                if vals[i][j] is not None:
+                    r0 = min(r0, vals[i][j] + k[i] - k[j])
+        if r0 == INF:
+            continue
+        a0 = [[(g[i][j].coeff(r0 - k[i] + k[j])
+                if g[i][j].prec is None or r0 - k[i] + k[j] < g[i][j].prec
+                else None)
+               for j in range(n)] for i in range(n)]
+        if any(x is None for row in a0 for x in row):
+            continue
+        if _charpoly_squarefree(cmat_charpoly(a0)):
+            return [[g[i][j].shift(k[i] - k[j]) for j in range(n)]
+                    for i in range(n)]
+    return None
+
+
+@st.composite
+def _series_matrix(draw):
+    """A sparse constant matrix C moved by a random diagonal power gauge:
+    entry (i, j) is C_ij t^{r - k_i + k_j}, exact or truncated two orders
+    above that exponent, so the search has something to find."""
+    n = draw(st.integers(2, 4))
+    c = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                      min_size=n * n, max_size=n * n))
+    k = (0,) + draw(st.tuples(*[st.integers(-6, 6)] * (n - 1)))
+    r = draw(st.integers(-2, 1))
+    truncated = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = r - k[i] + k[j]
+            cij = c[i * n + j]
+            row.append(Series({e: F(cij)} if cij else {},
+                              e + 2 if truncated else None))
+        rows.append(row)
+    return rows
+
+
+class TestBalance:
+    @settings(max_examples=20, deadline=None)
+    @given(_series_matrix())
+    def test_matches_list_based_search(self, g):
+        assert _balance(g, FieldTower()) == _balance_reference(g)
+
+    def test_rank7_search_is_lazy(self):
+        a = airy(7)
+        g, _ = localize(a, "inf", default_truncation(7, pole_order(a, "inf")))
+        gt = ramified_pullback(g, 7)
+        tracemalloc.start()
+        try:
+            balanced = _balance(gt, FieldTower())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert balanced is not None
+        assert peak < 50 * 2 ** 20
 
 
 def random_split_example(rng):
