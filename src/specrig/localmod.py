@@ -52,11 +52,11 @@ class LocalModule:
     """All per-pole data needed by the invariant formulas."""
 
     __slots__ = ("pole", "n", "nu", "cells", "clusters", "tower",
-                 "local_charpoly", "local_matrix", "mode", "violation",
-                 "warnings", "nterms", "vdisc")
+                 "local_charpoly", "a_mat", "_local_matrix", "mode",
+                 "violation", "warnings", "nterms", "vdisc")
 
     def __init__(self, pole, n, nu, cells, clusters, tower, local_charpoly,
-                 local_matrix, nterms, vdisc):
+                 a_mat, nterms, vdisc):
         self.pole = pole
         self.n = n
         self.nu = nu
@@ -64,7 +64,8 @@ class LocalModule:
         self.clusters = clusters
         self.tower = tower
         self.local_charpoly = local_charpoly
-        self.local_matrix = local_matrix
+        self.a_mat = a_mat
+        self._local_matrix = None
         self.nterms = nterms
         self.vdisc = vdisc  # ord disc_y of local_charpoly, from cp alone
         self.mode = None
@@ -74,6 +75,17 @@ class LocalModule:
     @property
     def m(self):
         return len(self.cells)
+
+    @property
+    def local_matrix(self):
+        """The connection matrix expanded at the pole to nterms orders,
+        built on first read and cached.  Only the reduction route reads
+        it; the Puiseux route, the germ oracle and the multiplicity-free
+        gate work from the local charpoly alone."""
+        if self._local_matrix is None:
+            self._local_matrix = localize(self.a_mat, self.pole,
+                                          self.nterms)[0]
+        return self._local_matrix
 
 
 def build_local(a_mat: MatRF, a, nterms=None, degree_bound: int = 4,
@@ -104,14 +116,13 @@ def build_local(a_mat: MatRF, a, nterms=None, degree_bound: int = 4,
 def _build_local_once(a_mat, a, cp, n, nu, nterms, degree_bound, vdisc):
     coeffs = localize_charpoly(cp, a, nterms)
     f_local = UPoly(coeffs)
-    g_local, _ = localize(a_mat, a, nterms)
     clusters, tower = puiseux_clusters(f_local, degree_bound=degree_bound,
                                        vdisc=vdisc)
     cells = [HTLCell(c) for c in clusters]
     cells.sort(key=lambda c: (-Fraction(c.p, c.r), str(sorted(
         (str(e), str(v)) for e, v in c.q.terms.items()))))
     return LocalModule(a, n, nu, cells, [c.cluster for c in cells], tower,
-                       f_local, g_local, nterms, vdisc)
+                       f_local, a_mat, nterms, vdisc)
 
 
 # -- assumption check --------------------------------------------------------

@@ -65,21 +65,36 @@ def _invert_constant(rows):
 
 
 def charpoly(m: MatRF) -> UPoly:
-    """det(yI - M) as a monic UPoly in y with RatFn coefficients."""
+    """det(yI - M) as a monic UPoly in y with RatFn coefficients.
+
+    Computed over Q[z], where no gcd runs: with d the monic lcm of the
+    entry denominators and N = d M, det(xI - N) = sum c_k x^k has
+    polynomial coefficients, and det(yI - M) = d^-n det(d y I - N) gives
+    the coefficient of y^k as c_k / d^(n-k), normalized once.  The
+    cofactor kernel serves this small determinant: Bareiss elimination
+    was slower on it, and its cost follows the sparsity of M.
+    """
     n = m.n
-    y = UPoly([RatFn.const(0), RatFn.const(1)])
+    one = UPoly([Fraction(1)])
+    d = one
+    for row in m.entries:
+        for f in row:
+            if f.den.degree >= 1:
+                d = d * (f.den // poly_gcd(d, f.den))
+    x = UPoly([UPoly(), one])
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = UPoly([-m.entries[i][j]])
-            if i == j:
-                cell = cell + y
-            row.append(cell)
-        rows.append(row)
+    for i, row in enumerate(m.entries):
+        cells = []
+        for j, f in enumerate(row):
+            cell = UPoly([-(f.num * (d // f.den))])
+            cells.append(cell + x if i == j else cell)
+        rows.append(cells)
     det = det_cofactor(rows)
-    return UPoly([c if isinstance(c, RatFn) else RatFn.const(c)
-                  for c in det.coeffs])
+    powers = [one]
+    for _ in range(n):
+        powers.append(powers[-1] * d)
+    return UPoly([RatFn(det[k] or UPoly(), powers[n - k])
+                  for k in range(n + 1)])
 
 
 def cleared_charpoly(cp: UPoly):

@@ -12,7 +12,8 @@ Problem files are line based:
     end
 
 Expressions allow integers, the variable, + - * / ^ with integer
-exponents, and parentheses.  Every syntax error carries line and column.
+exponents k, |k| <= MAX_EXPONENT, and parentheses.  Every syntax error
+carries line and column.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .errors import InputError
 from .matrf import MatRF
 from .qpoly import UPoly
 from .ratfn import INFINITY, RatFn
+
+# largest |k| accepted in base^k: bounds the degree one power can create
+MAX_EXPONENT = 1000
 
 
 class ProblemSpec:
@@ -139,6 +143,9 @@ class _ExprParser:
         if self.t.peek()[0] == "^":
             _, _, pos = self.t.next()
             k = self._exponent(pos)
+            if abs(k) > MAX_EXPONENT:
+                self.t._err(pos, "exponent exceeds the bound "
+                                 f"|k| <= {MAX_EXPONENT}")
             if k < 0 and base.is_zero():
                 self.t._err(pos, "zero raised to a negative power")
             return base ** k

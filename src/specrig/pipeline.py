@@ -86,7 +86,7 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     rig = rigidity_index(locals_, spec.genus)
     smooth_status, smooth_detail = smoothness_check_finite_part(
         cp, spec.poles, disc=disc)
-    irred = irreducibility_status(cp, locals_)
+    irred = irreducibility_status(cp, locals_, disc=disc)
     if irred == "unknown" and assume_irreducible_curve:
         irred = "assumed-irreducible"
     resonant = any("resonant" in w for w in warnings)

@@ -394,10 +394,14 @@ def _from_sympy(p) -> UPoly:
 def factor_rational(f: UPoly):
     """Irreducible factorization over Q: list of (monic UPoly, multiplicity).
 
-    All coefficients of f must be Fraction/int.
+    All coefficients of f must be Fraction/int.  A linear f is its own
+    factorization and never reaches sympy.
     """
     if f.degree < 1:
         return []
+    if f.degree == 1:
+        lead = Fraction(f.coeffs[1])
+        return [(UPoly([Fraction(f.coeffs[0]) / lead, Fraction(1)]), 1)]
     _, factors = _to_sympy(f).factor_list()
     return [(_from_sympy(p).monic(), int(k)) for p, k in factors]
 

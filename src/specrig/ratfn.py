@@ -13,29 +13,55 @@ from .qpoly import UPoly, poly_gcd
 from .series import Series
 
 INFINITY = "inf"  # token for the point at infinity
+_ONE = UPoly([Fraction(1)])
 
 
 class RatFn:
-    """num/den with gcd(num, den) = 1 and den monic."""
+    """num/den with gcd(num, den) = 1 and den monic.
+
+    The constructor normalizes once, and skips the two steps that are
+    trivial: the gcd when den is constant (gcd(num, c) = 1 for c != 0)
+    and the rescaling when den is already monic.  Results whose parts are
+    coprime by construction (negation, powers and the chart changes
+    :meth:`at_infinity` and :meth:`shifted`) go through
+    :meth:`_coprime`, which only makes den monic.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: UPoly, den: UPoly = None):
         if den is None:
-            den = UPoly([Fraction(1)])
+            den = _ONE
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = UPoly(), UPoly([Fraction(1)])
+            num, den = UPoly(), _ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num, den = num // g, den // g
+            if den.degree >= 1:
+                g = poly_gcd(num, den)
+                if g.degree >= 1:
+                    num, den = num // g, den // g
             lead = den.lc()
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            if lead != 1:
+                num = num.scale(1 / lead)
+                den = den.scale(1 / lead)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _coprime(cls, num: UPoly, den: UPoly) -> "RatFn":
+        """num/den for num and den already coprime, den nonzero: only
+        makes den monic."""
+        if num.is_zero():
+            return cls(num)
+        out = object.__new__(cls)
+        lead = den.lc()
+        if lead != 1:
+            num = num.scale(1 / lead)
+            den = den.scale(1 / lead)
+        out.num = num
+        out.den = den
+        return out
 
     @staticmethod
     def const(c):
@@ -70,7 +96,7 @@ class RatFn:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFn(-self.num, self.den)
+        return RatFn._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -98,16 +124,14 @@ class RatFn:
         return RatFn.const(other) / self
 
     def __pow__(self, n):
+        """gcd(num, den) = 1 implies gcd(num^k, den^k) = 1."""
+        if n == 0:
+            return RatFn.const(1)
         if n < 0:
-            return (RatFn.const(1) / self) ** (-n)
-        result = RatFn.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            if self.is_zero():
+                raise ZeroDivisionError("division by zero rational function")
+            return RatFn._coprime(self.den ** -n, self.num ** -n)
+        return RatFn._coprime(self.num ** n, self.den ** n)
 
     def eval(self, x0):
         d = self.den.eval(x0)
@@ -130,21 +154,28 @@ class RatFn:
         return _root_order(self.num, a) - _root_order(self.den, a)
 
     def at_infinity(self) -> "RatFn":
-        """Substitute z = 1/w; returns a rational function of w."""
+        """Substitute z = 1/w; returns a rational function of w.
+
+        The reversals rn, rd of num, den stay coprime: a common root
+        w0 != 0 would give the common root 1/w0 of num and den, and
+        rn(0) = lc(num), rd(0) = lc(den) are nonzero, so neither is
+        divisible by w and the power of w below cancels nothing."""
         n, d = self.num, self.den
         dn, dd = n.degree, d.degree
         rn = UPoly(list(reversed(n.coeffs)))
         rd = UPoly(list(reversed(d.coeffs)))
         # f(1/w) = w^{dd-dn} * rn(w)/rd(w)
         if dd >= dn:
-            return RatFn(rn.shift_up(dd - dn), rd)
-        return RatFn(rn, rd.shift_up(dn - dd))
+            return RatFn._coprime(rn.shift_up(dd - dn), rd)
+        return RatFn._coprime(rn, rd.shift_up(dn - dd))
 
     def shifted(self, a) -> "RatFn":
-        """Substitute z = w + a (local coordinate w = z - a)."""
+        """Substitute z = w + a (local coordinate w = z - a).  This is an
+        automorphism of Q[z], so coprime parts stay coprime and the
+        monic denominator stays monic."""
         a = Fraction(a)
         arg = UPoly([a, Fraction(1)])
-        return RatFn(self.num.compose(arg), self.den.compose(arg))
+        return RatFn._coprime(self.num.compose(arg), self.den.compose(arg))
 
     def expand_local(self, nterms: int) -> Series:
         """Laurent expansion at 0 with nterms certified coefficient orders

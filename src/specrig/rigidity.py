@@ -79,24 +79,22 @@ _Y, _Z = sympy.symbols("y z")
 
 
 def _bipoly_to_sympy(f: UPoly):
-    expr = sympy.Integer(0)
-    for i, cz in enumerate(f.coeffs):
-        if cz.is_zero():
-            continue
-        for j, c in enumerate(cz.coeffs):
-            if c:
-                expr += sympy.Rational(c) * _Y ** i * _Z ** j
-    return sympy.Poly(expr, _Y, _Z, domain="QQ")
+    terms = {(i, j): sympy.Rational(c)
+             for i, cz in enumerate(f.coeffs)
+             for j, c in enumerate(cz.coeffs) if c}
+    return sympy.Poly.from_dict(terms, _Y, _Z, domain="QQ")
 
 
-def irreducibility_status(cp: UPoly, locals_) -> str:
+def irreducibility_status(cp: UPoly, locals_, disc=None) -> str:
     """Tri-state: a totally ramified place certifies irreducibility; a
     rational-function-field factorization certifies reducibility;
-    otherwise unknown."""
+    otherwise unknown.  disc is the problem's
+    :class:`CharpolyDiscriminant`, whose cleared charpoly is reused; cp
+    is cleared here when it is not supplied."""
     for L in locals_:
         if len(L.cells) == 1 and L.cells[0].r == L.n:
             return "irreducible"
-    f, _ = cleared_charpoly(cp)
+    f = disc.cleared if disc is not None else cleared_charpoly(cp)[0]
     _, factors = _bipoly_to_sympy(f).factor_list()
     ydeg_factors = sum(k for p, k in factors if p.degree(_Y) >= 1)
     if ydeg_factors > 1:

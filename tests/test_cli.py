@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -34,6 +35,13 @@ class TestExitCodes:
         assert main(["analyze", path]) == 2
         err = capsys.readouterr().err
         assert "non-integer exponent" in err
+
+    def test_exponent_bound(self, tmp_path, capsys):
+        path = write_problem(tmp_path, "poles inf\nmatrix\nz^200000\nend\n")
+        t0 = time.perf_counter()
+        assert main(["analyze", path]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "line 3, column 2: exponent exceeds" in capsys.readouterr().err
 
     def test_assumption_violation(self, tmp_path, capsys):
         path = write_problem(tmp_path, CORPUS_BESSEL)

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat
+from conftest import mat, problem
+from specrig import localmod, pipeline
+from specrig.errors import InsufficientTruncation
 from specrig.localmod import (build_local, check_assumption, delta_end,
                               discriminant_identity_holds, hor_dim, irr_end,
                               irr_hom, irregularity, reduction_cross_check)
@@ -163,3 +165,84 @@ class TestCrossChecks:
                  ["-4/z^6", "0", "5/z^3", "0"]])
         local = build_local(a, F(0))
         assert reduction_cross_check(local)
+
+
+# -- the local matrix is expanded only for the reduction route ---------------
+
+LAZY_CASES = {
+    "airy_rank3": "poles inf\nmatrix\n0, 1, 0\n0, 0, 1\nz, 0, 0\nend\n",
+    "gen_airy_k4": "poles inf\nmatrix\n0, 1\nz^4, 0\nend\n",
+    "example_fuchsian": "poles 0, inf\nmatrix\n(1/2)/z, 0\n0, (1/3)/z\nend\n",
+    "dense_fuchs_rank2": "poles 0, 1, inf\nmatrix\n"
+                         "1/z + 1/(z - 1), 3/z + 1/(z - 1)\n"
+                         "2/z + 1/(z - 1), 4/z + 2/(z - 1)\nend\n",
+}
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Records every localize call and every module reaching the
+    reduction route."""
+    calls = {"localize": [], "reduction": []}
+    localize = localmod.localize
+    reduce = localmod.reduction_cross_check
+
+    def spy_localize(a_mat, a, nterms):
+        calls["localize"].append((a, nterms))
+        return localize(a_mat, a, nterms)
+
+    def spy_reduction(local):
+        calls["reduction"].append(local)
+        return reduce(local)
+
+    monkeypatch.setattr(localmod, "localize", spy_localize)
+    monkeypatch.setattr(localmod, "reduction_cross_check", spy_reduction)
+    monkeypatch.setattr(pipeline, "reduction_cross_check", spy_reduction)
+    return calls
+
+
+def _reduced_at(calls):
+    seen = {id(L): L for L in calls["reduction"]}.values()
+    return sorted(((L.pole, L.nterms) for L in seen), key=str)
+
+
+class TestLazyLocalMatrix:
+    @pytest.mark.parametrize("name", ["airy_rank3", "gen_airy_k4"])
+    def test_puiseux_route_never_expands(self, name, spies):
+        pipeline.run_analysis(problem(LAZY_CASES[name]))
+        assert spies["localize"] == []
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("name", ["example_fuchsian",
+                                      "dense_fuchs_rank2"])
+    def test_one_expansion_per_reduced_pole(self, name, check, spies):
+        pipeline.run_analysis(problem(LAZY_CASES[name]),
+                              check_reduction=check)
+        assert spies["reduction"]
+        assert sorted(spies["localize"], key=str) == _reduced_at(spies)
+
+    def test_built_once_and_cached(self, spies):
+        local = build_local(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
+        assert spies["localize"] == []
+        first = local.local_matrix
+        assert local.local_matrix is first
+        assert spies["localize"] == [(F(0), local.nterms)]
+
+    def test_retry_expands_at_the_new_order(self, spies, monkeypatch):
+        failed = set()
+        germ_data = pipeline.GermData
+
+        def fail_once(local):
+            if local.pole not in failed:
+                failed.add(local.pole)
+                raise InsufficientTruncation("forced retry")
+            return germ_data(local)
+
+        monkeypatch.setattr(pipeline, "GermData", fail_once)
+        pipeline.run_analysis(problem(LAZY_CASES["dense_fuchs_rank2"]))
+        calls = spies["localize"]
+        assert len(calls) == 6
+        for pole in (0, 1, INFINITY):
+            orders = [n for a, n in calls if a == pole]
+            assert len(orders) == 2 and orders[1] == 2 * orders[0]
+        assert sorted(calls, key=str) == _reduced_at(spies)

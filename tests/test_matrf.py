@@ -6,20 +6,80 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mat
 from specrig.errors import InputError, SpecrigError, UnsupportedPoleLocation
 from specrig.localmod import build_local
-from specrig.matrf import (CharpolyDiscriminant, charpoly, default_truncation,
-                           entry_form_valuation, localize, localize_charpoly,
-                           pole_order, validate_poles)
+from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
+                           default_truncation, entry_form_valuation,
+                           localize, localize_charpoly, pole_order,
+                           validate_poles)
 from specrig.parsing import parse_problem
 from specrig.puiseux import discriminant_valuation
-from specrig.qpoly import UPoly
+from specrig.qpoly import UPoly, det_cofactor
 from specrig.ratfn import INFINITY, RatFn
 
 
 F = Fraction
+
+
+def _charpoly_over_qz(m):
+    """Reference: det(yI - M) by cofactor expansion over Q(z)[y]."""
+    n = m.n
+    y = UPoly([RatFn.const(0), RatFn.const(1)])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cell = UPoly([-m.entries[i][j]])
+            if i == j:
+                cell = cell + y
+            row.append(cell)
+        rows.append(row)
+    det = det_cofactor(rows)
+    return UPoly([c if isinstance(c, RatFn) else RatFn.const(c)
+                  for c in det.coeffs])
+
+
+_Z = RatFn.var()
+# pole parts at 0, 1 and inf, and a constant term
+_BASIS = [RatFn.const(1), 1 / _Z, 1 / _Z ** 2, 1 / (_Z - 1), _Z, _Z ** 2]
+
+
+@st.composite
+def _entry(draw):
+    kind = draw(st.sampled_from(["zero", "constant", "mixed"]))
+    if kind == "zero":
+        return RatFn.const(0)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    if kind == "constant":
+        return RatFn.const(draw(coeff))
+    f = RatFn.const(0)
+    for b in _BASIS:
+        if draw(st.booleans()):
+            f = f + draw(coeff) * b
+    return f
+
+
+@st.composite
+def _matrix(draw):
+    n = draw(st.integers(1, 4))
+    return MatRF([[draw(_entry()) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def _unimodular(draw, n):
+    """A permutation matrix times a few integer row additions."""
+    perm = draw(st.permutations(range(n)))
+    p = [[F(int(perm[i] == j)) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            c = draw(st.integers(-2, 2))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    return p
 
 
 class TestCharpoly:
@@ -55,6 +115,20 @@ class TestCharpoly:
         a = mat([["z"]])
         with pytest.raises(InputError):
             a.conjugate_by([[0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_matrix())
+    def test_equals_expansion_over_qz(self, a):
+        cp = charpoly(a)
+        assert [(c.num, c.den) for c in cp.coeffs] == \
+            [(c.num, c.den) for c in _charpoly_over_qz(a).coeffs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_matrix(), st.data())
+    def test_unimodular_similarity(self, a, data):
+        p = data.draw(_unimodular(a.n))
+        assert charpoly(a.conjugate_by(p)) == charpoly(a)
+
 
 
 class TestLocalData:

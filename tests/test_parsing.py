@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from specrig.errors import InputError
-from specrig.parsing import (parse_expression, parse_pole, parse_problem,
-                             poly_to_string, ratfn_to_string)
+from specrig.parsing import (MAX_EXPONENT, parse_expression, parse_pole,
+                             parse_problem, poly_to_string, ratfn_to_string)
 from specrig.qpoly import UPoly
 from specrig.ratfn import INFINITY, RatFn
 
@@ -39,6 +39,21 @@ class TestExpressions:
     def test_non_constant_exponent_rejected(self):
         with pytest.raises(InputError, match="non-constant exponent"):
             parse_expression("z^z")
+
+    def test_exponent_bound(self):
+        assert parse_expression(f"z^{MAX_EXPONENT}").num.degree == \
+            MAX_EXPONENT
+        assert parse_expression(f"z^-{MAX_EXPONENT}").den.degree == \
+            MAX_EXPONENT
+        for text in (f"z^{MAX_EXPONENT + 1}", f"z^-{MAX_EXPONENT + 1}",
+                     "2^(10^(10^3))"):
+            with pytest.raises(InputError, match="line 3, column 2: "
+                                                 "exponent exceeds"):
+                parse_expression(text, line=3)
+
+    def test_gen_airy_k30_parses(self):
+        spec = parse_problem("poles inf\nmatrix\n0, 1\nz^30, 0\nend\n")
+        assert spec.matrix[1, 0] == Z ** 30
 
     def test_unknown_symbol(self):
         with pytest.raises(InputError, match="unknown symbol"):

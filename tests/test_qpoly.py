@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specrig import qpoly
 from specrig.errors import InsufficientTruncation, SpecrigError
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, discriminant,
                            factor_rational, is_irreducible_rational,
@@ -253,6 +254,14 @@ class TestRationalFactorization:
     def test_multiplicity(self):
         f = (X - 1) ** 3 * (X + 2)
         assert sorted(rational_roots(f)) == [(-2, 1), (1, 3)]
+
+    def test_linear_skips_sympy(self, monkeypatch):
+        def no_sympy(f):
+            raise AssertionError("linear input reached sympy")
+        monkeypatch.setattr(qpoly, "_to_sympy", no_sympy)
+        assert factor_rational(P(3, 2)) == [(P(Fraction(3, 2), 1), 1)]
+        assert factor_rational(P(Fraction(-1, 3), Fraction(2, 3))) == \
+            [(P(Fraction(-1, 2), 1), 1)]
 
     def test_irreducible(self):
         assert is_irreducible_rational(P(-2, 0, 1))

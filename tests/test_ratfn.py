@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specrig.qpoly import UPoly
+from specrig.qpoly import UPoly, poly_gcd
 from specrig.ratfn import (INFINITY, RatFn, expand_at, ratfn_pole_points)
 
 
@@ -66,6 +67,84 @@ class TestValuation:
                 if vf is None or vg is None:
                     continue
                 assert (f * g).valuation(a) == vf + vg
+
+
+def _reference_normal(num, den):
+    """Full normalization: divide out the monic gcd, make den monic."""
+    if num.is_zero():
+        return (), (F(1),)
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    lead = den.lc()
+    return num.scale(1 / lead).coeffs, den.scale(1 / lead).coeffs
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _poly(draw, max_degree=3):
+    return UPoly(draw(st.lists(_COEFF, max_size=max_degree + 1)))
+
+
+@st.composite
+def _num_den(draw):
+    """num, den with a shared factor, a constant or a monic den."""
+    num = draw(_poly())
+    den = draw(_poly().filter(lambda p: not p.is_zero()))
+    kind = draw(st.sampled_from(["common", "constant", "monic", "plain"]))
+    if kind == "common":
+        g = draw(_poly(2).filter(lambda p: not p.is_zero()))
+        num, den = num * g, den * g
+    elif kind == "constant":
+        den = UPoly([den.lc()])
+    elif kind == "monic":
+        den = den.monic()
+    return num, den
+
+
+@st.composite
+def _ratfn(draw):
+    num, den = draw(_num_den())
+    return RatFn(num, den)
+
+
+class TestCanonicalForm:
+    """The constructor's fast paths and the coprime constructor give the
+    same (num, den) as a full gcd normalization."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_num_den())
+    def test_constructor(self, pair):
+        num, den = pair
+        f = RatFn(num, den)
+        assert (f.num.coeffs, f.den.coeffs) == _reference_normal(num, den)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_ratfn(), _ratfn(), st.integers(-3, 3))
+    def test_arithmetic(self, f, g, k):
+        cases = [(f + g, f.num * g.den + g.num * f.den, f.den * g.den),
+                 (f * g, f.num * g.num, f.den * g.den),
+                 (-f, -f.num, f.den)]
+        if g:
+            cases.append((f / g, f.num * g.den, f.den * g.num))
+        if f or k >= 0:
+            num, den = (f.num, f.den) if k >= 0 else (f.den, f.num)
+            cases.append((f ** k, num ** abs(k), den ** abs(k)))
+        for h, num, den in cases:
+            assert (h.num.coeffs, h.den.coeffs) == \
+                _reference_normal(num, den)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_ratfn(), _COEFF)
+    def test_chart_changes(self, f, a):
+        for h in (f.at_infinity(), f.shifted(a)):
+            assert (h.num.coeffs, h.den.coeffs) == \
+                _reference_normal(h.num, h.den)
+        assert f.at_infinity().at_infinity() == f
+        assert f.shifted(a).shifted(-a) == f
+        if f.den.eval(a):
+            assert f.shifted(a).eval(0) == f.eval(a)
 
 
 class TestExpansion:

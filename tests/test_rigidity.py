@@ -8,7 +8,8 @@ from conftest import mat
 from specrig.errors import SpecrigError
 from specrig.germs import GermData
 from specrig.localmod import build_local, check_assumption
-from specrig.matrf import charpoly
+from specrig import rigidity
+from specrig.matrf import CharpolyDiscriminant, charpoly
 from specrig.ratfn import INFINITY
 from specrig.rigidity import (CurveClass, arithmetic_genus, cleared_charpoly,
                               cohomology_dims, euler_char_normalization,
@@ -104,6 +105,21 @@ class TestIrreducibility:
         _, locals_, _ = analyzed(rows, [INFINITY])
         assert irreducibility_status(charpoly(mat(rows)), locals_) == \
             "unknown"
+
+
+    @pytest.mark.parametrize("rows", [
+        [["(1/2)/z", "0"], ["0", "(1/3)/z"]],
+        [["0", "1"], ["z^2 + 1", "0"]],
+        [["1/z", "1"], ["1", "z"]]])
+    def test_reuses_the_cleared_charpoly(self, rows, monkeypatch):
+        cp = charpoly(mat(rows))
+        expected = irreducibility_status(cp, [])
+        disc = CharpolyDiscriminant(cp)
+
+        def no_clearing(_):
+            raise AssertionError("charpoly cleared a second time")
+        monkeypatch.setattr(rigidity, "cleared_charpoly", no_clearing)
+        assert irreducibility_status(cp, [], disc=disc) == expected
 
 
 class TestSmoothness:
