@@ -11,18 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (AmbiguousComparison, InsufficientTruncation,
-                     InternalInconsistency, NotRegularSemisimple,
-                     ReductionUnavailable, SpecrigError)
-from .matrf import (CharpolyDiscriminant, MatRF, charpoly,
-                    default_truncation, localize, localize_charpoly,
-                    pole_order)
+from .errors import (InternalInconsistency, NotRegularSemisimple,
+                     ReductionUnavailable)
+from .matrf import (CharpolyDiscriminant, MatRF, localize,
+                    localize_charpoly, pole_order)
 from .puiseux import (PuiseuxCluster, _diff_nonzero, _lcm,
                       _phase_denominator, contact_pair_sum,
                       principal_contact_negative, puiseux_clusters)
 from .qpoly import UPoly
 from .series import Series
-from .tower import FieldTower, TowerElem
+from .tower import TowerElem
 
 
 class HTLCell:
@@ -84,45 +82,25 @@ class LocalModule:
         gate work from the local charpoly alone."""
         if self._local_matrix is None:
             self._local_matrix = localize(self.a_mat, self.pole,
-                                          self.nterms)[0]
+                                          self.nterms)
         return self._local_matrix
 
 
-def build_local(a_mat: MatRF, a, nterms=None, degree_bound: int = 4,
-                cp=None, disc=None) -> LocalModule:
-    """Localize, expand, cluster; retries at doubled truncation when a
-    series is consulted past its certified order.  cp and its
-    :class:`CharpolyDiscriminant` disc are computed when not supplied."""
-    n = a_mat.n
-    if cp is None:
-        cp = charpoly(a_mat)
-    if disc is None:
-        disc = CharpolyDiscriminant(cp)
+def build_local(a_mat: MatRF, a, nterms: int, cp: UPoly,
+                disc: CharpolyDiscriminant) -> LocalModule:
+    """Localize the charpoly cp at a to nterms orders and cluster its
+    roots.  disc is cp's :class:`CharpolyDiscriminant`; a series
+    consulted past nterms raises InsufficientTruncation, and the caller
+    retries at a higher order."""
     vdisc = disc.valuation(a)
-    nu = pole_order(a_mat, a)
-    if nterms is None:
-        nterms = default_truncation(n, nu)
-    last = None
-    for attempt in range(4):
-        try:
-            return _build_local_once(a_mat, a, cp, n, nu, nterms,
-                                     degree_bound, vdisc)
-        except InsufficientTruncation as exc:
-            last = exc
-            nterms *= 2
-    raise last
-
-
-def _build_local_once(a_mat, a, cp, n, nu, nterms, degree_bound, vdisc):
-    coeffs = localize_charpoly(cp, a, nterms)
-    f_local = UPoly(coeffs)
-    clusters, tower = puiseux_clusters(f_local, degree_bound=degree_bound,
-                                       vdisc=vdisc)
+    f_local = UPoly(localize_charpoly(cp, a, nterms))
+    clusters, tower = puiseux_clusters(f_local, vdisc)
     cells = [HTLCell(c) for c in clusters]
     cells.sort(key=lambda c: (-Fraction(c.p, c.r), str(sorted(
         (str(e), str(v)) for e, v in c.q.terms.items()))))
-    return LocalModule(a, n, nu, cells, [c.cluster for c in cells], tower,
-                       f_local, a_mat, nterms, vdisc)
+    return LocalModule(a, a_mat.n, pole_order(a_mat, a), cells,
+                       [c.cluster for c in cells], tower, f_local, a_mat,
+                       nterms, vdisc)
 
 
 # -- assumption check --------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedPoleLocation, SpecrigError
-from .qpoly import UPoly, det_cofactor, poly_gcd, resultant_det
+from .qpoly import (UPoly, det_cofactor, poly_gcd, resultant_det,
+                    row_reduce)
 from .ratfn import RatFn, INFINITY, expand_at
 from .series import Series
 
@@ -47,21 +48,13 @@ def _matmul(a, b, n):
 
 def _invert_constant(rows):
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)]
+    aug = [[Fraction(x) for x in row]
            + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise InputError("conjugating matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [c - f * d for c, d in zip(aug[r], aug[col])]
-    return [[RatFn.const(aug[i][n + j]) for j in range(n)] for i in range(n)]
+           for i, row in enumerate(rows)]
+    red, pivots = row_reduce(aug)
+    if pivots[:n] != list(range(n)):
+        raise InputError("conjugating matrix is singular")
+    return [[RatFn.const(x) for x in row[n:]] for row in red]
 
 
 def charpoly(m: MatRF) -> UPoly:
@@ -168,10 +161,9 @@ def pole_order(m: MatRF, a) -> int:
 
 def localize(m: MatRF, a, nterms: int):
     """Truncated Laurent expansion of the connection matrix in the local
-    coordinate at a; returns (matrix of Series, nu)."""
+    coordinate at a, as a matrix of Series."""
     if a != INFINITY:
         a = Fraction(a)
-    nu = pole_order(m, a)
     out = []
     for row in m.entries:
         srow = []
@@ -181,7 +173,7 @@ def localize(m: MatRF, a, nterms: int):
                 s = (-s).shift(-2)
             srow.append(s)
         out.append(srow)
-    return out, nu
+    return out
 
 
 def localize_charpoly(cp: UPoly, a, nterms: int):

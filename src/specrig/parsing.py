@@ -12,8 +12,10 @@ Problem files are line based:
     end
 
 Expressions allow integers, the variable, + - * / ^ with integer
-exponents k, |k| <= MAX_EXPONENT, and parentheses.  Every syntax error
-carries line and column.
+exponents k, |k| <= MAX_EXPONENT, and parentheses.  A sum, product,
+quotient or power whose numerator or denominator would exceed degree
+MAX_EXPONENT, before its gcd is cancelled, is refused before it is
+computed.  Every syntax error carries line and column.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .matrf import MatRF
 from .qpoly import UPoly
 from .ratfn import INFINITY, RatFn
 
-# largest |k| accepted in base^k: bounds the degree one power can create
+# largest |k| accepted in base^k, and the largest degree an operation may
+# give its numerator or denominator
 MAX_EXPONENT = 1000
 
 
@@ -114,8 +117,12 @@ class _ExprParser:
     def _sum(self):
         v = self._term()
         while self.t.peek()[0] in ("+", "-"):
-            op = self.t.next()[0]
+            op, _, pos = self.t.next()
             rhs = self._term()
+            # a/b + c/d is built as (ad + cb) / (bd) before its gcd
+            self._check_degree(pos, v.num.degree + rhs.den.degree,
+                               rhs.num.degree + v.den.degree,
+                               v.den.degree + rhs.den.degree)
             v = v + rhs if op == "+" else v - rhs
         return v
 
@@ -125,12 +132,21 @@ class _ExprParser:
             op, _, pos = self.t.next()
             rhs = self._factor()
             if op == "*":
+                self._check_degree(pos, v.num.degree + rhs.num.degree,
+                                   v.den.degree + rhs.den.degree)
                 v = v * rhs
             else:
                 if rhs.is_zero():
                     self.t._err(pos, "division by zero")
+                self._check_degree(pos, v.num.degree + rhs.den.degree,
+                                   v.den.degree + rhs.num.degree)
                 v = v / rhs
         return v
+
+    def _check_degree(self, pos, *degrees):
+        if max(degrees) > MAX_EXPONENT:
+            self.t._err(pos, "degree exceeds the bound "
+                             f"{MAX_EXPONENT}")
 
     def _factor(self):
         if self.t.peek()[0] == "-":
@@ -148,6 +164,8 @@ class _ExprParser:
                                  f"|k| <= {MAX_EXPONENT}")
             if k < 0 and base.is_zero():
                 self.t._err(pos, "zero raised to a negative power")
+            self._check_degree(pos, abs(k) * base.num.degree,
+                               abs(k) * base.den.degree)
             return base ** k
         return base
 

@@ -10,13 +10,18 @@ from .germs import GermData, delta_identity_holds
 from .localmod import (build_local, check_assumption, delta_end,
                        discriminant_identity_holds, hor_dim, irr_end,
                        irregularity, reduction_cross_check)
-from .matrf import CharpolyDiscriminant, charpoly, validate_poles
+from .matrf import (CharpolyDiscriminant, charpoly, default_truncation,
+                    pole_order, validate_poles)
 from .parsing import ProblemSpec
 from .ratfn import INFINITY
 from .rigidity import (CurveClass, arithmetic_genus, cohomology_dims,
                        euler_char_normalization, irreducibility_status,
                        rigidity_index, smoothness_check_finite_part,
                        total_inf_intersection, verify_milnor_per_pole)
+
+
+# analyses per pole, at truncation orders N, 2N, 4N, ...
+TRUNCATION_ATTEMPTS = 4
 
 
 class AssumptionFailure(SpecrigError):
@@ -32,16 +37,36 @@ def _pole_str(p):
     return "inf" if p == INFINITY else str(Fraction(p))
 
 
+def _analyze_pole(a_mat, pole, nterms, cp, disc, check_reduction):
+    """Every per-pole step at one truncation order: the build, the
+    assumption gate, the discriminant identity, the optional reduction
+    cross-check and the germ.  Returns (local module, germ data)."""
+    local = build_local(a_mat, pole, nterms, cp, disc)
+    if not check_assumption(local):
+        raise AssumptionFailure(_pole_str(pole), local.violation)
+    if not discriminant_identity_holds(local):
+        raise InternalInconsistency(
+            f"discriminant valuation identity fails at pole "
+            f"{_pole_str(pole)}")
+    if check_reduction and local.mode == "multiplicity-free":
+        reduction_cross_check(local)
+    return local, GermData(local)
+
+
 def run_analysis(spec: ProblemSpec, truncation=None,
                  assume_irreducible_curve=False,
                  assert_irreducible_connection=False,
                  check_reduction=False):
     """Full pipeline; returns (document dict, exit code 0 or 1).
 
-    Analysis errors (assumption violations, unsupported input, exhausted
-    truncation) raise; the CLI maps them to exit code 2.
+    Each pole is analysed at the truncation order given, or at
+    :func:`default_truncation`; a pole whose series run out of certified
+    terms is re-analysed at twice the order, TRUNCATION_ATTEMPTS times at
+    most.  Analysis errors (assumption violations, unsupported input,
+    exhausted truncation) raise; the CLI maps them to exit code 2.
     """
     a_mat = spec.matrix
+    n = a_mat.n
     warnings = list(validate_poles(a_mat, spec.poles))
     cp = charpoly(a_mat)
     disc = CharpolyDiscriminant(cp)
@@ -49,25 +74,16 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     germs = []
     for pole in spec.poles:
         nterms = truncation
-        last = None
-        for _ in range(4):
-            local = build_local(a_mat, pole, nterms=nterms, cp=cp,
-                                disc=disc)
-            if not check_assumption(local):
-                raise AssumptionFailure(_pole_str(pole), local.violation)
-            if not discriminant_identity_holds(local):
-                raise InternalInconsistency(
-                    f"discriminant valuation identity fails at pole "
-                    f"{_pole_str(pole)}")
-            if check_reduction and local.mode == "multiplicity-free":
-                reduction_cross_check(local)
+        if nterms is None:
+            nterms = default_truncation(n, pole_order(a_mat, pole))
+        for _ in range(TRUNCATION_ATTEMPTS):
             try:
-                germ = GermData(local)
+                local, germ = _analyze_pole(a_mat, pole, nterms, cp, disc,
+                                            check_reduction)
+                break
             except InsufficientTruncation as exc:
                 last = exc
-                nterms = 2 * local.nterms
-                continue
-            break
+                nterms *= 2
         else:
             raise last
         if local.nu == 0:
@@ -78,15 +94,14 @@ def run_analysis(spec: ProblemSpec, truncation=None,
         germs.append(germ)
         hor_dim(local)  # records resonance warnings for regular cells
         warnings.extend(local.warnings)
-    n = a_mat.n
     b = total_inf_intersection(germs)
     curve = CurveClass(n, b, spec.genus)
     g_a = arithmetic_genus(curve)
     delta_sum = sum(g.delta for g in germs)
     rig = rigidity_index(locals_, spec.genus)
     smooth_status, smooth_detail = smoothness_check_finite_part(
-        cp, spec.poles, disc=disc)
-    irred = irreducibility_status(cp, locals_, disc=disc)
+        disc, spec.poles)
+    irred = irreducibility_status(disc, locals_)
     if irred == "unknown" and assume_irreducible_curve:
         irred = "assumed-irreducible"
     resonant = any("resonant" in w for w in warnings)

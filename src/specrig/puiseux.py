@@ -162,7 +162,8 @@ def _all_roots(tower: FieldTower, p: UPoly):
 
 def discriminant_valuation(F: UPoly):
     """ord_z of disc_y(F) for monic F over Series; raises on a zero or
-    precision-hidden discriminant."""
+    precision-hidden discriminant.  Kept as the test reference for
+    :meth:`CharpolyDiscriminant.valuation`, which the pipeline reads."""
     if F.degree < 2:
         return Fraction(0)
     res = resultant_det(F, F.derivative())
@@ -180,47 +181,39 @@ def min_root_order(F: UPoly):
     return min(e.rho for e in poly.edges)
 
 
-def default_target_depth(F: UPoly, vdisc=None):
+def default_target_depth(F: UPoly, vdisc):
     """Separation depth: strictly exceeds every pairwise root contact.
 
     With monic squarefree F, ord disc = 2 * sum of contacts over unordered
     root pairs, and each contact is at least the minimal root order, so
     each contact is at most vdisc/2 - (pairs - 1) * minord.  vdisc is
-    ord_z disc_y(F), computed here from F when not supplied.
+    ord_z disc_y(F).
     """
     n = F.degree
     if n < 2:
         return Fraction(1)
-    if vdisc is None:
-        vdisc = discriminant_valuation(F)
     minord = min_root_order(F)
     pairs = n * (n - 1) // 2
     bound = Fraction(vdisc, 2) - (pairs - 1) * min(minord, 0)
     return max(Fraction(0), bound) + 1
 
 
-def puiseux_clusters(F: UPoly, tower: FieldTower = None,
-                     target_depth=None, degree_bound: int = 4, vdisc=None):
+def puiseux_clusters(F: UPoly, vdisc):
     """All Puiseux root clusters of monic squarefree F over Series.
 
     Returns (clusters, tower); sum of r over clusters = deg_y F.
-    Expansions are carried past target_depth so that every pairwise
-    contact valuation is decided.  vdisc, the valuation of disc_y(F),
-    may come from an exact global discriminant; otherwise it is computed
-    from F, which also gates on squarefreeness.
+    Expansions are carried past :func:`default_target_depth` so that
+    every pairwise contact valuation is decided.  vdisc is the valuation
+    of disc_y(F), read off the exact global discriminant by the pipeline;
+    computing it is also what refuses an F that is not squarefree.
     """
-    if tower is None:
-        tower = FieldTower(degree_bound)
     n = F.degree
     if n < 1:
         raise SpecrigError("need deg_y >= 1")
-    if n >= 2 and vdisc is None:
-        vdisc = discriminant_valuation(F)  # squarefree gate
-    if target_depth is None:
-        target_depth = default_target_depth(F, vdisc)
-    target_depth = Fraction(target_depth)
+    tower = FieldTower()
     clusters = []
-    _descend(F, {}, None, 1, n, tower, target_depth, clusters, 0)
+    _descend(F, {}, None, 1, n, tower, default_target_depth(F, vdisc),
+             clusters, 0)
     if sum(c.r for c in clusters) != n:
         raise InternalInconsistency("cluster sizes do not sum to the degree")
     return clusters, tower
@@ -272,12 +265,6 @@ def _lcm(a, b):
     while x:
         g, x = x, g % x
     return a * b // g
-
-
-def branch_count(clusters) -> int:
-    """Clusters whose branch passes through the germ point at infinity:
-    representative root order strictly negative."""
-    return sum(1 for c in clusters if c.order < 0)
 
 
 # -- contact valuations ----------------------------------------------------

@@ -32,10 +32,6 @@ class UPoly:
     def const(c):
         return UPoly([c])
 
-    @staticmethod
-    def x():
-        return UPoly([0, 1])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -213,7 +209,8 @@ def resultant(f: UPoly, g: UPoly):
     """Resultant over a field, by the Euclidean recurrence.
 
     Res(f, g) = lc(f)^{deg g} * prod g over roots of f (up to the usual
-    sign convention baked into the recurrence).
+    sign convention baked into the recurrence).  Kept as the test
+    reference for :func:`resultant_det`, which every caller uses.
     """
     if f.is_zero() and g.is_zero():
         raise SpecrigError("resultant of two zero polynomials")
@@ -352,6 +349,37 @@ def det_bareiss(rows):
     return -det if negate else det
 
 
+def row_reduce(rows):
+    """Gauss-Jordan elimination over an exact field: (reduced rows, pivot
+    columns), the i-th pivot column belonging to reduced row i.
+
+    The pivot is the first nonzero entry of the column at or below the
+    current row; it is scaled by 1/x for a Fraction and by x.inverse()
+    for a tower element.  Callers read an inverse, a solution or a kernel
+    vector off the result and decide themselves what a missing pivot
+    means.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        if top == len(m):
+            break
+        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        lead = m[top][col]
+        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
+        m[top] = [x * inv for x in m[top]]
+        for r, row in enumerate(m):
+            if r != top and row[col]:
+                f = row[col]
+                m[r] = [x - f * y for x, y in zip(row, m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
 def resultant_det(f: UPoly, g: UPoly):
     """Resultant via the Sylvester determinant; valid over any integral
     domain whose division is exact (see :func:`det_bareiss`)."""
@@ -364,17 +392,6 @@ def resultant_det(f: UPoly, g: UPoly):
     if g.degree == 0:
         return g.lc() ** f.degree
     return det_bareiss(sylvester_matrix(f, g))
-
-
-def discriminant(f: UPoly):
-    """(-1)^{d(d-1)/2} Res(f, f') / lc(f)."""
-    d = f.degree
-    if d < 1:
-        raise SpecrigError("discriminant needs degree >= 1")
-    res = resultant(f, f.derivative())
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    val = res / f.lc()
-    return -val if sign < 0 else val
 
 
 # -- rational-coefficient helpers (sympy-backed factorization) --------------
@@ -404,19 +421,3 @@ def factor_rational(f: UPoly):
         return [(UPoly([Fraction(f.coeffs[0]) / lead, Fraction(1)]), 1)]
     _, factors = _to_sympy(f).factor_list()
     return [(_from_sympy(p).monic(), int(k)) for p, k in factors]
-
-
-def rational_roots(f: UPoly):
-    """Roots of f in Q with multiplicities, as (Fraction, int) pairs."""
-    out = []
-    for p, k in factor_rational(f):
-        if p.degree == 1:
-            out.append((Fraction(-p.coeffs[0]) / Fraction(p.coeffs[1]), k))
-    return out
-
-
-def is_irreducible_rational(f: UPoly) -> bool:
-    if f.degree < 1:
-        return False
-    factors = factor_rational(f)
-    return len(factors) == 1 and factors[0][1] == 1

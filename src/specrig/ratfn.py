@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SpecrigError
 from .qpoly import UPoly, poly_gcd
 from .series import Series
 

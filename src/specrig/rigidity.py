@@ -16,7 +16,7 @@ import sympy
 from .errors import InternalInconsistency, SpecrigError
 from .germs import GermData
 from .localmod import LocalModule, delta_end
-from .matrf import CharpolyDiscriminant, cleared_charpoly
+from .matrf import CharpolyDiscriminant
 from .qpoly import UPoly, factor_rational, poly_gcd, squarefree_part
 from .tower import FieldTower
 
@@ -85,35 +85,30 @@ def _bipoly_to_sympy(f: UPoly):
     return sympy.Poly.from_dict(terms, _Y, _Z, domain="QQ")
 
 
-def irreducibility_status(cp: UPoly, locals_, disc=None) -> str:
+def irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
     """Tri-state: a totally ramified place certifies irreducibility; a
     rational-function-field factorization certifies reducibility;
     otherwise unknown.  disc is the problem's
-    :class:`CharpolyDiscriminant`, whose cleared charpoly is reused; cp
-    is cleared here when it is not supplied."""
+    :class:`CharpolyDiscriminant`, whose cleared charpoly is factored."""
     for L in locals_:
         if len(L.cells) == 1 and L.cells[0].r == L.n:
             return "irreducible"
-    f = disc.cleared if disc is not None else cleared_charpoly(cp)[0]
-    _, factors = _bipoly_to_sympy(f).factor_list()
+    _, factors = _bipoly_to_sympy(disc.cleared).factor_list()
     ydeg_factors = sum(k for p, k in factors if p.degree(_Y) >= 1)
     if ydeg_factors > 1:
         return "reducible"
     return "unknown"
 
 
-def smoothness_check_finite_part(cp: UPoly, declared_poles,
-                                 degree_bound: int = 4, disc=None):
+def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles,
+                                 degree_bound: int = 4):
     """Singular points of the spectral curve away from the poles.
 
     Returns (status, detail): status 'ok', 'singular', or 'indeterminate'.
-    disc is the problem's :class:`CharpolyDiscriminant`, built from cp when
-    not supplied.
+    disc is the problem's :class:`CharpolyDiscriminant`.
     """
-    if cp.degree < 1:
+    if disc.n < 1:
         raise SpecrigError("characteristic polynomial has no y degree")
-    if disc is None:
-        disc = CharpolyDiscriminant(cp)
     f, den, s = disc.cleared, disc.den, disc.res
     fy = f.derivative()
     fz = f.map_coeffs(lambda c: c.derivative())

@@ -56,18 +56,12 @@ class Series:
 
     # -- predicates -----------------------------------------------------
 
-    def is_exact(self):
-        return self.prec is None
-
     def is_zero(self):
         """True only when provably zero (exact and empty)."""
         return not self.terms and self.prec is None
 
     def known_zero_to_prec(self):
         return not self.terms
-
-    def support(self):
-        return sorted(self.terms)
 
     def low(self):
         """Lower bound for the valuation (min of support and prec)."""
@@ -97,13 +91,6 @@ class Series:
         if v == INF:
             raise SpecrigError("leading coefficient of zero series")
         return self.terms[v]
-
-    def denominator_lcm(self):
-        """lcm of exponent denominators over the support (1 if empty)."""
-        d = 1
-        for e in self.terms:
-            d = d * e.denominator // _gcd(d, e.denominator)
-        return d
 
     # -- arithmetic -------------------------------------------------------
 
@@ -277,9 +264,6 @@ class Series:
             other = Series.const(other)
         return self.terms == other.terms and self.prec == other.prec
 
-    def map_coeffs(self, fn):
-        return Series({e: fn(c) for e, c in self.terms.items()}, self.prec)
-
     def integer_part(self):
         """Terms with integer exponents only (same precision)."""
         return Series({e: c for e, c in self.terms.items()
@@ -292,19 +276,7 @@ class Series:
                 "principal part not certified: precision <= 0")
         return Series({e: c for e, c in self.terms.items() if e <= 0})
 
-    def negative_part(self):
-        if self.prec is not None and self.prec <= 0:
-            raise InsufficientTruncation(
-                "principal part not certified: precision <= 0")
-        return Series({e: c for e, c in self.terms.items() if e < 0})
-
     def __repr__(self):
         body = " + ".join(f"({c!r})*z^{e}" for e, c in sorted(self.terms.items()))
         tail = "" if self.prec is None else f" + O(z^{self.prec})"
         return (body or "0") + tail
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

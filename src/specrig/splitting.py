@@ -23,7 +23,7 @@ from itertools import chain, product
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      NotRegularSemisimple, SpecrigError, SpectraOverlap)
-from .qpoly import UPoly, det_cofactor, resultant_det
+from .qpoly import UPoly, det_cofactor, resultant_det, row_reduce
 from .series import INF, Series
 from .tower import FieldTower
 
@@ -50,51 +50,24 @@ def cmat_charpoly(a) -> UPoly:
 
 
 def solve_linear(m, rhs):
-    """Solve m x = rhs by Gaussian elimination over an exact field."""
+    """Solve m x = rhs by Gauss-Jordan elimination over an exact field."""
     n = len(m)
-    aug = [list(row) + [r] for row, r in zip(m, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise SpectraOverlap("singular linear system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col] if isinstance(aug[col][col], Fraction) \
-            else aug[col][col].inverse()
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [c - f * d for c, d in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    red, pivots = row_reduce([list(row) + [r] for row, r in zip(m, rhs)])
+    if pivots[:n] != list(range(n)):
+        raise SpectraOverlap("singular linear system")
+    return [row[n] for row in red]
 
 
 def null_vector(a):
     """One nonzero kernel vector of a singular square matrix."""
-    n = len(a)
-    rows = [list(r) for r in a]
-    pivots = {}
-    rank_row = 0
-    for col in range(n):
-        piv = next((r for r in range(rank_row, n) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank_row], rows[piv] = rows[piv], rows[rank_row]
-        lead = rows[rank_row][col]
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
-        rows[rank_row] = [c * inv for c in rows[rank_row]]
-        for r in range(n):
-            if r != rank_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [c - f * d for c, d in zip(rows[r], rows[rank_row])]
-        pivots[col] = rank_row
-        rank_row += 1
-    free = next((c for c in range(n) if c not in pivots), None)
+    red, pivots = row_reduce(a)
+    free = next((c for c in range(len(a)) if c not in pivots), None)
     if free is None:
         raise SpecrigError("matrix is nonsingular; no kernel vector")
-    v = [Fraction(0)] * n
+    v = [Fraction(0)] * len(a)
     v[free] = Fraction(1)
-    for col, row in pivots.items():
-        v[col] = -rows[row][free]
+    for row, col in zip(red, pivots):
+        v[col] = -row[free]
     return v
 
 
@@ -154,9 +127,9 @@ def smat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def smat_from_const(a, exp=0, prec=None):
-    return [[Series.monomial(x, exp, prec) if x else Series.zero(prec)
-             for x in row] for row in a]
+def smat_from_const(a):
+    return [[Series.const(x) if x else Series.zero() for x in row]
+            for row in a]
 
 
 def smat_conjugate_const(g, v, vinv):
@@ -366,21 +339,11 @@ def _balance(g, tower):
 
 def _cmat_inverse(a):
     n = len(a)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0)
-                        for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise SpecrigError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    red, pivots = row_reduce([list(row) + unit
+                              for row, unit in zip(a, cmat_identity(n))])
+    if pivots[:n] != list(range(n)):
+        raise SpecrigError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def ramified_pullback(g, s: int):

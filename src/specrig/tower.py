@@ -190,11 +190,8 @@ class FieldTower:
         return TowerElem(self, level,
                          (self.lift(0, level - 1), self.lift(1, level - 1)))
 
-    def zero(self, level=None):
-        return self.lift(0, self.height if level is None else level)
-
-    def one(self, level=None):
-        return self.lift(1, self.height if level is None else level)
+    def one(self, level):
+        return self.lift(1, level)
 
     def level_of(self, x) -> int:
         return x.level if isinstance(x, TowerElem) else 0
@@ -207,7 +204,7 @@ class FieldTower:
 
     # -- construction --------------------------------------------------
 
-    def adjoin(self, minpoly: UPoly, name=None) -> TowerElem:
+    def adjoin(self, minpoly: UPoly) -> TowerElem:
         """Adjoin a root of a monic polynomial irreducible over the top
         level; returns the new generator."""
         minpoly = minpoly.monic()
@@ -222,9 +219,8 @@ class FieldTower:
         factors = self.factor(minpoly)
         if len(factors) != 1 or factors[0][1] != 1:
             raise SpecrigError("adjoin requires an irreducible polynomial")
-        if name is None:
-            name = f"a{self._gen_counter}"
-            self._gen_counter += 1
+        name = f"a{self._gen_counter}"
+        self._gen_counter += 1
         self.levels.append((name, minpoly))
         return self.gen(self.height)
 

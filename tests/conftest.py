@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from specrig.matrf import MatRF
+from specrig.localmod import build_local
+from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
+                           default_truncation, pole_order)
 from specrig.parsing import parse_expression, parse_problem
 from specrig.ratfn import INFINITY
 
@@ -74,6 +76,14 @@ def mat(rows):
 
 def problem(text):
     return parse_problem(text)
+
+
+def local_at(a_mat, pole):
+    """build_local at the default truncation, with the charpoly and its
+    discriminant that run_analysis passes."""
+    cp = charpoly(a_mat)
+    nterms = default_truncation(a_mat.n, pole_order(a_mat, pole))
+    return build_local(a_mat, pole, nterms, cp, CharpolyDiscriminant(cp))
 
 
 @pytest.fixture

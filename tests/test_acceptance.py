@@ -9,11 +9,10 @@ import pathlib
 import random
 from fractions import Fraction
 
-from conftest import CORPUS, gen_airy
+from conftest import CORPUS, gen_airy, local_at
 from specrig.cli import main
 from specrig.errors import InputError, ReductionUnavailable
-from specrig.localmod import (build_local, check_assumption,
-                              discriminant_identity_holds,
+from specrig.localmod import (check_assumption, discriminant_identity_holds,
                               reduction_cross_check)
 from specrig.parsing import ProblemSpec, parse_expression, parse_problem
 from specrig.pipeline import run_analysis
@@ -131,7 +130,7 @@ def test_criterion_6_two_route_equalities():
             assert p["verdicts"]["delta_identity"], name
             assert p["verdicts"]["milnor"], name
         for pole in spec.poles:
-            local = build_local(spec.matrix, pole)
+            local = local_at(spec.matrix, pole)
             assert check_assumption(local), name
             # (c) contact sum against the discriminant valuation
             assert discriminant_identity_holds(local), name

@@ -7,7 +7,9 @@ import time
 import pytest
 
 from conftest import CORPUS, gen_airy
+from specrig import localmod
 from specrig.cli import main
+from specrig.errors import InsufficientTruncation
 from specrig.report import parse_report, render_text, serialize
 
 
@@ -42,6 +44,31 @@ class TestExitCodes:
         assert main(["analyze", path]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert "line 3, column 2: exponent exceeds" in capsys.readouterr().err
+
+    def test_degree_bound(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, "poles inf\nmatrix\n0, 1\n(z^1000)^1000, 0\nend\n")
+        t0 = time.perf_counter()
+        assert main(["analyze", path]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "line 4, column 9: degree exceeds the bound 1000" in \
+            capsys.readouterr().err
+
+    def test_exhausted_truncation(self, tmp_path, capsys, monkeypatch):
+        """A pole that runs out of terms at every order is localized at
+        N, 2N, 4N and 8N, then refused with exit code 2."""
+        orders = []
+
+        def never_enough(cp, a, nterms):
+            orders.append(nterms)
+            raise InsufficientTruncation("forced")
+
+        monkeypatch.setattr(localmod, "localize_charpoly", never_enough)
+        assert main(["analyze", write_problem(tmp_path, CORPUS["airy"])]) \
+            == 2
+        assert orders == [orders[0] * 2 ** k for k in range(4)]
+        assert "error: InsufficientTruncation: forced" in \
+            capsys.readouterr().err
 
     def test_assumption_violation(self, tmp_path, capsys):
         path = write_problem(tmp_path, CORPUS_BESSEL)

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat
+from conftest import local_at, mat
 from specrig.errors import SpecrigError
 from specrig.germs import (GermData, branch_intersection, branch_milnor,
                            delta_identity_holds, germ_equation,
                            germ_milnor_oracle, unbounded_branches)
-from specrig.localmod import build_local, check_assumption
+from specrig.localmod import check_assumption
 from specrig.ratfn import INFINITY
 
 
@@ -18,7 +18,7 @@ F = Fraction
 
 @pytest.fixture
 def airy_germ():
-    local = build_local(mat([["0", "1"], ["z", "0"]]), INFINITY)
+    local = local_at(mat([["0", "1"], ["z", "0"]]), INFINITY)
     check_assumption(local)
     return GermData(local)
 
@@ -29,7 +29,7 @@ def sibling_germ():
              ["0", "0", "1", "0"],
              ["0", "0", "0", "1"],
              ["-4/z^6", "0", "5/z^3", "0"]])
-    local = build_local(a, F(0))
+    local = local_at(a, F(0))
     check_assumption(local)
     return GermData(local)
 
@@ -88,21 +88,21 @@ class TestTwoCusps:
 
 class TestDegenerateCases:
     def test_regular_pole_smooth_branch(self):
-        local = build_local(mat([["5/z"]]), F(0))
+        local = local_at(mat([["5/z"]]), F(0))
         check_assumption(local)
         g = GermData(local)
         assert (g.r_c, g.local_inf, g.mu, g.delta) == (1, 1, 0, 0)
         assert delta_identity_holds(g)
 
     def test_irregular_rank1_smooth_branch(self):
-        local = build_local(mat([["1/z^2"]]), F(0))
+        local = local_at(mat([["1/z^2"]]), F(0))
         check_assumption(local)
         g = GermData(local)
         assert (g.r_c, g.local_inf, g.mu, g.delta) == (1, 2, 0, 0)
 
     def test_no_unbounded_branches(self):
         # z = 1 is not a pole of the Airy system: no branch escapes
-        local = build_local(mat([["0", "1"], ["z", "0"]]), F(1))
+        local = local_at(mat([["0", "1"], ["z", "0"]]), F(1))
         check_assumption(local)
         assert unbounded_branches(local) == []
         g = GermData(local)
@@ -110,7 +110,7 @@ class TestDegenerateCases:
         assert germ_milnor_oracle(g) == 0
 
     def test_fuchsian_node(self):
-        local = build_local(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
+        local = local_at(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
         check_assumption(local)
         g = GermData(local)
         # two smooth branches meeting transversally: mu = 1

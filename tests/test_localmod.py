@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat, problem
+from conftest import local_at, mat, problem
 from specrig import localmod, pipeline
 from specrig.errors import InsufficientTruncation
-from specrig.localmod import (build_local, check_assumption, delta_end,
+from specrig.localmod import (check_assumption, delta_end,
                               discriminant_identity_holds, hor_dim, irr_end,
                               irr_hom, irregularity, reduction_cross_check)
 from specrig.ratfn import INFINITY
@@ -18,12 +18,12 @@ F = Fraction
 
 @pytest.fixture
 def airy_local():
-    return build_local(mat([["0", "1"], ["z", "0"]]), INFINITY)
+    return local_at(mat([["0", "1"], ["z", "0"]]), INFINITY)
 
 
 @pytest.fixture
 def fuchsian_local():
-    return build_local(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
+    return local_at(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
 
 
 class TestCells:
@@ -37,7 +37,7 @@ class TestCells:
         assert not cell.is_regular
 
     def test_rank1_irregular_cell(self):
-        local = build_local(mat([["1/z^2"]]), F(0))
+        local = local_at(mat([["1/z^2"]]), F(0))
         cell = local.cells[0]
         assert (cell.p, cell.r) == (1, 1)
         assert cell.q.terms == {F(-1): 1}
@@ -48,7 +48,7 @@ class TestCells:
 
     def test_cell_order_is_stable(self):
         # steepest slope first
-        local = build_local(mat([["1/z^3", "0"], ["0", "1/z^2"]]), F(0))
+        local = local_at(mat([["1/z^3", "0"], ["0", "1/z^2"]]), F(0))
         assert [(c.p, c.r) for c in local.cells] == [(2, 1), (1, 1)]
 
 
@@ -65,13 +65,13 @@ class TestAssumptionGate:
             [F(1, 3), F(1, 2)]
 
     def test_bessel_violation(self):
-        local = build_local(mat([["0", "1"], ["1/z", "0"]]), F(0))
+        local = local_at(mat([["0", "1"], ["1/z", "0"]]), F(0))
         assert not check_assumption(local)
         assert "ramification 2" in local.violation
 
     def test_coinciding_forms_violation(self):
         a = mat([["1/z^2", "0"], ["0", "1/z^2 + 1"]])
-        local = build_local(a, F(0))
+        local = local_at(a, F(0))
         assert not check_assumption(local)
         assert "not pairwise distinct" in local.violation
 
@@ -79,7 +79,7 @@ class TestAssumptionGate:
         # Jordan-block residue: two regular cells, and the splitting route
         # cannot separate the repeated eigenvalue of the leading matrix
         a = mat([["1/z", "1/z"], ["0", "1/z + 1"]])
-        local = build_local(a, F(0))
+        local = local_at(a, F(0))
         assert not check_assumption(local)
         assert "2 regular cells (q = 0) coincide" in local.violation
         assert "repeated eigenvalue" in local.violation
@@ -87,7 +87,7 @@ class TestAssumptionGate:
     def test_distinct_residues_rescue(self):
         # same exponential part is fine when the residues differ
         a = mat([["1/z^2", "0"], ["0", "1/z^2 + 1/z"]])
-        local = build_local(a, F(0))
+        local = local_at(a, F(0))
         assert check_assumption(local)
         assert local.mode == "regular-semisimple"
 
@@ -108,7 +108,7 @@ class TestIrregularity:
         assert delta_end(fuchsian_local) == 2
 
     def test_rank1(self):
-        local = build_local(mat([["1/z^2"]]), F(0))
+        local = local_at(mat([["1/z^2"]]), F(0))
         check_assumption(local)
         assert irregularity(local) == 1
         assert delta_end(local) == 0
@@ -119,7 +119,7 @@ class TestIrregularity:
                  ["0", "0", "1", "0"],
                  ["0", "0", "0", "1"],
                  ["-4/z^6", "0", "5/z^3", "0"]])
-        local = build_local(a, F(0))
+        local = local_at(a, F(0))
         assert check_assumption(local)
         c1, c2 = local.cells
         assert (c1.p, c1.r) == (1, 2) and (c2.p, c2.r) == (1, 2)
@@ -131,7 +131,7 @@ class TestIrregularity:
 
     def test_resonance_warning(self):
         a = mat([["1/z", "0"], ["0", "3/z"]])
-        local = build_local(a, F(0))
+        local = local_at(a, F(0))
         assert check_assumption(local)
         hor_dim(local)
         delta_end(local)
@@ -163,7 +163,7 @@ class TestCrossChecks:
                  ["0", "0", "1", "0"],
                  ["0", "0", "0", "1"],
                  ["-4/z^6", "0", "5/z^3", "0"]])
-        local = build_local(a, F(0))
+        local = local_at(a, F(0))
         assert reduction_cross_check(local)
 
 
@@ -222,27 +222,56 @@ class TestLazyLocalMatrix:
         assert sorted(spies["localize"], key=str) == _reduced_at(spies)
 
     def test_built_once_and_cached(self, spies):
-        local = build_local(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
+        local = local_at(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
         assert spies["localize"] == []
         first = local.local_matrix
         assert local.local_matrix is first
         assert spies["localize"] == [(F(0), local.nterms)]
 
     def test_retry_expands_at_the_new_order(self, spies, monkeypatch):
-        failed = set()
+        """Each forced InsufficientTruncation, at the build, the gate or
+        the germ, re-analyses only its pole, at twice the order; the
+        matrix is expanded at every order that got past the build."""
+        build = localmod.localize_charpoly
+        gate = localmod.reduction_cross_check
         germ_data = pipeline.GermData
+        for stages, failing in ((["germ"], (0, 1, INFINITY)),
+                                (["build", "germ"], (1,)),
+                                (["build", "gate", "germ"], (INFINITY,))):
+            pending = {pole: list(stages) if pole in failing else []
+                       for pole in (0, 1, INFINITY)}
+            orders = {pole: [] for pole in pending}
 
-        def fail_once(local):
-            if local.pole not in failed:
-                failed.add(local.pole)
-                raise InsufficientTruncation("forced retry")
-            return germ_data(local)
+            def fail(pole, stage):
+                if pending[pole][:1] == [stage]:
+                    pending[pole].pop(0)
+                    raise InsufficientTruncation(f"forced at the {stage}")
 
-        monkeypatch.setattr(pipeline, "GermData", fail_once)
-        pipeline.run_analysis(problem(LAZY_CASES["dense_fuchs_rank2"]))
-        calls = spies["localize"]
-        assert len(calls) == 6
-        for pole in (0, 1, INFINITY):
-            orders = [n for a, n in calls if a == pole]
-            assert len(orders) == 2 and orders[1] == 2 * orders[0]
-        assert sorted(calls, key=str) == _reduced_at(spies)
+            def charpoly_at(cp, a, nterms):
+                orders[a].append(nterms)
+                fail(a, "build")
+                return build(cp, a, nterms)
+
+            def reduce(local):
+                ok = gate(local)
+                fail(local.pole, "gate")
+                return ok
+
+            def germ(local):
+                fail(local.pole, "germ")
+                return germ_data(local)
+
+            monkeypatch.setattr(localmod, "localize_charpoly", charpoly_at)
+            monkeypatch.setattr(localmod, "reduction_cross_check", reduce)
+            monkeypatch.setattr(pipeline, "GermData", germ)
+            spies["localize"].clear()
+            spies["reduction"].clear()
+            pipeline.run_analysis(problem(LAZY_CASES["dense_fuchs_rank2"]))
+            calls = spies["localize"]
+            for pole, seen in orders.items():
+                fails = stages if pole in failing else []
+                assert seen == [seen[0] * 2 ** k
+                                for k in range(len(fails) + 1)], stages
+                assert [n for a, n in calls if a == pole] == \
+                    seen[fails.count("build"):], stages
+            assert sorted(calls, key=str) == _reduced_at(spies)

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mat
+from conftest import local_at, mat
 from specrig.errors import InputError, SpecrigError, UnsupportedPoleLocation
-from specrig.localmod import build_local
 from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
                            default_truncation, entry_form_valuation,
                            localize, localize_charpoly, pole_order,
@@ -115,6 +114,10 @@ class TestCharpoly:
         a = mat([["z"]])
         with pytest.raises(InputError):
             a.conjugate_by([[0]])
+        b = mat([["z", "1"], ["0", "1/z"]])
+        with pytest.raises(InputError,
+                           match="^conjugating matrix is singular$"):
+            b.conjugate_by([[1, 2], [2, 4]])
 
     @settings(max_examples=60, deadline=None)
     @given(_matrix())
@@ -150,16 +153,14 @@ class TestLocalData:
 
     def test_localize_infinity_jacobian(self):
         a = mat([["0", "1"], ["z", "0"]])
-        g, nu = localize(a, INFINITY, 8)
-        assert nu == 3
+        g = localize(a, INFINITY, 8)
         assert g[0][1].terms == {F(-2): -1}
         assert g[1][0].terms == {F(-3): -1}
         assert g[0][0].known_zero_to_prec() or g[0][0].is_zero()
 
     def test_localize_finite(self):
         a = mat([["1/z^2"]])
-        g, nu = localize(a, F(0), 6)
-        assert nu == 2
+        g = localize(a, F(0), 6)
         assert g[0][0].terms == {F(-2): 1}
 
     def test_localize_charpoly_airy(self):
@@ -273,7 +274,7 @@ class TestCharpolyDiscriminant:
         cp = charpoly(spec.matrix)
         disc = CharpolyDiscriminant(cp)
         for pole in spec.poles:
-            local = build_local(spec.matrix, pole, cp=cp, disc=disc)
+            local = local_at(spec.matrix, pole)
             assert local.vdisc == disc.valuation(pole)
             assert disc.valuation(pole) == \
                 discriminant_valuation(local.local_charpoly)

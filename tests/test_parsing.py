@@ -51,6 +51,20 @@ class TestExpressions:
                                                  "exponent exceeds"):
                 parse_expression(text, line=3)
 
+    def test_degree_bound(self):
+        for text in ("z^500 * z^500", "(z^2)^500", "z / (z + 1)^1000",
+                     "(1/z^2)^500", "1/z^500 - 1/(z^500 + 1)"):
+            f = parse_expression(text)
+            assert max(f.num.degree, f.den.degree) == MAX_EXPONENT
+        for text, col in (("(z^1000)^1000", 9), ("z^600 * z^600", 7),
+                          ("z^600 / (1/z^600)", 7), ("(1/z^2)^501", 8),
+                          ("1/(z^500) / (z^501)", 11),
+                          ("1/(z^1000 + 1) + 1/(z^1000 + 2)", 16),
+                          ("z - 1/z^1000", 3)):
+            with pytest.raises(InputError, match=f"line 3, column {col}: "
+                                                 "degree exceeds the bound"):
+                parse_expression(text, line=3)
+
     def test_gen_airy_k30_parses(self):
         spec = parse_problem("poles inf\nmatrix\n0, 1\nz^30, 0\nend\n")
         assert spec.matrix[1, 0] == Z ** 30

@@ -6,7 +6,7 @@ import pytest
 
 from specrig.errors import (AmbiguousComparison, InsufficientTruncation,
                             SpecrigError)
-from specrig.puiseux import (_diff_nonzero, _phase_denominator, branch_count,
+from specrig.puiseux import (_diff_nonzero, _phase_denominator,
                              cluster_contact, contact_pair_sum,
                              default_target_depth, discriminant_valuation,
                              min_root_order, newton_polygon,
@@ -17,6 +17,10 @@ from specrig.tower import FieldTower
 
 
 F = Fraction
+
+
+def clusters_of(f):
+    return puiseux_clusters(f, discriminant_valuation(f))
 
 
 def spoly(*coeffs):
@@ -76,7 +80,7 @@ class TestNewtonPolygon:
 
 class TestClusters:
     def test_square_root(self):
-        clusters, tower = puiseux_clusters(spoly({1: -1}, 0, 1))
+        clusters, tower = clusters_of(spoly({1: -1}, 0, 1))
         assert len(clusters) == 1
         c = clusters[0]
         assert c.r == 2
@@ -84,20 +88,18 @@ class TestClusters:
         assert c.rep.leading() ** 2 == 1
 
     def test_negative_order(self):
-        clusters, _ = puiseux_clusters(spoly({-3: -1}, 0, 1))
+        clusters, _ = clusters_of(spoly({-3: -1}, 0, 1))
         assert clusters[0].order == F(-3, 2)
-        assert branch_count(clusters) == 1
 
     def test_sibling_clusters(self):
         # (y^2 - z^{-1})(y^2 - 4 z^{-1})
         f = spoly({-2: 4}, 0, {-1: -5}, 0, 1)
-        clusters, _ = puiseux_clusters(f)
+        clusters, _ = clusters_of(f)
         assert sorted(c.r for c in clusters) == [2, 2]
         assert sorted(c.rep.leading() ** 2 for c in clusters) == [1, 4]
-        assert branch_count(clusters) == 2
 
     def test_irrational_leading_coefficient(self):
-        clusters, tower = puiseux_clusters(spoly({2: -2}, 0, 1))
+        clusters, tower = clusters_of(spoly({2: -2}, 0, 1))
         # y^2 = 2 z^2: unramified pair with leading coefficient sqrt(2)
         assert sorted(c.r for c in clusters) == [1, 1]
         for c in clusters:
@@ -108,19 +110,19 @@ class TestClusters:
         # (y - z)(y - z - z^3): clusters agree through z^2
         f = (UPoly([Series({1: -1}), Series.const(F(1))])
              * UPoly([Series({1: -1, 3: -1}), Series.const(F(1))]))
-        clusters, _ = puiseux_clusters(f)
+        clusters, _ = clusters_of(f)
         assert len(clusters) == 2
         assert cluster_contact(clusters[0], clusters[1], 0) == 3
 
     def test_cluster_sizes_sum_to_degree(self):
         f = spoly({-2: 4}, 0, {-1: -5}, 0, 1)
-        clusters, _ = puiseux_clusters(f)
+        clusters, _ = clusters_of(f)
         assert sum(c.r for c in clusters) == 4
 
     def test_not_squarefree_rejected(self):
         g = spoly({2: 1}, {1: -2}, 1)  # (y - z)^2
         with pytest.raises(SpecrigError):
-            puiseux_clusters(g)
+            clusters_of(g)
 
 
 class TestContact:
@@ -151,19 +153,19 @@ class TestContact:
             _diff_nonzero(i, tower.one(1), 4)
 
     def test_conjugate_self_contact(self):
-        clusters, _ = puiseux_clusters(spoly({-5: -1}, 0, 1))
+        clusters, _ = clusters_of(spoly({-5: -1}, 0, 1))
         c = clusters[0]
         # rep ~ z^{-5/2}: the conjugate differs already at the leading term
         assert cluster_contact(c, c, 1) == F(-5, 2)
 
     def test_principal_contact_ignores_tame_exponents(self):
-        clusters, _ = puiseux_clusters(spoly({1: -1}, 0, 1))
+        clusters, _ = clusters_of(spoly({1: -1}, 0, 1))
         c = clusters[0]
         # root order 1/2 > -1: no negative principal part
         assert principal_contact_negative(c, c, 1) is None
 
     def test_principal_contact_negative_shift(self):
-        clusters, _ = puiseux_clusters(spoly({-5: -1}, 0, 1))
+        clusters, _ = clusters_of(spoly({-5: -1}, 0, 1))
         c = clusters[0]
         assert principal_contact_negative(c, c, 1) == F(-3, 2)
 
@@ -179,13 +181,13 @@ class TestDiscriminantIdentity:
     @pytest.mark.parametrize("idx", [0, 1, 2, 3])
     def test_pair_sum_equals_disc_valuation(self, idx):
         f = self.CASES[idx]
-        clusters, _ = puiseux_clusters(f)
+        clusters, _ = clusters_of(f)
         assert contact_pair_sum(clusters) == discriminant_valuation(f)
 
     def test_deep_separation_case(self):
         f = (UPoly([Series({1: -1}), Series.const(F(1))])
              * UPoly([Series({1: -1, 3: -1}), Series.const(F(1))]))
-        clusters, _ = puiseux_clusters(f)
+        clusters, _ = clusters_of(f)
         assert discriminant_valuation(f) == 6
         assert contact_pair_sum(clusters) == 6
 
@@ -197,4 +199,4 @@ class TestDepth:
     def test_target_exceeds_contacts(self):
         f = (UPoly([Series({1: -1}), Series.const(F(1))])
              * UPoly([Series({1: -1, 3: -1}), Series.const(F(1))]))
-        assert default_target_depth(f) > 3
+        assert default_target_depth(f, discriminant_valuation(f)) > 3

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specrig import qpoly
-from specrig.errors import InsufficientTruncation, SpecrigError
-from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, discriminant,
-                           factor_rational, is_irreducible_rational,
-                           poly_gcd, poly_xgcd, rational_roots, resultant,
-                           resultant_det, squarefree_part, sylvester_matrix)
+from specrig.errors import InsufficientTruncation
+from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
+                           poly_gcd, poly_xgcd, resultant, resultant_det,
+                           squarefree_part, sylvester_matrix)
 from specrig.series import Series
 from specrig.tower import FieldTower
 
@@ -121,17 +120,19 @@ class TestResultant:
 
 
 class TestDiscriminant:
+    """Closed forms of disc f through the Sylvester kernel:
+    Res(f, f') = (-1)^{d(d-1)/2} lc(f) disc f."""
+
     def test_quadratic(self):
-        for b, c in [(3, 1), (0, -2), (5, 5)]:
-            assert discriminant(P(c, b, 1)) == b * b - 4 * c
+        for a, b, c in [(1, 3, 1), (1, 0, -2), (1, 5, 5), (2, 3, 1)]:
+            f = P(c, b, a)
+            assert resultant_det(f, f.derivative()) == -a * (b * b - 4 * a * c)
 
     def test_depressed_cubic(self):
         for p, q in [(1, 1), (-3, 2), (0, -1)]:
-            assert discriminant(P(q, p, 0, 1)) == -4 * p ** 3 - 27 * q ** 2
-
-    def test_constant_rejected(self):
-        with pytest.raises(SpecrigError):
-            discriminant(P(3))
+            f = P(q, p, 0, 1)
+            assert resultant_det(f, f.derivative()) == \
+                -(-4 * p ** 3 - 27 * q ** 2)
 
 
 class TestDetCofactor:
@@ -248,12 +249,14 @@ class TestRationalFactorization:
 
     def test_rational_roots(self):
         f = P(1, -5, 6)  # 6x^2 - 5x + 1
-        roots = sorted(r for r, _ in rational_roots(f))
-        assert roots == [Fraction(1, 3), Fraction(1, 2)]
+        factors = sorted(factor_rational(f), key=lambda pk: pk[0].coeffs)
+        assert factors == [(P(Fraction(-1, 2), 1), 1),
+                           (P(Fraction(-1, 3), 1), 1)]
 
     def test_multiplicity(self):
         f = (X - 1) ** 3 * (X + 2)
-        assert sorted(rational_roots(f)) == [(-2, 1), (1, 3)]
+        factors = sorted(factor_rational(f), key=lambda pk: pk[0].coeffs)
+        assert factors == [(P(-1, 1), 3), (P(2, 1), 1)]
 
     def test_linear_skips_sympy(self, monkeypatch):
         def no_sympy(f):
@@ -262,8 +265,3 @@ class TestRationalFactorization:
         assert factor_rational(P(3, 2)) == [(P(Fraction(3, 2), 1), 1)]
         assert factor_rational(P(Fraction(-1, 3), Fraction(2, 3))) == \
             [(P(Fraction(-1, 2), 1), 1)]
-
-    def test_irreducible(self):
-        assert is_irreducible_rational(P(-2, 0, 1))
-        assert not is_irreducible_rational(P(-1, 0, 1))
-        assert not is_irreducible_rational(P(5))

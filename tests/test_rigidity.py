@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat
+from conftest import local_at, mat
 from specrig.errors import SpecrigError
 from specrig.germs import GermData
-from specrig.localmod import build_local, check_assumption
-from specrig import rigidity
-from specrig.matrf import CharpolyDiscriminant, charpoly
+from specrig.localmod import check_assumption
+from specrig import matrf
+from specrig.matrf import CharpolyDiscriminant, charpoly, cleared_charpoly
 from specrig.ratfn import INFINITY
-from specrig.rigidity import (CurveClass, arithmetic_genus, cleared_charpoly,
+from specrig.rigidity import (CurveClass, arithmetic_genus,
                               cohomology_dims, euler_char_normalization,
                               irreducibility_status, rigidity_index,
                               smoothness_check_finite_part,
@@ -21,12 +21,16 @@ from specrig.rigidity import (CurveClass, arithmetic_genus, cleared_charpoly,
 F = Fraction
 
 
+def disc_of(rows):
+    return CharpolyDiscriminant(charpoly(mat(rows)))
+
+
 def analyzed(rows, poles):
     a = mat(rows)
     locals_ = []
     germs = []
     for p in poles:
-        local = build_local(a, p)
+        local = local_at(a, p)
         assert check_assumption(local)
         locals_.append(local)
         germs.append(GermData(local))
@@ -91,20 +95,20 @@ class TestClearedCharpoly:
 class TestIrreducibility:
     def test_totally_ramified_certificate(self):
         _, locals_, _ = analyzed([["0", "1"], ["z", "0"]], [INFINITY])
-        cp = charpoly(mat([["0", "1"], ["z", "0"]]))
-        assert irreducibility_status(cp, locals_) == "irreducible"
+        disc = disc_of([["0", "1"], ["z", "0"]])
+        assert irreducibility_status(disc, locals_) == "irreducible"
 
     def test_reducible_diagonal(self):
-        a = mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]])
-        _, locals_, _ = analyzed([["(1/2)/z", "0"], ["0", "(1/3)/z"]],
-                                 [F(0), INFINITY])
-        assert irreducibility_status(charpoly(a), locals_) == "reducible"
+        rows = [["(1/2)/z", "0"], ["0", "(1/3)/z"]]
+        _, locals_, _ = analyzed(rows, [F(0), INFINITY])
+        disc = disc_of(rows)
+        assert irreducibility_status(disc, locals_) == "reducible"
 
     def test_unknown_without_certificate(self):
         rows = [["0", "1"], ["z^2 + 1", "0"]]
         _, locals_, _ = analyzed(rows, [INFINITY])
-        assert irreducibility_status(charpoly(mat(rows)), locals_) == \
-            "unknown"
+        disc = disc_of(rows)
+        assert irreducibility_status(disc, locals_) == "unknown"
 
 
     @pytest.mark.parametrize("rows", [
@@ -112,41 +116,40 @@ class TestIrreducibility:
         [["0", "1"], ["z^2 + 1", "0"]],
         [["1/z", "1"], ["1", "z"]]])
     def test_reuses_the_cleared_charpoly(self, rows, monkeypatch):
-        cp = charpoly(mat(rows))
-        expected = irreducibility_status(cp, [])
-        disc = CharpolyDiscriminant(cp)
+        disc = disc_of(rows)
+        expected = irreducibility_status(disc, [])
 
         def no_clearing(_):
             raise AssertionError("charpoly cleared a second time")
-        monkeypatch.setattr(rigidity, "cleared_charpoly", no_clearing)
-        assert irreducibility_status(cp, [], disc=disc) == expected
+        monkeypatch.setattr(matrf, "cleared_charpoly", no_clearing)
+        assert irreducibility_status(disc, []) == expected
 
 
 class TestSmoothness:
     def test_smooth(self):
-        cp = charpoly(mat([["0", "1"], ["z", "0"]]))
-        assert smoothness_check_finite_part(cp, [INFINITY]) == ("ok", None)
+        disc = disc_of([["0", "1"], ["z", "0"]])
+        assert smoothness_check_finite_part(disc, [INFINITY]) == ("ok", None)
 
     def test_rational_singular_point(self):
-        cp = charpoly(mat([["0", "1"], ["z^2", "0"]]))
-        status, detail = smoothness_check_finite_part(cp, [INFINITY])
+        disc = disc_of([["0", "1"], ["z^2", "0"]])
+        status, detail = smoothness_check_finite_part(disc, [INFINITY])
         assert status == "singular"
         assert "z = 0" in detail
 
     def test_singular_point_at_declared_pole_excluded(self):
-        cp = charpoly(mat([["0", "1"], ["z^2", "0"]]))
-        status, _ = smoothness_check_finite_part(cp, [F(0), INFINITY])
+        disc = disc_of([["0", "1"], ["z^2", "0"]])
+        status, _ = smoothness_check_finite_part(disc, [F(0), INFINITY])
         assert status == "ok"
 
     def test_irrational_singular_point(self):
         # y^2 = (z^2 - 2)^3 has singular points over z = +-sqrt(2)
-        cp = charpoly(mat([["0", "1"], ["(z^2 - 2)^3", "0"]]))
-        status, detail = smoothness_check_finite_part(cp, [INFINITY])
+        disc = disc_of([["0", "1"], ["(z^2 - 2)^3", "0"]])
+        status, detail = smoothness_check_finite_part(disc, [INFINITY])
         assert status == "singular"
         assert "irrational" in detail
 
     def test_degree_bound_gives_indeterminate(self):
-        cp = charpoly(mat([["0", "1"], ["(z^2 - 2)^3", "0"]]))
-        status, detail = smoothness_check_finite_part(cp, [INFINITY],
-                                                      degree_bound=1)
+        disc = disc_of([["0", "1"], ["(z^2 - 2)^3", "0"]])
+        status, detail = smoothness_check_finite_part(disc, [INFINITY],
+                                                        degree_bound=1)
         assert status == "indeterminate"

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from specrig import splitting
 from specrig.errors import NotRegularSemisimple, SpecrigError, SpectraOverlap
 from specrig.matrf import default_truncation, localize, pole_order
+from specrig.qpoly import UPoly, det_cofactor
 from specrig.series import INF, Series
-from specrig.splitting import (_balance, _charpoly_squarefree,
+from specrig.splitting import (_balance, _charpoly_squarefree, _cmat_inverse,
                                cmat_charpoly, cmat_identity, cmat_mul,
                                full_split, htl_from_reduction, null_vector,
                                ramified_pullback, smat_mul, smat_prec,
@@ -42,6 +43,22 @@ def smat(rows, prec=None):
     return out
 
 
+_SQRT2 = FieldTower().adjoin(UPoly([F(-2), F(0), F(1)]))
+
+
+def _entries(field):
+    """Small entries of Q, or a + b sqrt(2) in a one-level tower."""
+    ints = st.integers(-3, 3)
+    if field == "Q":
+        return ints.map(F)
+    return st.tuples(ints, ints).map(lambda ab: ab[0] + ab[1] * _SQRT2)
+
+
+def _square(entry, n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
 class TestLinearAlgebra:
     def test_solve_linear(self):
         m = [[F(2), F(1)], [F(1), F(3)]]
@@ -57,6 +74,47 @@ class TestLinearAlgebra:
         v = null_vector(a)
         assert any(v)
         assert all(sum(r[j] * v[j] for j in range(2)) == 0 for r in a)
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_inverse_and_solve(self, field, data):
+        entry = _entries(field)
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(_square(entry, n))
+        rhs = data.draw(st.lists(entry, min_size=n, max_size=n))
+        if not det_cofactor(m):
+            with pytest.raises(SpecrigError, match="^singular matrix$"):
+                _cmat_inverse(m)
+            with pytest.raises(SpectraOverlap,
+                               match="^singular linear system$"):
+                solve_linear(m, rhs)
+            return
+        assert cmat_mul(_cmat_inverse(m), m) == cmat_identity(n)
+        x = solve_linear(m, rhs)
+        assert cmat_mul(m, [[c] for c in x]) == [[c] for c in rhs]
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_null_vector_of_rank_deficient(self, field, data):
+        entry = _entries(field)
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(0, n - 1))
+        # an n x k times k x n product has rank at most k < n
+        b = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                               min_size=n, max_size=n))
+        c = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=k, max_size=k))
+        a = cmat_mul(b, c) if k else [[F(0)] * n for _ in range(n)]
+        v = null_vector(a)
+        assert any(v)
+        assert cmat_mul(a, [[x] for x in v]) == [[0]] * n
+
+    def test_null_vector_of_nonsingular_raises(self):
+        with pytest.raises(SpecrigError,
+                           match="^matrix is nonsingular; no kernel vector$"):
+            null_vector([[F(1), F(2)], [F(3), F(4)]])
 
     def test_cmat_charpoly(self):
         cp = cmat_charpoly([[F(1), F(2)], [F(3), F(4)]])
@@ -169,7 +227,7 @@ class TestPullback:
 class TestHtlFromReduction:
     def test_airy_cells(self):
         a = mat([["0", "1"], ["z", "0"]])
-        g, _ = localize(a, "inf", 12)
+        g = localize(a, "inf", 12)
         cells = htl_from_reduction(g, 2, FieldTower())
         assert len(cells) == 2
         qs = [q for q, _ in cells]
@@ -218,13 +276,13 @@ class TestReductionPrecision:
         tower = FieldTower()
         # one tower, so equal cells print alike; the block order may differ
         cells = [sorted(map(repr, htl_from_reduction(
-                     localize(a, pole, nterms)[0], s, tower)))
+                     localize(a, pole, nterms), s, tower)))
                  for nterms in (8, default, 2 * default)]
         assert cells[0] == cells[1] == cells[2]
 
     @pytest.mark.parametrize("g, s", [
-        (localize(airy(2), "inf", 8)[0], 2),
-        (localize(airy(3), "inf", 8)[0], 3),
+        (localize(airy(2), "inf", 8), 2),
+        (localize(airy(3), "inf", 8), 3),
         (smat([[{-1: F(1, 2)}, 0], [0, {-1: F(1, 3)}]]), 1),
     ])
     def test_exact_input_is_cut_like_truncated_input(self, g, s):
@@ -246,7 +304,7 @@ class TestReductionPrecision:
             return original(g, n1)
 
         monkeypatch.setattr(splitting, "split_once", spy)
-        g, _ = localize(dense_fuchs(3), 0, 32)
+        g = localize(dense_fuchs(3), 0, 32)
         htl_from_reduction(g, 1, FieldTower())
         assert seen
         assert all(prec <= max(0, val + 1) for val, prec in seen)
@@ -318,7 +376,7 @@ class TestBalance:
 
     def test_rank7_search_is_lazy(self):
         a = airy(7)
-        g, _ = localize(a, "inf", default_truncation(7, pole_order(a, "inf")))
+        g = localize(a, "inf", default_truncation(7, pole_order(a, "inf")))
         gt = ramified_pullback(g, 7)
         tracemalloc.start()
         try:
