@@ -111,9 +111,10 @@ def cleared_charpoly(cp: UPoly):
 class CharpolyDiscriminant:
     """The y-discriminant of a charpoly, computed once, exactly over Q[z].
 
-    res = Res_y(F, F_y) for the cleared F = D cp.  As cp is monic of
-    degree n, res = D^(2n-1) Res_y(cp, cp_y), so :meth:`valuation` reads
-    the discriminant valuation of every local charpoly off one polynomial
+    res = Res_y(F, F_y) for the cleared F = D cp, eliminated over Z[z] by
+    :func:`resultant_det`.  As cp is monic of degree n,
+    res = D^(2n-1) Res_y(cp, cp_y), so :meth:`valuation` reads the
+    discriminant valuation of every local charpoly off one polynomial
     instead of one Sylvester determinant over series per pole.
     """
 

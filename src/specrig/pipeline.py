@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (InsufficientTruncation, InternalInconsistency,
-                     SpecrigError)
+from .errors import (InputError, InsufficientTruncation,
+                     InternalInconsistency, SpecrigError)
 from .germs import GermData, delta_identity_holds
 from .localmod import (build_local, check_assumption, delta_end,
                        discriminant_identity_holds, hor_dim, irr_end,
@@ -65,6 +65,9 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     most.  Analysis errors (assumption violations, unsupported input,
     exhausted truncation) raise; the CLI maps them to exit code 2.
     """
+    if truncation is not None and truncation < 1:
+        raise InputError(
+            f"truncation order must be at least 1, got {truncation}")
     a_mat = spec.matrix
     n = a_mat.n
     warnings = list(validate_poles(a_mat, spec.poles))

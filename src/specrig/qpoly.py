@@ -3,18 +3,22 @@
 Coefficients may be ``fractions.Fraction``, tower elements
 (:mod:`specrig.tower`), rational functions, or truncated series -- anything
 supporting ``+ - * /``, ``bool`` (nonzero test) and mixing with ints.
+Integer coefficients occur only inside the fraction-free kernel of
+:func:`resultant_det`, which divides them exactly.
 The zero polynomial is the empty coefficient tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import ceil, gcd, lcm
 
 import sympy
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      SpecrigError)
-from .series import Series
+from .series import INF, Series
 
 
 class UPoly:
@@ -252,7 +256,7 @@ def sylvester_matrix(f: UPoly, g: UPoly):
 def _exact_zero(a) -> bool:
     """Provably zero.  A series that vanishes only up to its precision is
     not: its unknown tail may carry the value."""
-    return a.is_zero() if isinstance(a, Series) else not a
+    return a.is_zero() if isinstance(a, (Series, _ZSeries)) else not a
 
 
 def det_cofactor(rows):
@@ -281,24 +285,184 @@ def det_cofactor(rows):
 
 
 def _pivot_order(a):
-    return a.valuation() if isinstance(a, Series) else 0
+    return a.valuation() if isinstance(a, (Series, _ZSeries)) else 0
 
 
 def _exact_quotient(num, den):
     """num / den where the division is known to be exact in the ring.
 
-    Polynomials must leave no remainder; series use their own division,
-    which is exact for exact operands and certified for truncated ones.
+    Integers and polynomials must leave no remainder; series use their
+    own division, which is exact for exact operands and certified for
+    truncated ones.
     """
+    if isinstance(num, _ZSeries):
+        return num.exact_quotient(den)
     if isinstance(num, UPoly):
+        if isinstance(den.lc(), int):
+            return UPoly(_int_exact_quotient(num.coeffs, den.coeffs))
         quot, rem = num.divmod(den)
         if rem:
             raise InternalInconsistency(
                 "fraction-free elimination: inexact polynomial division")
         return quot
     if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
+        quot, rem = divmod(num, den)
+        if rem:
+            raise InternalInconsistency(
+                "fraction-free elimination: inexact integer division")
+        return quot
     return num / den
+
+
+def _int_exact_quotient(a, b):
+    """Quotient of two integer coefficient lists (lowest degree first)
+    when b divides a over Z; any remainder raises."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * max(0, len(a) - db)
+    rem = 0
+    for k in range(len(a) - 1 - db, -1, -1):
+        c, rem = divmod(a[k + db], lead)
+        if rem:
+            break
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b[:db], k):
+                if y:
+                    a[j] -= c * y
+    if rem or any(a[:db]):
+        raise InternalInconsistency(
+            "fraction-free elimination: inexact polynomial division")
+    return quot
+
+
+def _cap(prec):
+    """Number of exponents 0, 1, ... below prec; None for an exact
+    series."""
+    return None if prec is None else max(0, ceil(prec))
+
+
+class _ZSeries:
+    """Truncated power series over Z: c[i] is the coefficient of z^i, and
+    prec bounds the certified exponents as in :class:`Series` (None:
+    exact).
+
+    The integer form :func:`resultant_det` gives a Sylvester matrix of
+    rational series with integer exponents.  Its ``*``, ``-`` and exact
+    division keep the precision that Series arithmetic certifies for the
+    same operation, so :func:`det_bareiss` certifies the same terms on
+    it as on the Series rows.
+    """
+
+    __slots__ = ("c", "prec")
+
+    def __init__(self, c, prec=None):
+        n = len(c)
+        if prec is not None:
+            if isinstance(prec, Fraction) and prec.denominator == 1:
+                prec = prec.numerator
+            n = min(n, _cap(prec))
+        while n and not c[n - 1]:
+            n -= 1
+        self.c = c if n == len(c) else c[:n]
+        self.prec = prec
+
+    def is_zero(self):
+        return not self.c and self.prec is None
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def _first(self):
+        return next((i for i, x in enumerate(self.c) if x), None)
+
+    def low(self):
+        first = self._first()
+        if first is not None:
+            return first
+        return INF if self.prec is None else self.prec
+
+    def valuation(self):
+        first = self._first()
+        if first is None:
+            if self.prec is not None:
+                raise InsufficientTruncation(
+                    "series vanishes to its precision; valuation unknown")
+            return INF
+        return first
+
+    def __neg__(self):
+        return _ZSeries([-x for x in self.c], self.prec)
+
+    def __sub__(self, other):
+        if self.prec is None:
+            prec = other.prec
+        elif other.prec is None:
+            prec = self.prec
+        else:
+            prec = min(self.prec, other.prec)
+        return _ZSeries([x - y for x, y in
+                         zip_longest(self.c, other.c, fillvalue=0)], prec)
+
+    def __rsub__(self, other):
+        return _ZSeries([other]) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, _ZSeries):
+            other = _ZSeries([other])
+        prec = None
+        if self.prec is not None:
+            prec = self.prec + other.low()
+        if other.prec is not None:
+            bound = other.prec + self.low()
+            prec = bound if prec is None else min(prec, bound)
+        a, b = self.c, other.c
+        n = len(a) + len(b) - 1 if a and b else 0
+        if prec is not None:
+            n = min(n, _cap(prec))
+        out = [0] * n
+        for i, x in enumerate(a[:n]):
+            if x:
+                for j, y in enumerate(b[:n - i], i):
+                    out[j] += x * y
+        return _ZSeries(out, prec)
+
+    def exact_quotient(self, den):
+        """self / den for a pivot den, with the precision Series division
+        certifies: exact by exact is polynomial division, anything else
+        is power-series division up to that precision.  Its terms are
+        those of a Bareiss minor, so they are integers; one that is not
+        raises InternalInconsistency."""
+        b = den.c
+        v = den.valuation()
+        if self.prec is None and den.prec is None:
+            return _ZSeries(_int_exact_quotient(self.c, b))
+        if den.prec is None:
+            prec = self.prec - v
+        else:
+            prec = den.prec - 2 * v + self.low()
+            if self.prec is not None:
+                prec = min(prec, self.prec - v)
+        a = self.c
+        first = self._first()
+        if first is not None and first < v and first - v < prec:
+            raise InternalInconsistency(
+                "fraction-free elimination: inexact series division")
+        lead = b[v]
+        tail = b[v + 1:]
+        quot = []
+        for k in range(_cap(prec)):
+            acc = a[k + v] if k + v < len(a) else 0
+            for j, y in enumerate(tail[:k]):
+                if y:
+                    acc -= y * quot[k - 1 - j]
+            c, rem = divmod(acc, lead)
+            if rem:
+                raise InternalInconsistency(
+                    "fraction-free elimination: inexact series division")
+            quot.append(c)
+        return _ZSeries(quot, prec)
 
 
 def det_bareiss(rows):
@@ -307,11 +471,13 @@ def det_bareiss(rows):
 
     Step k replaces each trailing entry by the bordered minor
     (M[k][k] M[i][j] - M[i][k] M[k][j]) / (previous pivot), a division
-    that is exact in any integral domain.  Over truncated series the
-    pivot is a certified-nonzero entry of lowest valuation, only exact
-    zeros are skipped, and a pivot column that vanishes only to its
-    precision raises InsufficientTruncation: the precision of the result
-    is whatever Series arithmetic certifies.
+    that is exact in any integral domain.  Over Z and Z[z] it is an
+    integer division that raises InternalInconsistency on a remainder.
+    Over truncated series (Series, or the truncated integer series of
+    :func:`resultant_det`) the pivot is a certified-nonzero entry of
+    lowest valuation, only exact zeros are skipped, and a pivot column
+    that vanishes only to its precision raises InsufficientTruncation:
+    the precision of the result is whatever Series arithmetic certifies.
     """
     m = [list(r) for r in rows]
     size = len(m)
@@ -380,9 +546,120 @@ def row_reduce(rows):
     return m, pivots
 
 
+def _primitive_integers(values):
+    """The coprime integers c * v for rational values v, with the one
+    positive rational c = den / num that makes them so; returns
+    (integers, den, num).  At least one value must be nonzero."""
+    den = lcm(*[v.denominator for v in values])
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    num = gcd(*scaled)
+    return [x // num for x in scaled], den, num
+
+
+def _rational(c):
+    return isinstance(c, (int, Fraction))
+
+
+def _over_q(p: UPoly) -> bool:
+    return all(_rational(x) for x in p.coeffs)
+
+
+def _over_q_integer_exponents(s: Series) -> bool:
+    return all(_rational(x) and e.denominator == 1
+               for e, x in s.terms.items())
+
+
+def _integer_series(s: Series, ints, shift) -> _ZSeries:
+    """z^shift s over Z, from the integer multiples of its coefficients."""
+    dense = [0] * (max(s.terms).numerator + shift + 1 if s.terms else 0)
+    for e, x in zip(s.terms, ints):
+        dense[e.numerator + shift] = x
+    return _ZSeries(dense, None if s.prec is None else s.prec + shift)
+
+
+def _cleared(p: UPoly, ring, shift):
+    """(P, den, num) with P = (den / num) z^shift p over Z, the scale of
+    :func:`_primitive_integers` over every rational of p.  ring is the
+    coefficient type of p: None for rationals, UPoly or Series."""
+    if ring is None:
+        ints, den, num = _primitive_integers(p.coeffs)
+        return UPoly(ints), den, num
+    if ring is UPoly:
+        parts = [c.coeffs for c in p.coeffs]
+    else:
+        parts = [list(c.terms.values()) for c in p.coeffs]
+    ints, den, num = _primitive_integers([x for xs in parts for x in xs])
+    out, i = [], 0
+    for c, xs in zip(p.coeffs, parts):
+        chunk = ints[i:i + len(xs)]
+        i += len(xs)
+        out.append(UPoly(chunk) if ring is UPoly
+                   else _integer_series(c, chunk, shift))
+    return UPoly(out), den, num
+
+
+def _integer_sylvester(f: UPoly, g: UPoly):
+    """Integer form of the Sylvester matrix of f and g when their
+    coefficients are rationals, polynomials over Q or series over Q with
+    integer exponents (rational constants may mix with the latter two):
+    (rows, back), back mapping the integer determinant to Res(f, g).
+    None for any other coefficient ring.
+
+    The integer operands are F = c_f z^s f and G = c_g z^s g.  One shift
+    s for both moves every entry by the same power of z, so the
+    elimination picks the same pivots as on the rational rows.
+    """
+    coeffs = f.coeffs + g.coeffs
+    if all(_rational(c) for c in coeffs):
+        ring = None
+    elif all(_rational(c) or isinstance(c, UPoly) and _over_q(c)
+             for c in coeffs):
+        ring = UPoly
+    elif any(isinstance(c, Series) for c in coeffs) and all(
+            _rational(c) or isinstance(c, Series)
+            and _over_q_integer_exponents(c) for c in coeffs):
+        ring = Series
+    else:
+        return None
+    shift = 0
+    if ring is not None:
+        f, g = (p.map_coeffs(lambda c: c if isinstance(c, ring)
+                             else ring.const(c)) for p in (f, g))
+    if ring is Series:
+        shift = -min(min(c.terms) for c in f.coeffs + g.coeffs
+                     if c.terms).numerator
+    (fz, df, nf), (gz, dg, ng) = (_cleared(p, ring, shift) for p in (f, g))
+    # with c_f = df / nf and c_g = dg / ng, Res(c_f z^s f, c_g z^s g)
+    # = c_f^deg g c_g^deg f z^(s (deg f + deg g)) Res(f, g)
+    m, n = f.degree, g.degree
+    num, den = nf ** n * ng ** m, df ** n * dg ** m
+    top = shift * (m + n)
+
+    def rational(a):
+        return Fraction(a * num, den)
+
+    def back(x):
+        if ring is None:
+            return rational(x)
+        if ring is UPoly:
+            return UPoly([rational(a) for a in x.coeffs] if x else ())
+        if not isinstance(x, _ZSeries):
+            return Series.zero()
+        return Series({i - top: rational(a) for i, a in enumerate(x.c)},
+                      None if x.prec is None else x.prec - top)
+    return sylvester_matrix(fz, gz), back
+
+
 def resultant_det(f: UPoly, g: UPoly):
     """Resultant via the Sylvester determinant; valid over any integral
-    domain whose division is exact (see :func:`det_bareiss`)."""
+    domain whose division is exact (see :func:`det_bareiss`).
+
+    Over Q, Q[z] and series over Q with integer exponents the
+    denominators are cleared once and the elimination runs over Z, Z[z]
+    or truncated Z[[z]]; the result is rescaled once by
+    Res(c z^s f, d z^s g) = c^deg g d^deg f z^(s (deg f + deg g)) Res(f, g).
+    Tower elements are eliminated as they are.
+    """
     if f.is_zero() and g.is_zero():
         raise SpecrigError("resultant of two zero polynomials")
     if f.is_zero() or g.is_zero():
@@ -391,7 +668,11 @@ def resultant_det(f: UPoly, g: UPoly):
         return f.lc() ** g.degree
     if g.degree == 0:
         return g.lc() ** f.degree
-    return det_bareiss(sylvester_matrix(f, g))
+    integer = _integer_sylvester(f, g)
+    if integer is None:
+        return det_bareiss(sylvester_matrix(f, g))
+    rows, back = integer
+    return back(det_bareiss(rows))
 
 
 # -- rational-coefficient helpers (sympy-backed factorization) --------------

@@ -206,6 +206,8 @@ class RatFn:
 
 
 def _root_order(p: UPoly, a) -> int:
+    if not a:
+        return _root_order_zero(p)
     k = 0
     while p.degree >= 0 and not p.eval(a):
         p = p // UPoly([-a, Fraction(1)])

@@ -1,6 +1,7 @@
 """Shared fixtures: the example corpus and small construction helpers."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,37 @@ end
 
 def gen_airy(k: int) -> str:
     return f"poles inf\nmatrix\n0, 1\nz^{k}, 0\nend\n"
+
+
+def problem_text(poles, rows) -> str:
+    return "poles " + ", ".join(poles) + "\nmatrix\n" + "\n".join(
+        ", ".join(row) for row in rows) + "\nend\n"
+
+
+def airy(n: int) -> str:
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = "1"
+    rows[n - 1][0] = "z"
+    return problem_text(["inf"], rows)
+
+
+def diag_irreg(n: int) -> str:
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = f"{i + 1}/z^2" + (f" + {i}/z" if i else "")
+    return problem_text(["0", "inf"], rows)
+
+
+def dense_fuchs(n: int) -> str:
+    return problem_text(["0", "1", "inf"],
+                        [[f"{i + 2 * j + 1}/z + {(i * j) % 3 + 1}/(z - 1)"
+                          for j in range(n)] for i in range(n)])
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_input"
+EXAMPLE_TEXTS = {f"example_{p.stem}": p.read_text()
+                 for p in sorted(EXAMPLES.glob("*.txt"))}
 
 
 CORPUS = {

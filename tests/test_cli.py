@@ -70,6 +70,15 @@ class TestExitCodes:
         assert "error: InsufficientTruncation: forced" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_nonpositive_truncation(self, tmp_path, capsys, order):
+        path = write_problem(tmp_path, CORPUS["airy"])
+        assert main(["analyze", path, f"--truncation={order}"]) == 2
+        out = capsys.readouterr()
+        assert f"error: InputError: truncation order must be at least 1, " \
+            f"got {order}" in out.err
+        assert out.out == ""
+
     def test_assumption_violation(self, tmp_path, capsys):
         path = write_problem(tmp_path, CORPUS_BESSEL)
         assert main(["analyze", path]) == 2

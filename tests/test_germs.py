@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import local_at, mat
+from conftest import (EXAMPLE_TEXTS, airy, dense_fuchs, diag_irreg,
+                      gen_airy, local_at, mat)
+from specrig import germs, qpoly
 from specrig.errors import SpecrigError
 from specrig.germs import (GermData, branch_intersection, branch_milnor,
                            delta_identity_holds, germ_equation,
                            germ_milnor_oracle, unbounded_branches)
 from specrig.localmod import check_assumption
+from specrig.parsing import parse_problem
+from specrig.qpoly import det_bareiss, resultant_det, sylvester_matrix
+from specrig.series import Series
 from specrig.ratfn import INFINITY
 
 
@@ -119,3 +124,45 @@ class TestDegenerateCases:
         assert g.mu_oracle_value == 1
         assert g.delta == 1
         assert delta_identity_holds(g)
+
+
+# -- the oracle's Sylvester determinants over Z[[z]] -------------------------
+
+SYLVESTER_CASES = (
+    {f"diag_irreg_rank{n}": diag_irreg(n) for n in range(2, 6)}
+    | {f"dense_fuchs_rank{n}": dense_fuchs(n) for n in (2, 3)}
+    | {f"airy_rank{n}": airy(n) for n in range(2, 8)}
+    | {f"gen_airy_k{k}": gen_airy(k) for k in range(1, 10)}
+    | EXAMPLE_TEXTS)
+
+
+@pytest.mark.parametrize("name", sorted(SYLVESTER_CASES))
+def test_integer_sylvester_matches_series_rows(name, monkeypatch):
+    """Every germ-oracle resultant certifies, over Z[[z]], the terms and
+    precision that elimination on the rational Series rows certifies."""
+    equations = []
+
+    def record(g):
+        equations.append(germ_equation(g))
+        return equations[-1]
+
+    monkeypatch.setattr(germs, "germ_equation", record)
+    spec = parse_problem(SYLVESTER_CASES[name])
+    for pole in spec.poles:
+        local = local_at(spec.matrix, pole)
+        if check_assumption(local):
+            GermData(local)
+    assert equations
+    for f in equations:
+        if f.degree < 2:
+            continue
+        fy = f.derivative()
+        ref = det_bareiss(sylvester_matrix(f, fy))
+        res = resultant_det(f, fy)
+        assert (res.terms, res.prec) == (ref.terms, ref.prec)
+        assert res.valuation() == ref.valuation()
+        # the towers of dense_fuchs keep their entries off the integer path
+        rational = all(isinstance(x, Fraction) for c in f.coeffs
+                       if isinstance(c, Series) for x in c.terms.values())
+        assert (qpoly._integer_sylvester(f, fy) is not None) == rational
+        assert rational or name.startswith("dense_fuchs")

@@ -3,12 +3,11 @@
 import random
 from fractions import Fraction
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import local_at, mat
+from conftest import (EXAMPLE_TEXTS, airy, dense_fuchs, diag_irreg,
+                      gen_airy, local_at, mat)
 from specrig.errors import InputError, SpecrigError, UnsupportedPoleLocation
 from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
                            default_truncation, entry_form_valuation,
@@ -16,7 +15,7 @@ from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
                            validate_poles)
 from specrig.parsing import parse_problem
 from specrig.puiseux import discriminant_valuation
-from specrig.qpoly import UPoly, det_cofactor
+from specrig.qpoly import UPoly, det_cofactor, resultant
 from specrig.ratfn import INFINITY, RatFn
 
 
@@ -211,46 +210,12 @@ def test_default_truncation_floor():
 
 # -- the global discriminant, read at each pole ------------------------------
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples_input"
-
-
-def _problem(poles, rows):
-    return "poles " + ", ".join(poles) + "\nmatrix\n" + "\n".join(
-        ", ".join(row) for row in rows) + "\nend\n"
-
-
-def _airy(n):
-    rows = [["0"] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = "1"
-    rows[n - 1][0] = "z"
-    return _problem(["inf"], rows)
-
-
-def _gen_airy(k):
-    return _problem(["inf"], [["0", "1"], [f"z^{k}", "0"]])
-
-
-def _diag_irreg(n):
-    rows = [["0"] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = f"{i + 1}/z^2" + (f" + {i}/z" if i else "")
-    return _problem(["0", "inf"], rows)
-
-
-def _dense_fuchs(n):
-    return _problem(["0", "1", "inf"],
-                    [[f"{i + 2 * j + 1}/z + {(i * j) % 3 + 1}/(z - 1)"
-                      for j in range(n)] for i in range(n)])
-
-
 GLOBAL_DISC_CASES = (
-    {f"example_{p.stem}": p.read_text() for p in sorted(
-        EXAMPLES.glob("*.txt"))}
-    | {f"diag_irreg_rank{n}": _diag_irreg(n) for n in range(2, 5)}
-    | {"dense_fuchs_rank2": _dense_fuchs(2)}
-    | {f"airy_rank{n}": _airy(n) for n in range(2, 7)}
-    | {f"gen_airy_k{k}": _gen_airy(k) for k in range(1, 6)})
+    EXAMPLE_TEXTS
+    | {f"diag_irreg_rank{n}": diag_irreg(n) for n in range(2, 5)}
+    | {"dense_fuchs_rank2": dense_fuchs(2)}
+    | {f"airy_rank{n}": airy(n) for n in range(2, 7)}
+    | {f"gen_airy_k{k}": gen_airy(k) for k in range(1, 6)})
 
 
 class TestCharpolyDiscriminant:
@@ -278,3 +243,55 @@ class TestCharpolyDiscriminant:
             assert local.vdisc == disc.valuation(pole)
             assert disc.valuation(pole) == \
                 discriminant_valuation(local.local_charpoly)
+
+
+# -- the integer discriminant against its rational references ----------------
+
+REFERENCE_DISC_CASES = (
+    {f"diag_irreg_rank{n}": diag_irreg(n) for n in range(2, 7)}
+    | {f"dense_fuchs_rank{n}": dense_fuchs(n) for n in (2, 3)}
+    # a discriminant root of order 3 at the non-integer point 2/3
+    | {"root_at_two_thirds":
+       "poles 0, inf\nmatrix\n0, 1\n(3*z - 2)^3/z, 0\nend\n"})
+
+# non-poles of every case above, integer and not
+NON_POLES = [F(2), F(-3), F(1, 2), F(2, 3), F(-5, 7)]
+
+
+def _euclidean_res(f):
+    """Res_y(F, F_y) by the Euclidean recurrence over Q(z)."""
+    lifted = UPoly([RatFn(c) for c in f.coeffs])
+    return resultant(lifted, lifted.derivative())
+
+
+class TestIntegerDiscriminant:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DISC_CASES))
+    def test_res_equals_euclidean_reference(self, name):
+        spec = parse_problem(REFERENCE_DISC_CASES[name])
+        disc = CharpolyDiscriminant(charpoly(spec.matrix))
+        assert RatFn(disc.res) == _euclidean_res(disc.cleared)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DISC_CASES))
+    def test_valuation_equals_rational_references(self, name):
+        spec = parse_problem(REFERENCE_DISC_CASES[name])
+        cp = charpoly(spec.matrix)
+        disc = CharpolyDiscriminant(cp)
+        n = cp.degree
+        points = list(spec.poles) + NON_POLES
+        for a in points + ([] if INFINITY in points else [INFINITY]):
+            v = disc.valuation(a)
+            ratfn = (RatFn(disc.res).valuation(a)
+                     - (2 * n - 1) * RatFn(disc.den).valuation(a))
+            assert v == (ratfn - 2 * n * (n - 1) if a == INFINITY
+                         else ratfn)
+            # a dozen terms certify the small orders at non-poles
+            nterms = (default_truncation(n, pole_order(spec.matrix, a))
+                      if a in spec.poles else 12)
+            assert v == discriminant_valuation(
+                UPoly(localize_charpoly(cp, a, nterms)))
+
+    def test_non_integer_root(self):
+        spec = parse_problem(REFERENCE_DISC_CASES["root_at_two_thirds"])
+        disc = CharpolyDiscriminant(charpoly(spec.matrix))
+        assert disc.valuation(F(2, 3)) == 3
+        assert disc.valuation(F(1, 3)) == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS
+from specrig import pipeline
 from specrig.errors import InputError
 from specrig.parsing import parse_problem
 from specrig.pipeline import AssumptionFailure, run_analysis
@@ -67,6 +68,16 @@ class TestVerdicts:
     def test_undeclared_pole_raises(self):
         with pytest.raises(InputError):
             run("poles inf\nmatrix\n1/z\nend\n")
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_nonpositive_truncation_refused_before_any_work(
+            self, order, monkeypatch):
+        def charpoly(_):
+            raise AssertionError("analysis started")
+
+        monkeypatch.setattr(pipeline, "charpoly", charpoly)
+        with pytest.raises(InputError, match=f"truncation order .*{order}"):
+            run(CORPUS["airy"], truncation=order)
 
 
 class TestDocument:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specrig import qpoly
-from specrig.errors import InsufficientTruncation
+from specrig.errors import InsufficientTruncation, InternalInconsistency
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
                            poly_gcd, poly_xgcd, resultant, resultant_det,
                            squarefree_part, sylvester_matrix)
+from specrig.ratfn import RatFn
 from specrig.series import Series
 from specrig.tower import FieldTower
 
@@ -238,6 +239,133 @@ class TestDetBareiss:
         z = UPoly([Fraction(0), Fraction(1)])
         f = UPoly([-z, UPoly(), UPoly.const(Fraction(1))])
         assert resultant_det(f, f.derivative()) == z.scale(-4)
+
+
+# -- the integer kernels of resultant_det over Q, Q[z] and Z[[z]] ----------
+
+_QC = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_NONZERO = _QC.filter(bool)
+
+
+def _q_poly(max_degree=3):
+    """Nonzero, not necessarily monic; degree 0 included."""
+    return st.lists(_QC, min_size=1, max_size=max_degree + 1).map(
+        UPoly).filter(bool)
+
+
+def _qz_poly(max_degree=2):
+    return st.lists(st.lists(_QC, max_size=3).map(UPoly), min_size=1,
+                    max_size=max_degree + 1).map(UPoly).filter(bool)
+
+
+def _over_qz(p):
+    """The same polynomial over Q(z), where the Euclidean reference runs."""
+    return UPoly([RatFn(c) for c in p.coeffs])
+
+
+class TestIntegerResultant:
+    @settings(max_examples=80, deadline=None)
+    @given(_q_poly(), _q_poly())
+    def test_over_q_equals_references(self, f, g):
+        res = resultant_det(f, g)
+        assert isinstance(res, Fraction)
+        assert res == resultant(f, g)
+        if f.degree and g.degree:
+            assert res == det_cofactor(sylvester_matrix(f, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_qz_poly(), _qz_poly())
+    def test_over_qz_equals_references(self, f, g):
+        res = resultant_det(f, g)
+        assert RatFn(res) == resultant(_over_qz(f), _over_qz(g))
+        if f.degree and g.degree:
+            assert all(isinstance(c, Fraction) for c in res.coeffs)
+            assert res == det_cofactor(sylvester_matrix(f, g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_q_poly(2).filter(lambda h: h.degree >= 1), _q_poly(2),
+           _q_poly(2), _qz_poly(1).filter(lambda h: h.degree >= 1),
+           _qz_poly(1), _qz_poly(1))
+    def test_common_factor_gives_zero(self, h, a, b, hz, az, bz):
+        assert resultant_det(h * a, h * b) == 0
+        assert resultant_det(hz * az, hz * bz) == UPoly()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_qz_poly(), _qz_poly(), _NONZERO, _NONZERO, st.integers(0, 2))
+    def test_scaling_identity(self, f, g, c, d, s):
+        # Res(c z^s f, d g) = c^deg g d^deg f z^(s deg g) Res(f, g)
+        zs = UPoly([Fraction(0)] * s + [c])
+        lhs = resultant_det(UPoly([a * zs for a in f.coeffs]),
+                            UPoly([a.scale(d) for a in g.coeffs]))
+        rhs = (resultant_det(f, g).scale(d ** f.degree)
+               * zs ** g.degree)
+        assert lhs == rhs
+
+    def test_inexact_integer_division_raises(self):
+        zs = qpoly._ZSeries
+        for num, den in [(7, 2),
+                         (UPoly([1, 1]), UPoly([0, 2])),
+                         # truncated by exact: z^0 + z^1 + O(z^4) over 2
+                         (zs([1, 1], 4), zs([2])),
+                         # exact by exact: (1 + z^2) / (1 + z)
+                         (zs([1, 0, 1]), zs([1, 1])),
+                         # a quotient term below z^0 within its precision
+                         (zs([1, 1], 4), zs([0, 1]))]:
+            with pytest.raises(InternalInconsistency):
+                qpoly._exact_quotient(num, den)
+
+
+def _integer_exponent_series():
+    """Rational coefficients at integer exponents, exact or truncated; a
+    truncated zero is allowed."""
+    def build(args):
+        v, coeffs, extra = args
+        terms = {v + i: c for i, c in enumerate(coeffs)}
+        return Series(terms, None if extra is None
+                      else v + len(coeffs) + extra)
+    return st.tuples(st.integers(-2, 2), st.lists(_QC, max_size=3),
+                     st.one_of(st.none(), st.integers(-1, 3))).map(build)
+
+
+def _series_poly(max_degree):
+    """Series coefficients, mixed with a few rational constants."""
+    coeff = st.one_of(_integer_exponent_series(), _integer_exponent_series(),
+                      _QC)
+    return st.lists(coeff, min_size=2, max_size=max_degree + 1).map(
+        UPoly).filter(lambda p: p.degree >= 1 and any(
+            isinstance(c, Series) for c in p.coeffs))
+
+
+class TestIntegerSeriesResultant:
+    @settings(max_examples=150, deadline=None)
+    @given(_series_poly(3), _series_poly(3))
+    def test_certifies_what_the_series_rows_certify(self, f, g):
+        try:
+            ref = det_bareiss(sylvester_matrix(f, g))
+        except InsufficientTruncation:
+            with pytest.raises(InsufficientTruncation):
+                resultant_det(f, g)
+            return
+        if not isinstance(ref, Series):  # rational entries only
+            ref = Series.const(ref)
+        res = resultant_det(f, g)
+        assert (res.terms, res.prec) == (ref.terms, ref.prec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_series_poly(3), _series_poly(2))
+    def test_never_a_wrong_term(self, f, g):
+        ref = det_cofactor(sylvester_matrix(f, g))
+        if not isinstance(ref, Series):  # rational entries only
+            ref = Series.const(ref)
+        try:
+            res = resultant_det(f, g)
+        except InsufficientTruncation:
+            return
+        common = ref.prec if res.prec is None else (
+            res.prec if ref.prec is None else min(res.prec, ref.prec))
+        for e in set(res.terms) | set(ref.terms):
+            if common is None or e < common:
+                assert res.terms.get(e, 0) == ref.terms.get(e, 0)
 
 
 class TestRationalFactorization:

@@ -54,6 +54,18 @@ class TestValuation:
     def test_zero_function(self):
         assert RatFn.const(0).valuation(0) is None
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+           st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3))
+    def test_order_at_zero_matches_shifted_point(self, num, den, i, j, b):
+        """ord_0 f, read off the low zero coefficients, equals ord_b of
+        f(z - b), found by dividing by z - b."""
+        if not any(num) or not any(den) or b == 0:
+            return
+        f = rf([0] * i + num, [0] * j + den)
+        assert f.valuation(0) == f.shifted(-b).valuation(b)
+
     def test_additive_under_product(self):
         rng = random.Random(3)
         pts = [F(0), F(1), F(-2), INFINITY]
