@@ -21,14 +21,6 @@ class UnsupportedPoleLocation(SpecrigError):
     """A denominator vanishes at an irrational point of the line."""
 
 
-class SpectraOverlap(SpecrigError):
-    """Sylvester equation is singular: the two blocks share an eigenvalue."""
-
-
-class NotRegularSemisimple(SpecrigError):
-    """Leading matrix has a repeated eigenvalue; splitting route unavailable."""
-
-
 class ReductionUnavailable(SpecrigError):
     """The splitting-based HTL cross-check cannot run for this germ."""
 

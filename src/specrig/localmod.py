@@ -10,16 +10,15 @@ is reported as an assumption violation, never silently computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import (InternalInconsistency, NotRegularSemisimple,
-                     ReductionUnavailable)
+from .errors import InternalInconsistency, ReductionUnavailable
 from .matrf import (CharpolyDiscriminant, MatRF, localize,
                     localize_charpoly, pole_order)
-from .puiseux import (PuiseuxCluster, _diff_nonzero, _lcm,
-                      _phase_denominator, contact_pair_sum,
+from .puiseux import (PuiseuxCluster, contact_pair_sum, first_difference,
                       principal_contact_negative, puiseux_clusters)
 from .qpoly import UPoly
-from .series import Series
+from .series import INF, Series
 from .tower import TowerElem
 
 
@@ -108,7 +107,7 @@ def build_local(a_mat: MatRF, a, nterms: int, cp: UPoly,
 def _cells_same_orbit(ci: HTLCell, cj: HTLCell) -> bool:
     """True when the principal parts lie in one Galois orbit: some
     conjugate of q_j equals q_i."""
-    for k in range(_lcm(ci.r, cj.r)):
+    for k in range(lcm(ci.r, cj.r)):
         if principal_contact_negative(ci.cluster, cj.cluster, k) is None:
             return True
     return False
@@ -148,7 +147,7 @@ def check_assumption(local: LocalModule) -> bool:
     if all(c.r == 1 for c in cells) and len(cells) == local.n:
         try:
             ok = reduction_cross_check(local)
-        except (NotRegularSemisimple, ReductionUnavailable) as exc:
+        except ReductionUnavailable as exc:
             ok = False
             reason = (f"{reason}, and the regular-semisimple check is "
                       f"unavailable: {exc}")
@@ -166,20 +165,15 @@ def check_assumption(local: LocalModule) -> bool:
 
 
 def reduction_cross_check(local: LocalModule) -> bool:
-    """Recompute the HTL cells by pullback + block splitting and match
+    """Recompute the HTL cells by pullback + splitting and match
     them against the Puiseux-route cells; fills cell residues.
 
     Returns True on agreement; raises InternalInconsistency on mismatch
     and ReductionUnavailable when the split route cannot run.
     """
     from .splitting import htl_from_reduction
-    s = 1
-    for c in local.cells:
-        s = _lcm(s, c.r)
-    try:
-        red = htl_from_reduction(local.local_matrix, s, local.tower)
-    except NotRegularSemisimple as exc:
-        raise ReductionUnavailable(str(exc))
+    s = lcm(*(c.r for c in local.cells))
+    red = htl_from_reduction(local.local_matrix, s, local.tower)
     matched = [0] * len(local.cells)
     for q_red, residue in red:
         hit = None
@@ -203,18 +197,8 @@ def reduction_cross_check(local: LocalModule) -> bool:
 
 
 def _principal_parts_equal_some_conjugate(q_red: Series, cell: HTLCell):
-    qc = cell.q
-    for k in range(cell.r):
-        same = True
-        for e in sorted(set(q_red.terms) | set(qc.terms)):
-            a = q_red.terms.get(e, 0)
-            b = qc.terms.get(e, 0)
-            if _diff_nonzero(a, b, _phase_denominator(k, e)):
-                same = False
-                break
-        if same:
-            return True
-    return False
+    return any(first_difference(q_red, cell.q, k, INF) is None
+               for k in range(cell.r))
 
 
 # -- irregularity ------------------------------------------------------------
@@ -235,7 +219,7 @@ def irr_hom(ci: HTLCell, cj: HTLCell) -> int:
             if v is not None:
                 total += -v * ci.r
         return _as_int(total)
-    s = _lcm(ci.r, cj.r)
+    s = lcm(ci.r, cj.r)
     weight = Fraction(ci.r * cj.r, s)
     total = Fraction(0)
     for k in range(s):

@@ -10,8 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedPoleLocation, SpecrigError
-from .qpoly import (UPoly, det_cofactor, poly_gcd, resultant_det,
-                    row_reduce)
+from .qpoly import UPoly, det_cofactor, poly_gcd, resultant_det
 from .ratfn import RatFn, INFINITY, expand_at
 from .series import Series
 
@@ -30,31 +29,6 @@ class MatRF:
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
-
-    def conjugate_by(self, p_rows):
-        """P A P^{-1} for a constant invertible rational matrix P
-        (list of lists of Fractions)."""
-        n = self.n
-        p = [[RatFn.const(c) for c in row] for row in p_rows]
-        pinv = _invert_constant(p_rows)
-        pa = _matmul(p, self.entries, n)
-        return MatRF(_matmul(pa, pinv, n))
-
-
-def _matmul(a, b, n):
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), RatFn.const(0))
-             for j in range(n)] for i in range(n)]
-
-
-def _invert_constant(rows):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row]
-           + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = row_reduce(aug)
-    if pivots[:n] != list(range(n)):
-        raise InputError("conjugating matrix is singular")
-    return [[RatFn.const(x) for x in row[n:]] for row in red]
 
 
 def charpoly(m: MatRF) -> UPoly:

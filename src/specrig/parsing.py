@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .errors import InputError
 from .matrf import MatRF
-from .qpoly import UPoly
 from .ratfn import INFINITY, RatFn
 
 # largest |k| accepted in base^k, and the largest degree an operation may
@@ -65,11 +64,16 @@ class _Tokens:
             c = s[i]
             if c.isspace():
                 i += 1
-            elif c.isdigit():
+            elif "0" <= c <= "9":
                 j = i
-                while j < len(s) and s[j].isdigit():
+                while j < len(s) and "0" <= s[j] <= "9":
                     j += 1
-                self.toks.append(("int", int(s[i:j]), i))
+                try:
+                    value = int(s[i:j])
+                except ValueError:  # past the interpreter's digit limit
+                    self._err(i, f"integer literal of {j - i} digits is "
+                                 "too long")
+                self.toks.append(("int", value, i))
                 i = j
             elif c.isalpha() or c == "_":
                 j = i
@@ -278,39 +282,3 @@ def parse_problem(text: str) -> ProblemSpec:
     if genus != 0:
         raise InputError("only genus 0 is supported for analysis")
     return ProblemSpec(variable, entry_strings, MatRF(rows), poles, genus)
-
-
-# -- pretty printing ---------------------------------------------------------
-
-def poly_to_string(p: UPoly, variable: str = "z") -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i] if i < len(p.coeffs) else 0
-        if not c:
-            continue
-        c = Fraction(c)
-        mag = abs(c)
-        if i == 0:
-            body = _frac_str(mag)
-        else:
-            v = variable if i == 1 else f"{variable}^{i}"
-            body = v if mag == 1 else f"{_frac_str(mag)}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else \
-        f"{c.numerator}/{c.denominator}"
-
-
-def ratfn_to_string(f: RatFn, variable: str = "z") -> str:
-    num = poly_to_string(f.num, variable)
-    if f.den.degree == 0:
-        return num
-    return f"({num})/({poly_to_string(f.den, variable)})"

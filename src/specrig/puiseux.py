@@ -11,6 +11,7 @@ would depend on the choice of embedding raise AmbiguousComparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (AmbiguousComparison, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
@@ -241,7 +242,7 @@ def _descend(F, prev_terms, last_exp, lattice, mult, tower, target, out,
     for edge in sorted(live, key=lambda e: e.slope):
         rho = edge.rho
         d = rho.denominator
-        new_lattice = _lcm(lattice, d)
+        new_lattice = lcm(lattice, d)
         q = new_lattice // lattice
         residual = _residual_compressed(edge.points, edge.i0, q)
         for t, m in _all_roots(tower, residual):
@@ -257,14 +258,6 @@ def _descend(F, prev_terms, last_exp, lattice, mult, tower, target, out,
             nt[rho] = c
             _descend(F_next, nt, rho, new_lattice, m, tower, target, out,
                      depth_guard + 1)
-
-
-def _lcm(a, b):
-    g = a
-    x = b
-    while x:
-        g, x = x, g % x
-    return a * b // g
 
 
 # -- contact valuations ----------------------------------------------------
@@ -299,22 +292,32 @@ def _diff_nonzero(a, b, d: int) -> bool:
         f"{d} is not decided by the coefficient tower")
 
 
+def first_difference(s1: Series, s2: Series, k: int, below):
+    """Lowest exponent e < below where s1 and xi^k(s2) differ, or None.
+
+    Exponents are compared in increasing order, so an undecidable
+    comparison raises AmbiguousComparison only when every lower term
+    agrees."""
+    for e in sorted(set(s1.terms) | set(s2.terms)):
+        if e >= below:
+            break
+        if _diff_nonzero(s1.terms.get(e, 0), s2.terms.get(e, 0),
+                         _phase_denominator(k, e)):
+            return e
+    return None
+
+
 def cluster_contact(c1: PuiseuxCluster, c2: PuiseuxCluster, k: int):
     """Exact valuation of rep(c1) - xi^k(rep(c2))."""
     s1, s2 = c1.rep, c2.rep
-    exps = sorted(set(s1.terms) | set(s2.terms))
     bound = INF
     if s1.prec is not None:
         bound = min(bound, s1.prec)
     if s2.prec is not None:
         bound = min(bound, s2.prec)
-    for e in exps:
-        if e >= bound:
-            break
-        a = s1.terms.get(e, 0)
-        b = s2.terms.get(e, 0)
-        if _diff_nonzero(a, b, _phase_denominator(k, e)):
-            return e
+    e = first_difference(s1, s2, k, bound)
+    if e is not None:
+        return e
     if bound == INF:
         if c1 is c2 and k % c1.r == 0:
             raise SpecrigError("contact of a root with itself is undefined")
@@ -334,7 +337,7 @@ def contact_pair_sum(clusters):
         for k in range(1, ci.r):
             total += ci.r * cluster_contact(ci, ci, k)
         for cj in clusters[i + 1:]:
-            s = _lcm(ci.r, cj.r)
+            s = lcm(ci.r, cj.r)
             weight = Fraction(ci.r * cj.r, s)
             for k in range(s):
                 total += 2 * weight * cluster_contact(ci, cj, k)
@@ -348,12 +351,5 @@ def principal_contact_negative(c1, c2, k):
     Exponent bookkeeping is on the root representatives: a root term z^e
     contributes z^(e+1) to q, so only e < -1 matters.
     """
-    s1, s2 = c1.rep, c2.rep
-    for e in sorted(set(s1.terms) | set(s2.terms)):
-        if e >= -1:
-            break
-        a = s1.terms.get(e, 0)
-        b = s2.terms.get(e, 0)
-        if _diff_nonzero(a, b, _phase_denominator(k, e)):
-            return e + 1
-    return None
+    e = first_difference(c1.rep, c2.rep, k, -1)
+    return None if e is None else e + 1

@@ -10,10 +10,6 @@ def serialize(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 _POLE_COLUMNS = [
     ("pole", "point"),
     ("nu", "nu"),

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import InternalInconsistency, SpecrigError
+from .errors import (InternalInconsistency, SpecrigError,
+                     UnsupportedExtension)
 from .germs import GermData
 from .localmod import LocalModule, delta_end
 from .matrf import CharpolyDiscriminant
@@ -100,8 +101,7 @@ def irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
     return "unknown"
 
 
-def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles,
-                                 degree_bound: int = 4):
+def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles):
     """Singular points of the spectral curve away from the poles.
 
     Returns (status, detail): status 'ok', 'singular', or 'indeterminate'.
@@ -123,12 +123,12 @@ def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles,
             if _common_root_at(f, fy, fz, z0):
                 return "singular", f"singular point over z = {z0}"
         else:
-            if pi.degree > degree_bound:
+            try:
+                alpha = FieldTower().adjoin(pi)
+            except UnsupportedExtension:
                 return ("indeterminate",
                         f"discriminant factor of degree {pi.degree} "
                         "exceeds the extension bound")
-            tower = FieldTower(degree_bound)
-            alpha = tower.adjoin(pi)
             if _common_root_at(f, fy, fz, alpha):
                 return ("singular",
                         "singular point over an irrational zero of the "

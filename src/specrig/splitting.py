@@ -1,28 +1,31 @@
-"""Block splitting of truncated series matrices by pure similarity.
+"""Eigenvalue series of truncated series matrices by pure similarity.
 
-Given G(t) = t^r (A_0 + A_1 t + ...) with A_0 block diagonal and disjoint
-block spectra, there is a unique T(t) = I + (off-diagonal corrections) with
-T G = B T and B block diagonal; the coefficients of T come from Sylvester
-equations order by order.  Repeating until all blocks are 1x1 yields the
-eigenvalue series of G, an HTL-cell extraction independent of the
-Newton-Puiseux route.  No derivative term appears: similarity preserves
+Given G(t) = t^r (A_0 + A_1 t + ...) with A_0 = diag(l_1, ..., l_n) and
+the l_i pairwise distinct, there is a unique T(t) = I + (off-diagonal
+corrections) with T G = diag(e_1, ..., e_n) T.  Order by order, every
+entry of T comes from one division by l_i - l_j, and e_i is the
+eigenvalue series of G that starts with l_i t^r: an HTL-cell extraction
+independent of the Newton-Puiseux route.  full_split brings a leading
+matrix with pairwise distinct eigenvalues to that diagonal form by a
+constant conjugation.  No derivative term appears: similarity preserves
 eigenvalue series, and the correction a genuine gauge transform adds has
 order >= 0, so principal parts through the t^{-1} coefficient agree.
 
-A split certifies every block to the precision of its input: the
-t^{r + m} coefficient of B comes from A_0 .. A_m alone.  So full_split
-cuts its input below t^0, the part the HTL route (htl_from_reduction)
-reads, which certifies the principal part and the residue and nothing
-beyond them.
+A split certifies every eigenvalue series to the precision of its input:
+the t^{r + m} coefficient of e_i comes from A_0 .. A_m alone.  So
+full_split cuts its input below t^0, the part the HTL route
+(htl_from_reduction) reads, which certifies the principal part and the
+residue and nothing beyond them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
+from math import ceil
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
-                     NotRegularSemisimple, SpecrigError, SpectraOverlap)
+                     ReductionUnavailable, SpecrigError)
 from .qpoly import UPoly, det_cofactor, resultant_det, row_reduce
 from .series import INF, Series
 from .tower import FieldTower
@@ -49,15 +52,6 @@ def cmat_charpoly(a) -> UPoly:
     return det_cofactor(rows)
 
 
-def solve_linear(m, rhs):
-    """Solve m x = rhs by Gauss-Jordan elimination over an exact field."""
-    n = len(m)
-    red, pivots = row_reduce([list(row) + [r] for row, r in zip(m, rhs)])
-    if pivots[:n] != list(range(n)):
-        raise SpectraOverlap("singular linear system")
-    return [row[n] for row in red]
-
-
 def null_vector(a):
     """One nonzero kernel vector of a singular square matrix."""
     red, pivots = row_reduce(a)
@@ -69,25 +63,6 @@ def null_vector(a):
     for row, col in zip(red, pivots):
         v[col] = -row[free]
     return v
-
-
-def sylvester_solve(p, q, c):
-    """Unique T with T q - p T = c when spectra of p and q are disjoint;
-    raises SpectraOverlap (from solve_linear) when they are not."""
-    np_, nq = len(p), len(q[0])
-    size = np_ * nq
-    m = [[Fraction(0)] * size for _ in range(size)]
-    rhs = []
-    for i in range(np_):
-        for j in range(nq):
-            row = m[i * nq + j]
-            for l in range(nq):
-                row[i * nq + l] = row[i * nq + l] + q[l][j]
-            for k in range(np_):
-                row[k * nq + j] = row[k * nq + j] - p[i][k]
-            rhs.append(c[i][j])
-    flat = solve_linear(m, rhs)
-    return [[flat[i * nq + j] for j in range(nq)] for i in range(np_)]
 
 
 # -- series matrices ---------------------------------------------------------
@@ -123,10 +98,6 @@ def smat_mul(a, b):
              for j in range(m)] for i in range(n)]
 
 
-def smat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def smat_from_const(a):
     return [[Series.const(x) if x else Series.zero() for x in row]
             for row in a]
@@ -138,29 +109,15 @@ def smat_conjugate_const(g, v, vinv):
     return smat_mul(svi, smat_mul(g, sv))
 
 
-class SplitCertificate:
-    """T G = B T to the certified order, B block diagonal."""
+def split_once(g):
+    """Eigenvalue series of g, whose leading coefficient is diagonal with
+    pairwise distinct entries, to every order g certifies.
 
-    __slots__ = ("T", "B", "lead", "order", "n1")
-
-    def __init__(self, T, B, lead, order, n1):
-        self.T = T
-        self.B = B
-        self.lead = lead
-        self.order = order
-        self.n1 = n1
-
-    def block(self, which):
-        n1 = self.n1
-        if which == 0:
-            return [row[:n1] for row in self.B[:n1]]
-        return [row[n1:] for row in self.B[n1:]]
-
-
-def split_once(g, n1) -> SplitCertificate:
-    """One block split of g with leading coefficient block diagonal in
-    sizes (n1, n - n1), to every order g certifies; verifies the residual
-    T g - B T literally."""
+    Returns (T, eigs) with T = I + O(t) and T g = diag(eigs) T, and
+    verifies that residual literally.  At order m, with s the part of
+    the order-m equation already known, T_m[i][j] = s[i][j] / (l_i - l_j)
+    off the diagonal and s[i][i] is the t^{r + m} coefficient of eigs[i].
+    """
     n = len(g)
     r0 = smat_val(g)
     if r0 != int(r0):
@@ -169,58 +126,42 @@ def split_once(g, n1) -> SplitCertificate:
     prec = smat_prec(g)
     if prec == INF:
         raise SpecrigError("split_once needs truncated input")
-    order = int(prec - r0) - (0 if prec - r0 != int(prec - r0) else 1)
-    # largest m with r0 + m < prec
-    while r0 + order >= prec:
-        order -= 1
+    order = ceil(prec - r0) - 1  # largest m with r0 + m < prec
     if order < 0:
         raise InsufficientTruncation("no certified orders beyond leading")
     a = [smat_coeff(g, r0 + m) for m in range(order + 1)]
+    lam = [a[0][i][i] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if (i < n1) != (j < n1) and a[0][i][j]:
-                raise SpecrigError("leading coefficient is not block "
-                                   "diagonal")
-    p = [row[:n1] for row in a[0][:n1]]
-    q = [row[n1:] for row in a[0][n1:]]
+            if i != j and (a[0][i][j] or lam[i] == lam[j]):
+                raise SpecrigError("leading coefficient is not diagonal "
+                                   "with distinct entries")
+    inv = [[1 / (lam[i] - lam[j]) if i != j else None for j in range(n)]
+           for i in range(n)]
     t_coeffs = [cmat_identity(n)]
-    b_coeffs = [a[0]]
+    b_coeffs = [lam]
     for m in range(1, order + 1):
         s = [row[:] for row in a[m]]
         for k in range(1, m):
             tk_a = cmat_mul(t_coeffs[k], a[m - k])
-            bk_t = cmat_mul(b_coeffs[k], t_coeffs[m - k])
-            s = [[s[i][j] + tk_a[i][j] - bk_t[i][j] for j in range(n)]
-                 for i in range(n)]
-        s12 = [[-s[i][j] for j in range(n1, n)] for i in range(n1)]
-        s21 = [[-s[i][j] for j in range(n1)] for i in range(n1, n)]
-        t12 = sylvester_solve(p, q, s12)
-        t21 = sylvester_solve(q, p, s21)
-        tm = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n1):
-            for j in range(n - n1):
-                tm[i][n1 + j] = t12[i][j]
-        for i in range(n - n1):
-            for j in range(n1):
-                tm[n1 + i][j] = t21[i][j]
-        bm = [[s[i][j] if (i < n1) == (j < n1) else Fraction(0)
-               for j in range(n)] for i in range(n)]
-        t_coeffs.append(tm)
-        b_coeffs.append(bm)
-    t_prec = order + 1
+            tmk, bk = t_coeffs[m - k], b_coeffs[k]
+            s = [[s[i][j] + tk_a[i][j] - bk[i] * tmk[i][j]
+                  for j in range(n)] for i in range(n)]
+        t_coeffs.append([[s[i][j] * inv[i][j] if i != j else Fraction(0)
+                          for j in range(n)] for i in range(n)])
+        b_coeffs.append([s[i][i] for i in range(n)])
     T = [[Series({m: t_coeffs[m][i][j] for m in range(order + 1)
-                  if t_coeffs[m][i][j]}, t_prec)
+                  if t_coeffs[m][i][j]}, order + 1)
           for j in range(n)] for i in range(n)]
-    B = [[Series({r0 + m: b_coeffs[m][i][j] for m in range(order + 1)
-                  if b_coeffs[m][i][j]}, r0 + order + 1)
-          for j in range(n)] for i in range(n)]
-    resid = smat_sub(smat_mul(T, g), smat_mul(B, T))
-    for row in resid:
-        for e in row:
-            if e.terms:
+    eigs = [Series({r0 + m: b_coeffs[m][i] for m in range(order + 1)
+                    if b_coeffs[m][i]}, r0 + order + 1) for i in range(n)]
+    tg = smat_mul(T, g)
+    for i in range(n):
+        for j in range(n):
+            if (tg[i][j] - eigs[i] * T[i][j]).terms:
                 raise InternalInconsistency(
                     "split residual does not vanish to the certified order")
-    return SplitCertificate(T, B, r0, order, n1)
+    return T, eigs
 
 
 def _is_scalar(a):
@@ -244,14 +185,14 @@ def _charpoly_squarefree(cp: UPoly) -> bool:
 
 
 def full_split(g, tower: FieldTower):
-    """Eigenvalue series of g as scalar blocks, by repeated splitting,
-    each certified below t^0 (below t^{r0 + 1} at least).
+    """Eigenvalue series of g, by one split after a constant
+    conjugation, each certified below t^0 (below t^{r0 + 1} at least).
 
     Requires the leading matrix (after scalar stripping and diagonal power
     balancing, both similarity moves) to have pairwise distinct eigenvalues
     over the tower.  The regular-semisimple input, exact or truncated, is
     cut to precision max(0, r0 + 1) before splitting.  The cut is exact:
-    the t^{r0 + m} coefficient of every block depends only on the
+    the t^{r0 + m} coefficient of every series depends only on the
     coefficients of g through t^{r0 + m}, and the constant conjugation in
     front of it, like the stripping and balancing before it, leaves the
     eigenvalue series unchanged.  Balancing runs before the cut and so
@@ -280,14 +221,8 @@ def full_split(g, tower: FieldTower):
                  for eig in eigs]
         v = [[vcols[j][i] for j in range(n)] for i in range(n)]
         vinv = _cmat_inverse(v)
-        h = smat_conjugate_const(g, v, vinv)
-        out = []
-        while len(h) > 1:
-            cert = split_once(h, 1)
-            out.append(cert.block(0)[0][0])
-            h = cert.block(1)
-        out.append(h[0][0])
-        return out
+        _, eig_series = split_once(smat_conjugate_const(g, v, vinv))
+        return eig_series
     c = _is_scalar(a0)
     if c is not None:
         scalar = Series.monomial(c, r0)
@@ -297,7 +232,7 @@ def full_split(g, tower: FieldTower):
     balanced = _balance(g, tower)
     if balanced is not None:
         return full_split(balanced, tower)
-    raise NotRegularSemisimple(
+    raise ReductionUnavailable(
         "leading matrix has a repeated eigenvalue and no balancing "
         "diagonal power gauge separates it")
 
@@ -362,17 +297,16 @@ def htl_from_reduction(g, s_hint: int, tower: FieldTower):
 
     q keeps strictly negative exponents; the residue is the z^0
     coefficient of z * eigenvalue, divided through the pullback chain rule.
-    t * block = s * (z * y)(t^s), so dividing by s and scaling exponents by
-    1/s recovers the z-side data.
+    t * e = s * (z * y)(t^s) for an eigenvalue series e, so dividing by s
+    and scaling exponents by 1/s recovers the z-side data.
 
-    Both are read from the blocks below t^0, the precision full_split
+    Both are read from the series below t^0, the precision full_split
     certifies for exact and truncated g alike; the route certifies q and
     the residue and nothing beyond them.
     """
     gt = ramified_pullback(g, s_hint)
-    blocks = full_split(gt, tower)
     cells = []
-    for b in blocks:
+    for b in full_split(gt, tower):
         tb = b.shift(1)
         low = tb.nonpositive_part()
         inv = Fraction(1, s_hint)

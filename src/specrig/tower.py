@@ -16,6 +16,9 @@ from fractions import Fraction
 from .errors import SpecrigError, UnsupportedExtension, InternalInconsistency
 from .qpoly import UPoly, poly_gcd, poly_xgcd, factor_rational, squarefree_part
 
+# largest degree of a minimal polynomial adjoin accepts
+DEGREE_BOUND = 4
+
 
 class TowerElem:
     """Element of tower level >= 1, as a reduced coefficient tuple over the
@@ -160,9 +163,8 @@ def _pair(a, b):
 class FieldTower:
     """Chain of simple extensions; grows as roots are adjoined."""
 
-    def __init__(self, degree_bound: int = 4):
+    def __init__(self):
         self.levels = []  # (name, minpoly UPoly over previous level)
-        self.degree_bound = degree_bound
         self._gen_counter = 0
 
     @property
@@ -210,10 +212,10 @@ class FieldTower:
         minpoly = minpoly.monic()
         if minpoly.degree < 2:
             raise SpecrigError("adjoin needs degree >= 2")
-        if minpoly.degree > self.degree_bound:
+        if minpoly.degree > DEGREE_BOUND:
             raise UnsupportedExtension(
                 f"extension of degree {minpoly.degree} exceeds the bound "
-                f"{self.degree_bound}")
+                f"{DEGREE_BOUND}")
         top = self.height
         minpoly = self.lift_poly(minpoly, top)
         factors = self.factor(minpoly)

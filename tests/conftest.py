@@ -1,15 +1,20 @@
-"""Shared fixtures: the example corpus and small construction helpers."""
+"""Shared fixtures: the example corpus, small construction helpers, and
+the test-only references (conjugation, printing, report parsing) that
+the package itself never calls."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from specrig.errors import InputError
 from specrig.localmod import build_local
 from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
                            default_truncation, pole_order)
 from specrig.parsing import parse_expression, parse_problem
-from specrig.ratfn import INFINITY
+from specrig.qpoly import UPoly, row_reduce
+from specrig.ratfn import INFINITY, RatFn
 
 
 AIRY = """\
@@ -130,3 +135,74 @@ def fuchsian_matrix():
 
 INF_POINT = INFINITY
 ZERO = Fraction(0)
+
+
+# -- test-only references ----------------------------------------------------
+
+def conjugate_by(a: MatRF, p_rows) -> MatRF:
+    """P A P^{-1} for a constant invertible rational matrix P
+    (list of lists of Fractions)."""
+    n = a.n
+    p = [[RatFn.const(c) for c in row] for row in p_rows]
+    pinv = _invert_constant(p_rows)
+    pa = _matmul(p, a.entries, n)
+    return MatRF(_matmul(pa, pinv, n))
+
+
+def _matmul(a, b, n):
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), RatFn.const(0))
+             for j in range(n)] for i in range(n)]
+
+
+def _invert_constant(rows):
+    n = len(rows)
+    aug = [[Fraction(x) for x in row]
+           + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(rows)]
+    red, pivots = row_reduce(aug)
+    if pivots[:n] != list(range(n)):
+        raise InputError("conjugating matrix is singular")
+    return [[RatFn.const(x) for x in row[n:]] for row in red]
+
+
+def poly_to_string(p: UPoly, variable: str = "z") -> str:
+    if p.is_zero():
+        return "0"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p.coeffs[i] if i < len(p.coeffs) else 0
+        if not c:
+            continue
+        c = Fraction(c)
+        mag = abs(c)
+        if i == 0:
+            body = _frac_str(mag)
+        else:
+            v = variable if i == 1 else f"{variable}^{i}"
+            body = v if mag == 1 else f"{_frac_str(mag)}*{v}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _frac_str(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else \
+        f"{c.numerator}/{c.denominator}"
+
+
+def ratfn_to_string(f: RatFn, variable: str = "z") -> str:
+    num = poly_to_string(f.num, variable)
+    if f.den.degree == 0:
+        return num
+    return f"({num})/({poly_to_string(f.den, variable)})"
+
+
+def parse_report(text: str) -> dict:
+    return json.loads(text)
+
+
+def smat_sub(a, b):
+    """Entrywise difference of two series matrices."""
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

@@ -9,7 +9,8 @@ import pathlib
 import random
 from fractions import Fraction
 
-from conftest import CORPUS, gen_airy, local_at
+from conftest import (CORPUS, conjugate_by, gen_airy, local_at, parse_report,
+                      ratfn_to_string)
 from specrig.cli import main
 from specrig.errors import InputError, ReductionUnavailable
 from specrig.localmod import (check_assumption, discriminant_identity_holds,
@@ -17,8 +18,8 @@ from specrig.localmod import (check_assumption, discriminant_identity_holds,
 from specrig.parsing import ProblemSpec, parse_expression, parse_problem
 from specrig.pipeline import run_analysis
 from specrig.ratfn import INFINITY
-from specrig.report import parse_report, serialize
-from specrig.splitting import smat_mul, smat_sub, split_once
+from specrig.report import serialize
+from specrig.splitting import split_once
 
 
 F = Fraction
@@ -146,14 +147,15 @@ def test_criterion_6_two_route_equalities():
 
 
 def test_criterion_7_split_certificates():
-    from test_splitting import random_split_example
+    from test_splitting import random_split_example, residual_vanishes
     rng = random.Random(424242)
     for i in range(20):
-        g, n1 = random_split_example(rng)
-        cert = split_once(g, n1)
-        resid = smat_sub(smat_mul(cert.T, g), smat_mul(cert.B, cert.T))
-        assert all(e.known_zero_to_prec() for row in resid for e in row), i
-    report_line(7, "20 randomized split certificates with exact residuals")
+        g = random_split_example(rng)
+        T, eigs = split_once(g)
+        # T g - diag(eigs) T, computed outside split_once
+        assert residual_vanishes(g, T, eigs), i
+    report_line(7, "20 randomized one-pass split certificates with exact "
+                   "residuals")
 
 
 def test_criterion_8_similarity_invariance():
@@ -165,7 +167,7 @@ def test_criterion_8_similarity_invariance():
     while done < 10:
         p = [[F(rng.randint(-4, 4)) for _ in range(2)] for _ in range(2)]
         try:
-            conj = base_spec.matrix.conjugate_by(p)
+            conj = conjugate_by(base_spec.matrix, p)
         except InputError:
             continue
         spec = ProblemSpec("z", [], conj, [INFINITY], 0)
@@ -180,7 +182,6 @@ def test_criterion_8_similarity_invariance():
 def test_criterion_9_parser_report_round_trip(tmp_path, capsys):
     # parser round-trip on generated expressions
     rng = random.Random(31)
-    from specrig.parsing import ratfn_to_string
     from specrig.qpoly import UPoly
     from specrig.ratfn import RatFn
     for _ in range(30):

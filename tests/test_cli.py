@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from conftest import CORPUS, gen_airy
+from conftest import CORPUS, gen_airy, parse_report
 from specrig import localmod
 from specrig.cli import main
 from specrig.errors import InsufficientTruncation
-from specrig.report import parse_report, render_text, serialize
+from specrig.report import render_text, serialize
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -53,6 +53,24 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1.0
         assert "line 4, column 9: degree exceeds the bound 1000" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"poles inf\nmatrix\n0, 1\nz\xff, 0\nend\n",
+         "error: 'utf-8' codec can't decode byte 0xff"),
+        ("poles inf\nmatrix\n0, 1\nz^², 0\nend\n".encode(),
+         "line 4, column 3: unexpected character '²'"),
+        (b"poles inf\nmatrix\n0, 1\nz + " + b"9" * 5000 + b", 0\nend\n",
+         "line 4, column 5: integer literal of 5000 digits is too long"),
+    ], ids=["not-utf8", "superscript-digit", "over-digit-limit"])
+    def test_unreadable_input_is_refused(self, tmp_path, capsys, content,
+                                         message):
+        path = tmp_path / "problem.txt"
+        path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
+        assert "Traceback" not in out.err
 
     def test_exhausted_truncation(self, tmp_path, capsys, monkeypatch):
         """A pole that runs out of terms at every order is localized at

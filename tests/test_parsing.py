@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import poly_to_string, ratfn_to_string
 from specrig.errors import InputError
 from specrig.parsing import (MAX_EXPONENT, parse_expression, parse_pole,
-                             parse_problem, poly_to_string, ratfn_to_string)
+                             parse_problem)
 from specrig.qpoly import UPoly
 from specrig.ratfn import INFINITY, RatFn
 

@@ -8,7 +8,7 @@ from conftest import local_at, mat
 from specrig.errors import SpecrigError
 from specrig.germs import GermData
 from specrig.localmod import check_assumption
-from specrig import matrf
+from specrig import matrf, tower
 from specrig.matrf import CharpolyDiscriminant, charpoly, cleared_charpoly
 from specrig.ratfn import INFINITY
 from specrig.rigidity import (CurveClass, arithmetic_genus,
@@ -148,8 +148,8 @@ class TestSmoothness:
         assert status == "singular"
         assert "irrational" in detail
 
-    def test_degree_bound_gives_indeterminate(self):
+    def test_degree_bound_gives_indeterminate(self, monkeypatch):
+        monkeypatch.setattr(tower, "DEGREE_BOUND", 1)
         disc = disc_of([["0", "1"], ["(z^2 - 2)^3", "0"]])
-        status, detail = smoothness_check_finite_part(disc, [INFINITY],
-                                                        degree_bound=1)
+        status, detail = smoothness_check_finite_part(disc, [INFINITY])
         assert status == "indeterminate"

@@ -1,0 +1,85 @@
+"""Static guards on the package source: no unused import, and no
+module-level function or class that only the tests reach."""
+
+import ast
+from pathlib import Path
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "specrig"
+MODULES = {p.stem: ast.parse(p.read_text(), str(p))
+           for p in sorted(SRC.glob("*.py"))}
+
+# kept in src/ as references for the tests; perfbench/tracing.py resolves
+# them by name
+TEST_REFERENCES = {("qpoly", "resultant"),
+                   ("puiseux", "discriminant_valuation")}
+
+
+def _bound_names(node):
+    """Names an import statement binds."""
+    return [(alias.asname or alias.name).split(".")[0]
+            for alias in node.names]
+
+
+def _loaded_names(tree, skip=None):
+    """Every bare name read in tree, outside the subtree skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_unused_import():
+    unused = []
+    for module, tree in sorted(MODULES.items()):
+        used = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}: {name}"
+                           for name in _bound_names(node) if name not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+def _references_elsewhere(module, name, definition):
+    """True when name is read in src/ outside its own definition: by
+    name in its module, or imported from it (or read as an attribute of
+    it) in another module."""
+    if name in _loaded_names(MODULES[module], skip=definition):
+        return True
+    for other, tree in MODULES.items():
+        if other == module:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[-1] == module and \
+                    any(a.name == name for a in node.names):
+                return True
+            if isinstance(node, ast.Attribute) and node.attr == name and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == module:
+                return True
+    return False
+
+
+DEFINITIONS = [(module, node.name, node)
+               for module, tree in sorted(MODULES.items())
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_every_definition_has_a_caller_in_src():
+    assert TEST_REFERENCES <= {(m, n) for m, n, _ in DEFINITIONS}
+    unreferenced = [f"{module}.{name}" for module, name, node in DEFINITIONS
+                    if (module, name) not in TEST_REFERENCES
+                    and not _references_elsewhere(module, name, node)]
+    assert not unreferenced, \
+        f"no reference in src/ outside their own bodies: {unreferenced}"

@@ -1,27 +1,28 @@
-"""Block splitting by similarity: certificates and eigenvalue series."""
+"""Splitting by similarity: certificates and eigenvalue series."""
 
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specrig import splitting
-from specrig.errors import NotRegularSemisimple, SpecrigError, SpectraOverlap
+from specrig.errors import (InsufficientTruncation, ReductionUnavailable,
+                            SpecrigError)
 from specrig.matrf import default_truncation, localize, pole_order
-from specrig.qpoly import UPoly, det_cofactor
+from specrig.qpoly import UPoly, det_cofactor, row_reduce
 from specrig.series import INF, Series
 from specrig.splitting import (_balance, _charpoly_squarefree, _cmat_inverse,
                                cmat_charpoly, cmat_identity, cmat_mul,
                                full_split, htl_from_reduction, null_vector,
-                               ramified_pullback, smat_mul, smat_prec,
-                               smat_sub, smat_val, solve_linear, split_once,
-                               sylvester_solve)
+                               ramified_pullback, smat_coeff, smat_mul,
+                               smat_prec, smat_val, split_once)
 from specrig.tower import FieldTower
 
-from conftest import mat
+from conftest import mat, smat_sub
 
 
 F = Fraction
@@ -60,15 +61,6 @@ def _square(entry, n):
 
 
 class TestLinearAlgebra:
-    def test_solve_linear(self):
-        m = [[F(2), F(1)], [F(1), F(3)]]
-        x = solve_linear(m, [F(5), F(10)])
-        assert x == [F(1), F(3)]
-
-    def test_solve_singular_raises(self):
-        with pytest.raises(SpectraOverlap):
-            solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(1)])
-
     def test_null_vector(self):
         a = [[F(1), F(2)], [F(2), F(4)]]
         v = null_vector(a)
@@ -86,13 +78,11 @@ class TestLinearAlgebra:
         if not det_cofactor(m):
             with pytest.raises(SpecrigError, match="^singular matrix$"):
                 _cmat_inverse(m)
-            with pytest.raises(SpectraOverlap,
-                               match="^singular linear system$"):
-                solve_linear(m, rhs)
             return
-        assert cmat_mul(_cmat_inverse(m), m) == cmat_identity(n)
-        x = solve_linear(m, rhs)
-        assert cmat_mul(m, [[c] for c in x]) == [[c] for c in rhs]
+        inv = _cmat_inverse(m)
+        assert cmat_mul(inv, m) == cmat_identity(n)
+        x = cmat_mul(inv, [[c] for c in rhs])
+        assert cmat_mul(m, x) == [[c] for c in rhs]
 
     @pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)"])
     @settings(max_examples=40, deadline=None)
@@ -122,63 +112,64 @@ class TestLinearAlgebra:
         assert cp.coeffs == (F(-2), F(-5), F(1))
 
 
-class TestSylvester:
-    def test_scalar(self):
-        t = sylvester_solve([[F(1)]], [[F(2)]], [[F(3)]])
-        assert t == [[F(3)]]
+def smat_diag(entries):
+    n = len(entries)
+    return [[entries[i] if i == j else Series.zero() for j in range(n)]
+            for i in range(n)]
 
-    def test_defining_equation(self):
-        p = [[F(0), F(1)], [F(-1), F(0)]]
-        q = [[F(5)]]
-        c = [[F(2)], [F(3)]]
-        t = sylvester_solve(p, q, c)
-        lhs = [[t[i][0] * 5 - sum(p[i][k] * t[k][0] for k in range(2))]
-               for i in range(2)]
-        assert lhs == c
 
-    def test_overlapping_spectra(self):
-        with pytest.raises(SpectraOverlap):
-            sylvester_solve([[F(1)]], [[F(1)]], [[F(1)]])
+def residual_vanishes(g, T, eigs):
+    """T g - diag(eigs) T is zero to its precision, computed here."""
+    resid = smat_sub(smat_mul(T, g), smat_mul(smat_diag(eigs), T))
+    return all(e.known_zero_to_prec() for row in resid for e in row)
 
 
 class TestSplitOnce:
     def test_eigenvalue_series_2x2(self):
         # [[1, t], [t, 2]]: eigenvalues 1 - t^2 + ..., 2 + t^2 + ...
         g = smat([[1, {1: 1}], [{1: 1}, 2]], prec=4)
-        cert = split_once(g, 1)
-        b1, b2 = cert.block(0)[0][0], cert.block(1)[0][0]
+        _, (b1, b2) = split_once(g)
         assert b1.coeff(0) == 1 and b1.coeff(2) == -1
         assert b2.coeff(0) == 2 and b2.coeff(2) == 1
         assert b1.coeff(1) == 0 and b2.coeff(1) == 0
 
     def test_residual_vanishes(self):
         g = smat([[0, {1: 2}], [{2: -1}, 3]], prec=6)
-        cert = split_once(g, 1)
-        resid = smat_sub(smat_mul(cert.T, g), smat_mul(cert.B, cert.T))
-        assert all(e.known_zero_to_prec() for row in resid for e in row)
+        T, eigs = split_once(g)
+        assert residual_vanishes(g, T, eigs)
+        assert all(T[i][j].coeff(0) == (i == j)
+                   for i in range(2) for j in range(2))
 
     def test_block_diagonal_required(self):
         g = smat([[0, 1], [1, 3]], prec=4)
         with pytest.raises(SpecrigError):
-            split_once(g, 1)
+            split_once(g)
+        # diagonal, but with a repeated entry
+        g = smat([[2, {1: 1}], [{1: 1}, 2]], prec=4)
+        with pytest.raises(SpecrigError, match="distinct entries"):
+            split_once(g)
 
     def test_trace_preserved(self):
         g = smat([[1, {1: 3}], [{1: -2}, 4]], prec=5)
-        cert = split_once(g, 1)
-        tr = cert.block(0)[0][0] + cert.block(1)[0][0]
-        orig = g[0][0] + g[1][1]
-        diff = tr - orig
+        _, (b1, b2) = split_once(g)
+        diff = b1 + b2 - (g[0][0] + g[1][1])
         assert diff.known_zero_to_prec()
 
     def test_3x3_blocks(self):
         g = smat([[1, 0, {1: 1}],
                   [0, 2, {2: 1}],
                   [{1: -1}, {1: 1}, 5]], prec=5)
-        cert = split_once(g, 2)
-        top = cert.block(0)
-        assert len(top) == 2
-        resid = smat_sub(smat_mul(cert.T, g), smat_mul(cert.B, cert.T))
-        assert all(e.known_zero_to_prec() for row in resid for e in row)
+        T, eigs = split_once(g)
+        assert [e.coeff(0) for e in eigs] == [1, 2, 5]
+        assert all(e.prec == 5 for e in eigs)
+        assert residual_vanishes(g, T, eigs)
+
+    def test_needs_truncated_input(self):
+        with pytest.raises(SpecrigError, match="needs truncated input"):
+            split_once(smat([[1, 0], [0, 2]]))
+        with pytest.raises(InsufficientTruncation):
+            split_once([[Series.const(F(1)), Series.zero(0)],
+                        [Series.zero(0), Series.const(F(2), 1)]])
 
 
 class TestFullSplit:
@@ -196,7 +187,7 @@ class TestFullSplit:
 
     def test_nilpotent_leading_raises(self):
         g = smat([[0, 1], [{1: 1}, 0]], prec=4)
-        with pytest.raises(NotRegularSemisimple):
+        with pytest.raises(ReductionUnavailable):
             full_split(g, FieldTower())
 
     def test_balancing(self):
@@ -299,9 +290,9 @@ class TestReductionPrecision:
         seen = []
         original = splitting.split_once
 
-        def spy(g, n1):
+        def spy(g):
             seen.append((smat_val(g), smat_prec(g)))
-            return original(g, n1)
+            return original(g)
 
         monkeypatch.setattr(splitting, "split_once", spy)
         g = localize(dense_fuchs(3), 0, 32)
@@ -389,45 +380,161 @@ class TestBalance:
 
 
 def random_split_example(rng):
-    """Block-diagonal leading matrix with disjoint rational spectra plus
-    random higher-order noise; returns (matrix, n1)."""
-    n1 = rng.randint(1, 2)
-    n2 = rng.randint(1, 2)
-    n = n1 + n2
-    spec1 = rng.sample(range(-5, 5), n1)
-    spec2 = rng.sample(range(6, 15), n2)
-    a0 = [[F(0)] * n for _ in range(n)]
-    for i, e in enumerate(spec1):
-        a0[i][i] = F(e)
-        for j in range(i):
-            a0[j][i] = F(rng.randint(-2, 2))
-    for i, e in enumerate(spec2):
-        a0[n1 + i][n1 + i] = F(e)
-        for j in range(i):
-            a0[n1 + j][n1 + i] = F(rng.randint(-2, 2))
+    """Diagonal leading matrix with distinct rational entries plus random
+    higher-order noise."""
+    n = rng.randint(2, 4)
+    lam = rng.sample(range(-5, 6), n)
     order = rng.randint(3, 12)
     lead = rng.randint(-3, 0)
     g = []
     for i in range(n):
         row = []
         for j in range(n):
-            terms = {lead: a0[i][j]}
+            terms = {lead: F(lam[i] if i == j else 0)}
             for m in range(1, order + 1):
                 terms[lead + m] = F(rng.randint(-3, 3))
             row.append(Series(terms, lead + order + 1))
         g.append(row)
-    return g, n1
+    return g
 
 
 def test_randomized_certificates():
     rng = random.Random(2024)
     for _ in range(20):
-        g, n1 = random_split_example(rng)
-        cert = split_once(g, n1)
-        resid = smat_sub(smat_mul(cert.T, g), smat_mul(cert.B, cert.T))
-        assert all(e.known_zero_to_prec() for row in resid for e in row)
-        n = len(g)
-        for i in range(n):
-            for j in range(n):
-                if (i < n1) != (j < n1):
-                    assert not cert.B[i][j].terms
+        g = random_split_example(rng)
+        T, eigs = split_once(g)
+        assert residual_vanishes(g, T, eigs)
+        r0 = smat_val(g)
+        assert [e.coeff(r0) for e in eigs] == \
+            [g[i][i].coeff(r0) for i in range(len(g))]
+
+
+# -- the block splitting the one-pass split replaced -----------------------
+
+
+def _reference_solve_linear(m, rhs):
+    n = len(m)
+    red, pivots = row_reduce([list(row) + [r] for row, r in zip(m, rhs)])
+    if pivots[:n] != list(range(n)):
+        raise SpecrigError("singular linear system")
+    return [row[n] for row in red]
+
+
+def _reference_sylvester_solve(p, q, c):
+    """Unique T with T q - p T = c when spectra of p and q are disjoint."""
+    np_, nq = len(p), len(q[0])
+    size = np_ * nq
+    m = [[F(0)] * size for _ in range(size)]
+    rhs = []
+    for i in range(np_):
+        for j in range(nq):
+            row = m[i * nq + j]
+            for l in range(nq):
+                row[i * nq + l] = row[i * nq + l] + q[l][j]
+            for k in range(np_):
+                row[k * nq + j] = row[k * nq + j] - p[i][k]
+            rhs.append(c[i][j])
+    flat = _reference_solve_linear(m, rhs)
+    return [[flat[i * nq + j] for j in range(nq)] for i in range(np_)]
+
+
+def _reference_split(g, n1):
+    """One block split of g with leading coefficient block diagonal in
+    sizes (n1, n - n1), by a Sylvester solve at every order; returns the
+    two diagonal blocks of B in T g = B T."""
+    n = len(g)
+    r0 = int(smat_val(g))
+    prec = smat_prec(g)
+    order = int(prec - r0) - (0 if prec - r0 != int(prec - r0) else 1)
+    while r0 + order >= prec:
+        order -= 1
+    a = [smat_coeff(g, r0 + m) for m in range(order + 1)]
+    for i in range(n):
+        for j in range(n):
+            if (i < n1) != (j < n1) and a[0][i][j]:
+                raise SpecrigError("leading coefficient is not block "
+                                   "diagonal")
+    p = [row[:n1] for row in a[0][:n1]]
+    q = [row[n1:] for row in a[0][n1:]]
+    t_coeffs = [cmat_identity(n)]
+    b_coeffs = [a[0]]
+    for m in range(1, order + 1):
+        s = [row[:] for row in a[m]]
+        for k in range(1, m):
+            tk_a = cmat_mul(t_coeffs[k], a[m - k])
+            bk_t = cmat_mul(b_coeffs[k], t_coeffs[m - k])
+            s = [[s[i][j] + tk_a[i][j] - bk_t[i][j] for j in range(n)]
+                 for i in range(n)]
+        s12 = [[-s[i][j] for j in range(n1, n)] for i in range(n1)]
+        s21 = [[-s[i][j] for j in range(n1)] for i in range(n1, n)]
+        t12 = _reference_sylvester_solve(p, q, s12)
+        t21 = _reference_sylvester_solve(q, p, s21)
+        tm = [[F(0)] * n for _ in range(n)]
+        for i in range(n1):
+            for j in range(n - n1):
+                tm[i][n1 + j] = t12[i][j]
+        for i in range(n - n1):
+            for j in range(n1):
+                tm[n1 + i][j] = t21[i][j]
+        bm = [[s[i][j] if (i < n1) == (j < n1) else F(0)
+               for j in range(n)] for i in range(n)]
+        t_coeffs.append(tm)
+        b_coeffs.append(bm)
+    B = [[Series({r0 + m: b_coeffs[m][i][j] for m in range(order + 1)
+                  if b_coeffs[m][i][j]}, r0 + order + 1)
+          for j in range(n)] for i in range(n)]
+    return ([row[:n1] for row in B[:n1]], [row[n1:] for row in B[n1:]])
+
+
+def _reference_eigenvalue_series(h):
+    """Eigenvalue series by n - 1 one-against-the-rest block splits."""
+    out = []
+    while len(h) > 1:
+        first, h = _reference_split(h, 1)
+        out.append(first[0][0])
+    out.append(h[0][0])
+    return out
+
+
+@st.composite
+def _diagonal_leading(draw, field):
+    """(g, truncated): g = t^r (diag(l) + noise t + ...), the l pairwise
+    distinct, exact or truncated one order above its last term."""
+    entry = _entries(field)
+    n = draw(st.integers(2, 4))
+    lam = draw(st.lists(entry, min_size=n, max_size=n).filter(
+        lambda ls: all(x != y for i, x in enumerate(ls) for y in ls[:i])))
+    r = draw(st.integers(-3, 1))
+    orders = draw(st.integers(0, 4))
+    truncated = draw(st.booleans())
+    prec = r + orders + 1 if truncated else None
+    g = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = {r + m: draw(entry) for m in range(1, orders + 1)}
+            terms[r] = lam[i] if i == j else 0
+            row.append(Series(terms, prec))
+        g.append(row)
+    return g, truncated
+
+
+def _as_terms(series):
+    return [(e.terms, e.prec) for e in series]
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_pass_split_matches_block_reference(field, data):
+    g, truncated = data.draw(_diagonal_leading(field))
+    tower = _SQRT2.tower if field != "Q" else FieldTower()
+    if truncated:
+        T, eigs = split_once(g)
+        assert _as_terms(eigs) == _as_terms(_reference_eigenvalue_series(g))
+        assert residual_vanishes(g, T, eigs)
+    # full_split cuts exact and truncated input alike before it splits
+    cut = full_split(g, tower)
+    with mock.patch.object(splitting, "split_once",
+                           lambda h: (None, _reference_eigenvalue_series(h))):
+        assert _as_terms(cut) == _as_terms(full_split(g, tower))

@@ -32,7 +32,7 @@ class TestAdjoin:
             t.adjoin(P(-1, 0, 1))
 
     def test_degree_bound(self):
-        t = FieldTower(degree_bound=4)
+        t = FieldTower()
         with pytest.raises(UnsupportedExtension):
             t.adjoin(P(-2, 0, 0, 0, 0, 1))
 
