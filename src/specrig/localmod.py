@@ -16,7 +16,8 @@ from .errors import InternalInconsistency, ReductionUnavailable
 from .matrf import (CharpolyDiscriminant, MatRF, localize,
                     localize_charpoly, pole_order)
 from .puiseux import (PuiseuxCluster, contact_pair_sum, first_difference,
-                      principal_contact_negative, puiseux_clusters)
+                      principal_contact_negative, puiseux_clusters,
+                      text_key)
 from .qpoly import UPoly
 from .series import INF, Series
 from .tower import TowerElem
@@ -96,7 +97,7 @@ def build_local(a_mat: MatRF, a, nterms: int, cp: UPoly,
     clusters, tower = puiseux_clusters(f_local, vdisc)
     cells = [HTLCell(c) for c in clusters]
     cells.sort(key=lambda c: (-Fraction(c.p, c.r), str(sorted(
-        (str(e), str(v)) for e, v in c.q.terms.items()))))
+        (text_key(e), text_key(v)) for e, v in c.q.terms.items()))))
     return LocalModule(a, a_mat.n, pole_order(a_mat, a), cells,
                        [c.cluster for c in cells], tower, f_local, a_mat,
                        nterms, vdisc)

@@ -10,10 +10,11 @@ would depend on the choice of embedding raise AmbiguousComparison.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 
-from .errors import (AmbiguousComparison, InsufficientTruncation,
+from .errors import (AmbiguousComparison, InputError, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
 from .qpoly import UPoly, resultant_det
 from .series import INF, Series
@@ -142,8 +143,21 @@ class PuiseuxCluster:
         return f"PuiseuxCluster(r={self.r}, order={self.order}, {self.rep!r})"
 
 
+def text_key(x) -> str:
+    """str(x) as a sort key.  Python refuses str() of an integer past its
+    conversion limit (sys.get_int_max_str_digits()); that is an
+    InputError here, so such an input is refused instead of crashing."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise InputError(
+            "an exact coefficient grew past Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string "
+            "conversion") from exc
+
+
 def _factor_key(p: UPoly):
-    return (p.degree, str([str(c) for c in p.coeffs]))
+    return (p.degree, str([text_key(c) for c in p.coeffs]))
 
 
 def _any_root(tower: FieldTower, p: UPoly):
@@ -158,7 +172,7 @@ def _any_root(tower: FieldTower, p: UPoly):
 
 def _all_roots(tower: FieldTower, p: UPoly):
     roots = tower.split_completely(p)
-    return sorted(roots, key=lambda rm: str(rm[0]))
+    return sorted(roots, key=lambda rm: text_key(rm[0]))
 
 
 def discriminant_valuation(F: UPoly):

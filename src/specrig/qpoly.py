@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import ceil, gcd, lcm
+from math import ceil, gcd, isqrt, lcm
 
 import sympy
 
@@ -692,13 +692,41 @@ def _from_sympy(p) -> UPoly:
 def factor_rational(f: UPoly):
     """Irreducible factorization over Q: list of (monic UPoly, multiplicity).
 
-    All coefficients of f must be Fraction/int.  A linear f is its own
-    factorization and never reaches sympy.
+    All coefficients of f must be Fraction/int.  Linear and quadratic f
+    never reach sympy: a quadratic splits exactly when its discriminant
+    is the square of a rational, and its factors come in sympy's order.
+    Degrees 3 and up go to sympy's ``factor_list``.
     """
     if f.degree < 1:
         return []
     if f.degree == 1:
         lead = Fraction(f.coeffs[1])
         return [(UPoly([Fraction(f.coeffs[0]) / lead, Fraction(1)]), 1)]
+    if f.degree == 2:
+        return _factor_quadratic(*(Fraction(c) for c in f.coeffs))
     _, factors = _to_sympy(f).factor_list()
     return [(_from_sympy(p).monic(), int(k)) for p, k in factors]
+
+
+def _factor_quadratic(c, b, a):
+    """factor_rational of a x^2 + b x + c.  Two rational roots come
+    ordered as sympy orders their primitive integer factors den x - num:
+    by (den, -num)."""
+    s = _rational_sqrt(b * b - 4 * a * c)
+    if s is None:
+        return [(UPoly([c / a, b / a, Fraction(1)]), 1)]
+    if not s:
+        return [(UPoly([b / (2 * a), Fraction(1)]), 2)]
+    roots = sorted(((-b + s) / (2 * a), (-b - s) / (2 * a)),
+                   key=lambda r: (r.denominator, -r.numerator))
+    return [(UPoly([-r, Fraction(1)]), 1) for r in roots]
+
+
+def _rational_sqrt(d: Fraction):
+    """The rational square root of d >= 0, or None when there is none."""
+    if d < 0:
+        return None
+    num, den = isqrt(d.numerator), isqrt(d.denominator)
+    if num * num != d.numerator or den * den != d.denominator:
+        return None
+    return Fraction(num, den)

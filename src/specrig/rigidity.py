@@ -19,6 +19,7 @@ from .germs import GermData
 from .localmod import LocalModule, delta_end
 from .matrf import CharpolyDiscriminant
 from .qpoly import UPoly, factor_rational, poly_gcd, squarefree_part
+from .ratfn import INFINITY
 from .tower import FieldTower
 
 
@@ -87,18 +88,70 @@ def _bipoly_to_sympy(f: UPoly):
 
 
 def irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
-    """Tri-state: a totally ramified place certifies irreducibility; a
-    rational-function-field factorization certifies reducibility;
-    otherwise unknown.  disc is the problem's
-    :class:`CharpolyDiscriminant`, whose cleared charpoly is factored."""
+    """Tri-state verdict on the spectral curve F = 0, F = ``disc.cleared``,
+    by three certificates tried in order:
+
+    1. a totally ramified place (one cell with r = n) certifies
+       "irreducible";
+    2. an exact rational root y = N/D of F over Q(z), read off an exact
+       unramified Puiseux cluster with rational coefficients and proved
+       by substitution, certifies "reducible" when n >= 2;
+    3. a factorization over Q(z) by sympy with two or more factors of
+       positive y-degree certifies "reducible".
+
+    Otherwise the verdict is "unknown".  The second certificate only
+    skips the third: a root of F in Q(z) splits off a linear factor.
+    """
     for L in locals_:
         if len(L.cells) == 1 and L.cells[0].r == L.n:
             return "irreducible"
-    _, factors = _bipoly_to_sympy(disc.cleared).factor_list()
+    f = disc.cleared
+    if f.degree >= 2 and any(_is_root(f, num, den)
+                             for num, den in _exact_rational_roots(locals_)):
+        return "reducible"
+    _, factors = _bipoly_to_sympy(f).factor_list()
     ydeg_factors = sum(k for p, k in factors if p.degree(_Y) >= 1)
     if ydeg_factors > 1:
         return "reducible"
     return "unknown"
+
+
+def _exact_rational_roots(locals_):
+    """Candidate roots (N, D) of the charpoly, y = N(z) / D(z), one per
+    exact unramified cluster whose coefficients are rational.
+
+    A cluster's representative Y(t) is a Laurent polynomial in the local
+    coordinate: t = z - a at a finite pole a, and at infinity t = 1/z in
+    the chart of :func:`localize_charpoly`, where y = -z^-2 Y(1/z)."""
+    for L in locals_:
+        for c in L.clusters:
+            terms = c.rep.terms
+            if c.r != 1 or c.rep.prec is not None or not all(
+                    e.denominator == 1 and isinstance(v, (int, Fraction))
+                    for e, v in terms.items()):
+                continue
+            terms = {int(e): Fraction(v) for e, v in terms.items()}
+            if L.pole == INFINITY:
+                terms = {-e - 2: -v for e, v in terms.items()}
+                t = UPoly([Fraction(0), Fraction(1)])
+            else:
+                t = UPoly([-Fraction(L.pole), Fraction(1)])
+            k = max(0, -min(terms, default=0))
+            dense = [Fraction(0)] * (max(terms, default=0) + k + 1)
+            for e, v in terms.items():
+                dense[e + k] = v
+            yield UPoly(dense).compose(t), t ** k
+
+
+def _is_root(f: UPoly, num: UPoly, den: UPoly) -> bool:
+    """Whether y = num / den is a root of f, by the exact sum
+    sum_j f_j num^j den^(n - j) over Q[z], evaluated by Horner."""
+    acc = UPoly()
+    den_power = UPoly.const(Fraction(1))
+    for j in range(f.degree, -1, -1):
+        acc = acc * num + f.coeffs[j] * den_power
+        den_power = den_power * den
+    return acc.is_zero()
 
 
 def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles):

@@ -3,6 +3,7 @@ the test-only references (conjugation, printing, report parsing) that
 the package itself never calls."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
 from specrig.parsing import parse_expression, parse_problem
 from specrig.qpoly import UPoly, row_reduce
 from specrig.ratfn import INFINITY, RatFn
+from specrig.rigidity import _bipoly_to_sympy, _Y
 
 
 AIRY = """\
@@ -149,6 +151,21 @@ def conjugate_by(a: MatRF, p_rows) -> MatRF:
     return MatRF(_matmul(pa, pinv, n))
 
 
+def unimodular(n, seed):
+    """A seeded constant integer matrix of determinant +-1: a
+    permutation followed by two row additions with multiplier +-1."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = [[Fraction(int(perm[i] == j)) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(2):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    return p
+
+
 def _matmul(a, b, n):
     return [[sum((a[i][k] * b[k][j] for k in range(n)), RatFn.const(0))
              for j in range(n)] for i in range(n)]
@@ -206,3 +223,22 @@ def parse_report(text: str) -> dict:
 def smat_sub(a, b):
     """Entrywise difference of two series matrices."""
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def sympy_irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
+    """Reference for :func:`specrig.rigidity.irreducibility_status`
+    without the exact-root certificate: the totally ramified place, then
+    sympy's factorization of the cleared charpoly over Q(z)."""
+    for L in locals_:
+        if len(L.cells) == 1 and L.cells[0].r == L.n:
+            return "irreducible"
+    _, factors = _bipoly_to_sympy(disc.cleared).factor_list()
+    if sum(k for p, k in factors if p.degree(_Y) >= 1) > 1:
+        return "reducible"
+    return "unknown"
+
+
+def no_sympy(_):
+    """Stand-in for ``rigidity._bipoly_to_sympy`` in tests that prove a
+    verdict is reached without sympy."""
+    raise AssertionError("reached sympy's bivariate factorization")

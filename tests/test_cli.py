@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -70,6 +71,21 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert message in out.err
+        assert "Traceback" not in out.err
+
+    def test_coefficient_past_the_digit_limit(self, tmp_path, capsys):
+        """Every literal is inside the parser's limit, but the product
+        N*N has 6000 digits; ordering the Puiseux roots by their text
+        refuses it instead of crashing."""
+        n = "7" * 3000
+        path = write_problem(
+            tmp_path, f"poles inf\nmatrix\n0, 1\n(z - {n}*{n})^2, 0\nend\n")
+        assert main(["analyze", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: InputError: an exact coefficient grew past " \
+            f"Python's limit of {sys.get_int_max_str_digits()} digits" \
+            in out.err
         assert "Traceback" not in out.err
 
     def test_exhausted_truncation(self, tmp_path, capsys, monkeypatch):

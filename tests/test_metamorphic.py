@@ -1,0 +1,200 @@
+"""Metamorphic properties: moves on the input that the theory says leave
+the reported invariants unchanged.
+
+* A scalar twist A -> A + f(z) I, with f a Laurent polynomial whose poles
+  are declared and whose 1-form f dz has pole order at most nu there,
+  shifts every root of the charpoly by f.  Over the complement of the
+  poles this is an isomorphism of spectral curves, and End(M) does not
+  change, so chi, rig, the irreducibility and smoothness verdicts, the
+  main-theorem verdict, Irr(End) and delta(End) are unchanged.  The germ
+  data at infinity points (b, g_a, delta_sum, mu) is read in the chart of
+  the unshifted root, so it is unchanged when the twist is subleading at
+  every pole: its local coefficient either has no pole there or a pole
+  of smaller order than every root.
+* A constant unimodular conjugation leaves the charpoly, and with it the
+  whole global block and every per-pole invariant, unchanged.
+
+An input refused before a move must be refused after it, with the same
+error class.
+"""
+
+from math import ceil
+
+import pytest
+
+from conftest import (EXAMPLE_TEXTS, airy, conjugate_by, dense_fuchs,
+                      diag_irreg, gen_airy, local_at, problem_text,
+                      unimodular)
+from specrig import rigidity
+from specrig.errors import SpecrigError
+from specrig.matrf import MatRF, entry_form_valuation, pole_order
+from specrig.parsing import ProblemSpec, parse_expression, parse_problem
+from specrig.pipeline import run_analysis
+from specrig.ratfn import INFINITY
+
+
+INPUTS = dict(
+    [(f"airy_{n}", airy(n)) for n in (2, 3, 4)]
+    + [(f"gen_airy_{k}", gen_airy(k)) for k in range(1, 9)]
+    + [(f"diag_irreg_{n}", diag_irreg(n)) for n in (2, 3, 4)]
+    + [(f"dense_fuchs_{n}", dense_fuchs(n)) for n in (2, 3)]
+    + sorted(EXAMPLE_TEXTS.items()))
+
+# airy(z) + airy(2 z): reducible, with no root in Q(z), so the verdict
+# comes from the sympy fallback
+AIRY_SUM = problem_text(["inf"], [["0", "1", "0", "0"], ["z", "0", "0", "0"],
+                                  ["0", "0", "0", "1"],
+                                  ["0", "0", "2*z", "0"]])
+INPUTS["airy_sum"] = AIRY_SUM
+
+ALWAYS = ("chi", "rig", "irreducibility", "smoothness", "main_theorem")
+PER_POLE = ("irr_end", "delta_end", "mu")
+
+
+def outcome(spec):
+    """(global block, per-pole invariants) of the analysis, or the class
+    of the error that refused it."""
+    try:
+        doc, _ = run_analysis(spec)
+    except SpecrigError as exc:
+        return type(exc).__name__
+    return doc["global"], {p["point"]: {k: p[k] for k in PER_POLE}
+                           for p in doc["poles"]}
+
+
+def twisted(spec, f):
+    rows = [[e + f if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(spec.matrix.entries)]
+    return ProblemSpec("z", [], MatRF(rows), spec.poles, spec.genus)
+
+
+def _local_term(pole, order):
+    """A Laurent monomial whose 1-form has pole order `order` at pole; a
+    finite pole of order 1 puts a pole of order 1 at infinity too."""
+    if pole == INFINITY:
+        return "1" if order == 2 else f"z^{order - 2}"
+    return f"1/(z - ({pole}))^{order}"
+
+
+def twists(spec):
+    """(f, subleading) pairs: the twist with the highest admissible pole
+    order at each declared pole, and the one whose pole order is just
+    below that of every root, where there is room for one."""
+    a = spec.matrix
+    strong, weak = [], []
+    for pole in spec.poles:
+        nu = pole_order(a, pole)
+        low = 2 if pole == INFINITY else 1
+        if nu < low:
+            continue
+        strong.append(f"3*{_local_term(pole, nu)}")
+        top = max(c.order for c in local_at(a, pole).clusters)
+        # a 1-form pole of order k has local coefficient order -k
+        k = min(nu, ceil(-top) - 1)
+        if k >= low:
+            weak.append(f"(-5/2)*{_local_term(pole, k)}")
+    out = []
+    for terms in (strong, weak):
+        if terms:
+            f = parse_expression(" + ".join(terms))
+            if _admissible(spec, f):
+                out.append((f, _subleading(spec, f)))
+    return out
+
+
+def _admissible(spec, f):
+    """Whether f dz has poles only at declared poles, of order at most
+    nu there (a residue term also puts a pole at infinity)."""
+    points = list(spec.poles)
+    if INFINITY not in points:
+        points.append(INFINITY)
+    for point in points:
+        v = entry_form_valuation(f, point)
+        nu = pole_order(spec.matrix, point) if point in spec.poles else 0
+        if v is not None and -v > nu:
+            return False
+    return True
+
+
+def _subleading(spec, f):
+    """Whether, at every pole, f dz has no pole or a pole of smaller order
+    than every root of the local charpoly."""
+    for pole in spec.poles:
+        if not pole_order(spec.matrix, pole):
+            continue
+        v = entry_form_valuation(f, pole)
+        if v is None or v >= 0:
+            continue
+        if v <= max(c.order for c in local_at(spec.matrix, pole).clusters):
+            return False
+    return True
+
+
+def _assert_same(before, after, subleading):
+    if isinstance(before, str) or isinstance(after, str):
+        assert before == after
+        return
+    (g0, p0), (g1, p1) = before, after
+    if subleading:
+        assert g1 == g0
+        assert p1 == p0
+        return
+    assert {k: g1[k] for k in ALWAYS} == {k: g0[k] for k in ALWAYS}
+    assert p1.keys() == p0.keys()
+    for point in p0:
+        for key in ("irr_end", "delta_end"):
+            assert p1[point][key] == p0[point][key], (point, key)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_scalar_twist(name):
+    spec = parse_problem(INPUTS[name])
+    before = outcome(spec)
+    cases = twists(spec)
+    assert cases
+    for f, subleading in cases:
+        _assert_same(before, outcome(twisted(spec, f)), subleading)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_unimodular_conjugation(name, seed):
+    spec = parse_problem(INPUTS[name])
+    conj = conjugate_by(spec.matrix, unimodular(spec.matrix.n, seed))
+    after = outcome(ProblemSpec("z", [], conj, spec.poles, spec.genus))
+    _assert_same(outcome(spec), after, subleading=True)
+
+
+def test_subleading_twists_are_exercised():
+    """The stronger assertion runs on most inputs, not on none."""
+    count = sum(sub for name in INPUTS
+                for _, sub in twists(parse_problem(INPUTS[name])))
+    assert count >= len(INPUTS) // 2
+
+
+def test_twist_moving_a_root_changes_only_the_chart_data():
+    """A twist that cancels the leading term of a root moves the germ
+    data at infinity points; the invariants of the curve and of End(M)
+    stay."""
+    spec = parse_problem(EXAMPLE_TEXTS["example_fuchsian"])
+    f = parse_expression("(-1/2)/z")
+    assert not _subleading(spec, f)
+    (g0, p0), (g1, p1) = outcome(spec), outcome(twisted(spec, f))
+    assert (g0["b"], g1["b"]) == (4, 2)
+    assert {k: g1[k] for k in ALWAYS} == {k: g0[k] for k in ALWAYS}
+    assert [p["irr_end"] for p in p1.values()] == \
+        [p["irr_end"] for p in p0.values()]
+
+
+def test_direct_sum_of_airy_systems_is_reducible_through_sympy(monkeypatch):
+    calls = []
+    to_sympy = rigidity._bipoly_to_sympy
+
+    def spy(f):
+        calls.append(f)
+        return to_sympy(f)
+    monkeypatch.setattr(rigidity, "_bipoly_to_sympy", spy)
+    doc, code = run_analysis(parse_problem(AIRY_SUM))
+    assert code == 0
+    assert doc["global"]["irreducibility"] == "reducible"
+    assert len(calls) == 1

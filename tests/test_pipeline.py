@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS
-from specrig import pipeline
+from conftest import CORPUS, no_sympy
+from specrig import pipeline, rigidity
 from specrig.errors import InputError
 from specrig.parsing import parse_problem
 from specrig.pipeline import AssumptionFailure, run_analysis
@@ -78,6 +78,15 @@ class TestVerdicts:
         monkeypatch.setattr(pipeline, "charpoly", charpoly)
         with pytest.raises(InputError, match=f"truncation order .*{order}"):
             run(CORPUS["airy"], truncation=order)
+
+    def test_high_degree_reducible_curve_skips_sympy(self, monkeypatch):
+        """y^2 = z^1000 splits as y = +-z^500; both branches at infinity
+        are exact and rational, so the substitution proof decides and
+        sympy's bivariate factorization is never reached."""
+        monkeypatch.setattr(rigidity, "_bipoly_to_sympy", no_sympy)
+        doc, code = run("poles inf\nmatrix\n0, 1\nz^1000, 0\nend\n")
+        assert code == 0
+        assert doc["global"]["irreducibility"] == "reducible"
 
 
 class TestDocument:

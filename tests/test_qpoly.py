@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
@@ -393,3 +395,56 @@ class TestRationalFactorization:
         assert factor_rational(P(3, 2)) == [(P(Fraction(3, 2), 1), 1)]
         assert factor_rational(P(Fraction(-1, 3), Fraction(2, 3))) == \
             [(P(Fraction(-1, 2), 1), 1)]
+
+
+def _sympy_factors(f):
+    """factor_rational's answer as sympy's factor_list gives it."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed([Fraction(c) for c in f.coeffs])],
+                      x, domain="QQ")
+    return [(UPoly([Fraction(int(c.p), int(c.q))
+                    for c in reversed(p.monic().all_coeffs())]), int(k))
+            for p, k in poly.factor_list()[1]]
+
+
+_RATIONAL = st.builds(
+    Fraction,
+    st.integers(-9, 9) | st.integers(-10 ** 40, 10 ** 40),
+    st.integers(1, 9) | st.integers(1, 10 ** 35))
+_NONZERO_RATIONAL = _RATIONAL.filter(bool)
+
+
+@st.composite
+def _quadratic(draw):
+    """a x^2 + b x + c: with two rational roots, a double one, or free
+    coefficients (mostly a non-square or negative discriminant); integer
+    coefficients stay ints."""
+    a = draw(_NONZERO_RATIONAL)
+    kind = draw(st.sampled_from(["roots", "double", "free"]))
+    if kind == "free":
+        b, c = draw(_RATIONAL), draw(_RATIONAL)
+    else:
+        r = draw(_RATIONAL)
+        s = r if kind == "double" else draw(_RATIONAL)
+        b, c = -a * (r + s), a * r * s
+    return UPoly([int(x) if x.denominator == 1 else x for x in (c, b, a)])
+
+
+class TestQuadraticFactorization:
+    @settings(max_examples=300, deadline=None)
+    @given(_quadratic())
+    @example(P(1, 0, 1))                       # negative discriminant
+    @example(P(0, 0, 1))                       # x^2: zero discriminant
+    @example(P(9, -12, 4))                     # (2x - 3)^2
+    @example(P(1, -5, 6))                      # distinct rational roots
+    @example(P(-2, 0, 1))                      # non-square discriminant
+    @example(UPoly([0, -1, 1]))                # integer coefficients
+    @example(P(Fraction(-10 ** 31 - 1, 3), Fraction(7, 2), 10 ** 31 + 3))
+    def test_equals_sympy(self, f):
+        expected = _sympy_factors(f)
+        with mock.patch.object(qpoly, "_to_sympy",
+                               side_effect=AssertionError("sympy")):
+            got = factor_rational(f)
+        assert got == expected
+        assert all(type(c) is Fraction for p, _ in got for c in p.coeffs)

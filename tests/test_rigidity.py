@@ -4,13 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import local_at, mat
+from conftest import (EXAMPLE_TEXTS, airy, conjugate_by, dense_fuchs,
+                      diag_irreg, gen_airy, local_at, mat, no_sympy,
+                      sympy_irreducibility_status, unimodular)
 from specrig.errors import SpecrigError
 from specrig.germs import GermData
-from specrig.localmod import check_assumption
-from specrig import matrf, tower
+from specrig.localmod import HTLCell, LocalModule, check_assumption
+from specrig import matrf, rigidity, tower
 from specrig.matrf import CharpolyDiscriminant, charpoly, cleared_charpoly
+from specrig.parsing import parse_problem
+from specrig.puiseux import PuiseuxCluster
 from specrig.ratfn import INFINITY
+from specrig.series import Series
+from specrig.tower import FieldTower
 from specrig.rigidity import (CurveClass, arithmetic_genus,
                               cohomology_dims, euler_char_normalization,
                               irreducibility_status, rigidity_index,
@@ -123,6 +129,87 @@ class TestIrreducibility:
             raise AssertionError("charpoly cleared a second time")
         monkeypatch.setattr(matrf, "cleared_charpoly", no_clearing)
         assert irreducibility_status(disc, []) == expected
+
+
+GENERATED = dict(
+    [(f"airy_{n}", airy(n)) for n in range(2, 8)]
+    + [(f"gen_airy_{k}", gen_airy(k)) for k in range(1, 31)]
+    + [(f"diag_irreg_{n}", diag_irreg(n)) for n in range(2, 7)]
+    + [(f"dense_fuchs_{n}", dense_fuchs(n)) for n in (2, 3)]
+    + sorted(EXAMPLE_TEXTS.items())
+    + [("finite_root_at_1",
+        "poles 1, inf\nmatrix\n1/(z-1)^2, 0\n0, 2/(z-1)\nend\n"),
+       ("root_at_infinity", "poles inf\nmatrix\nz, 0\n0, 2\nend\n"),
+       ("z2_plus_1", "poles inf\nmatrix\n0, 1\nz^2 + 1, 0\nend\n")])
+
+
+def pole_locals(text, seed):
+    """The problem's disc and its local modules at its true poles, as
+    run_analysis passes them; conjugated by a seeded unimodular matrix
+    when seed is nonzero."""
+    spec = parse_problem(text)
+    a = spec.matrix
+    if seed:
+        a = conjugate_by(a, unimodular(a.n, seed))
+    disc = CharpolyDiscriminant(charpoly(a))
+    return disc, [L for L in (local_at(a, p) for p in spec.poles) if L.nu]
+
+
+class TestExactRootCertificate:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_same_verdict_as_sympy(self, name, seed):
+        disc, locals_ = pole_locals(GENERATED[name], seed)
+        assert irreducibility_status(disc, locals_) == \
+            sympy_irreducibility_status(disc, locals_)
+
+    @pytest.mark.parametrize("name", [
+        "gen_airy_2", "gen_airy_30", "diag_irreg_2", "diag_irreg_6",
+        "example_fuchsian", "finite_root_at_1", "root_at_infinity"])
+    def test_rational_root_decides_without_sympy(self, name, monkeypatch):
+        disc, locals_ = pole_locals(GENERATED[name], 1)
+        monkeypatch.setattr(rigidity, "_bipoly_to_sympy", no_sympy)
+        assert irreducibility_status(disc, locals_) == "reducible"
+
+    def test_root_only_at_a_finite_pole(self):
+        """At infinity the clusters are truncated; the root comes from the
+        exact cluster at z = 1 and is mapped back through t = z - 1."""
+        disc, locals_ = pole_locals(GENERATED["finite_root_at_1"], 0)
+        exact = {L.pole: [c for c in L.clusters if c.rep.prec is None]
+                 for L in locals_}
+        assert not exact[INFINITY] and exact[F(1)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_every_candidate_is_a_root(self, name, seed):
+        """An exact cluster is an exact root, so every candidate mapped
+        back through its pole's chart passes the substitution proof."""
+        disc, locals_ = pole_locals(GENERATED[name], seed)
+        for num, den in rigidity._exact_rational_roots(locals_):
+            assert rigidity._is_root(disc.cleared, num, den)
+
+    def test_q_irreducible_curve_stays_unknown(self):
+        disc, locals_ = pole_locals(GENERATED["z2_plus_1"], 0)
+        assert irreducibility_status(disc, locals_) == "unknown"
+
+    @pytest.mark.parametrize("pole", [F(0), F(2), INFINITY])
+    @pytest.mark.parametrize("terms", [
+        {F(-3): F(-1)},          # y = z at infinity: the leading term
+        {F(0): F(5)},
+        {F(-1): F(1), F(2): F(-7, 3)},
+        {}])
+    def test_fabricated_cluster_is_not_trusted(self, pole, terms):
+        """An exact rational cluster that is not a root of the curve
+        y^2 = z^2 + 1 fails the substitution proof, so the verdict comes
+        from sympy and stays unknown."""
+        disc, locals_ = pole_locals(GENERATED["z2_plus_1"], 0)
+        real = locals_[0]
+        fake = PuiseuxCluster(Series(terms), 1, FieldTower())
+        forged = LocalModule(pole, 2, real.nu, [HTLCell(fake)] + real.cells,
+                             [fake] + real.clusters, real.tower,
+                             real.local_charpoly, real.a_mat, real.nterms,
+                             real.vdisc)
+        assert irreducibility_status(disc, [forged, real]) == "unknown"
 
 
 class TestSmoothness:
