@@ -27,7 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report cohomology dimensions (user asserts the "
                          "connection is irreducible)")
     an.add_argument("--truncation", type=int, default=None, metavar="N",
-                    help="override the series truncation order")
+                    help="first series truncation order at every pole, "
+                         "then 2N, 4N, 8N (default: an a-priori order per "
+                         "pole, doubled up to 8 times the old fixed "
+                         "default)")
     an.add_argument("--check-reduction", action="store_true",
                     help="cross-check HTL cells by the splitting route "
                          "at every pole where it applies")

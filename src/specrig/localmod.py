@@ -123,11 +123,21 @@ def check_assumption(local: LocalModule) -> bool:
     regular = [c for c in cells if c.is_regular]
     mf_ok = True
     reason = None
-    for c in regular:
-        if c.r != 1:
-            mf_ok = False
+    for c in cells:
+        # how many of the r conjugates xi^k q (k = 0..r-1) equal q
+        shared = 1 + sum(
+            principal_contact_negative(c.cluster, c.cluster, k) is None
+            for k in range(1, c.r))
+        if shared == 1:
+            continue
+        mf_ok = False
+        if c.is_regular:
             reason = (f"a regular cell (q = 0) has ramification {c.r}: "
                       "a multiplicity-" f"{c.r} cell")
+        else:
+            reason = (f"{shared} conjugates of a cell of ramification "
+                      f"{c.r} share its principal part q: a "
+                      f"multiplicity-{shared} cell")
     if len(regular) > 1:
         mf_ok = False
         reason = f"{len(regular)} regular cells (q = 0) coincide"

@@ -135,8 +135,9 @@ def pole_order(m: MatRF, a) -> int:
 
 
 def localize(m: MatRF, a, nterms: int):
-    """Truncated Laurent expansion of the connection matrix in the local
-    coordinate at a, as a matrix of Series."""
+    """Laurent expansion of the connection matrix in the local coordinate
+    at a to nterms orders, as a matrix of Series; an entry that is a
+    Laurent polynomial there comes out exact."""
     if a != INFINITY:
         a = Fraction(a)
     out = []
@@ -211,5 +212,7 @@ def validate_poles(m: MatRF, declared):
 
 
 def default_truncation(n: int, nu_max: int) -> int:
-    """Module-level floor for the expansion order."""
+    """Base of the truncation ceiling: the orders tried at a pole double
+    from the a-priori first order (``pipeline.first_truncation``, never
+    above this base) up to 8 times this base, the last order tried."""
     return 2 * (n * nu_max + n * n + 4)

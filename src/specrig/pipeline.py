@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 from .errors import (InputError, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
@@ -13,14 +14,17 @@ from .localmod import (build_local, check_assumption, delta_end,
 from .matrf import (CharpolyDiscriminant, charpoly, default_truncation,
                     pole_order, validate_poles)
 from .parsing import ProblemSpec
-from .ratfn import INFINITY
+from .puiseux import separation_depth
+from .ratfn import INFINITY, is_laurent_at
 from .rigidity import (CurveClass, arithmetic_genus, cohomology_dims,
                        euler_char_normalization, irreducibility_status,
                        rigidity_index, smoothness_check_finite_part,
                        total_inf_intersection, verify_milnor_per_pole)
 
 
-# analyses per pole, at truncation orders N, 2N, 4N, ...
+# the last truncation order tried at a pole is 2^(TRUNCATION_ATTEMPTS - 1)
+# times the base order (--truncation N, or default_truncation); with
+# --truncation N the orders are N, 2N, 4N, 8N
 TRUNCATION_ATTEMPTS = 4
 
 
@@ -35,6 +39,56 @@ class AssumptionFailure(SpecrigError):
 
 def _pole_str(p):
     return "inf" if p == INFINITY else str(Fraction(p))
+
+
+def first_truncation(cp, disc, a, ceiling) -> int:
+    """A-priori truncation order N0 at pole a, from cp and its exact
+    discriminant alone, never from the Puiseux clusters or the reduction
+    route, so that the two routes stay independent; at most ceiling.
+
+    Let F = sum F_i y^i be the local charpoly at a, v_i = ord F_i (read
+    off the RatFn coefficients, with the chart shift at infinity),
+    vdisc = ord disc_y F, minord = min(0, least root order) (the least
+    root order is min v_i / (n - i), the slope of the Newton polygon's
+    last edge into (n, 0)) and T = :func:`separation_depth`, past which
+    the descent certifies every root.  To first order, changing F_i at
+    t^P moves a root y_j by t^(P + i ord y_j - ord F'(y_j)).  Since
+    disc = +-prod_j F'(y_j) and every ord (y_j - y_k) >= minord,
+    ord F'(y_j) <= vdisc - (n-1)^2 minord.  F_i expanded to N orders is
+    known below P = v_i + N, which keeps every root certified past T when
+    N > T + vdisc - (n-1)^2 minord - i minord - v_i.  A coefficient that
+    is a Laurent polynomial at a is expanded exactly and sets no bound.
+
+    This is a first-order estimate, not a proof: a truncated query still
+    raises InsufficientTruncation and the caller retries at twice the
+    order.
+    """
+    n = cp.degree
+    truncated = [i for i, c in enumerate(cp.coeffs)
+                 if c and not is_laurent_at(c, a)]
+    if not truncated:
+        return 1
+    v = {}
+    for i, c in enumerate(cp.coeffs[:n]):
+        if c:
+            v[i] = (c.valuation(a) - 2 * (n - i) if a == INFINITY
+                    else c.valuation(a))
+    minord = min([Fraction(0)] + [Fraction(vi, n - i) for i, vi in v.items()])
+    vdisc = disc.valuation(a)
+    reach = separation_depth(n, vdisc, minord) + vdisc \
+        - (n - 1) ** 2 * minord
+    return min(ceiling, max(1, max(floor(reach - i * minord - v[i]) + 1
+                                   for i in truncated)))
+
+
+def truncation_orders(start, base):
+    """The orders tried at one pole: start, 2 start, 4 start, ... below
+    the ceiling base * 2^(TRUNCATION_ATTEMPTS - 1), then the ceiling."""
+    ceiling = base * 2 ** (TRUNCATION_ATTEMPTS - 1)
+    while start < ceiling:
+        yield start
+        start *= 2
+    yield ceiling
 
 
 def _analyze_pole(a_mat, pole, nterms, cp, disc, check_reduction):
@@ -59,11 +113,13 @@ def run_analysis(spec: ProblemSpec, truncation=None,
                  check_reduction=False):
     """Full pipeline; returns (document dict, exit code 0 or 1).
 
-    Each pole is analysed at the truncation order given, or at
-    :func:`default_truncation`; a pole whose series run out of certified
-    terms is re-analysed at twice the order, TRUNCATION_ATTEMPTS times at
-    most.  Analysis errors (assumption violations, unsupported input,
-    exhausted truncation) raise; the CLI maps them to exit code 2.
+    Each pole is first analysed at the truncation order given, or at the
+    a-priori order of :func:`first_truncation`; a pole whose series run
+    out of certified terms is re-analysed at twice the order, up to
+    2^(TRUNCATION_ATTEMPTS - 1) times the given order or
+    :func:`default_truncation` (:func:`truncation_orders`).  Analysis
+    errors (assumption violations, unsupported input, exhausted
+    truncation) raise; the CLI maps them to exit code 2.
     """
     if truncation is not None and truncation < 1:
         raise InputError(
@@ -76,17 +132,18 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     locals_ = []
     germs = []
     for pole in spec.poles:
-        nterms = truncation
-        if nterms is None:
-            nterms = default_truncation(n, pole_order(a_mat, pole))
-        for _ in range(TRUNCATION_ATTEMPTS):
+        if truncation is None:
+            base = default_truncation(n, pole_order(a_mat, pole))
+            start = first_truncation(cp, disc, pole, base)
+        else:
+            base = start = truncation
+        for nterms in truncation_orders(start, base):
             try:
                 local, germ = _analyze_pole(a_mat, pole, nterms, cp, disc,
                                             check_reduction)
                 break
             except InsufficientTruncation as exc:
                 last = exc
-                nterms *= 2
         else:
             raise last
         if local.nu == 0:

@@ -197,17 +197,22 @@ def min_root_order(F: UPoly):
 
 
 def default_target_depth(F: UPoly, vdisc):
+    """:func:`separation_depth` of F, with vdisc = ord_z disc_y(F)."""
+    if F.degree < 2:
+        return Fraction(1)
+    return separation_depth(F.degree, vdisc, min_root_order(F))
+
+
+def separation_depth(n, vdisc, minord):
     """Separation depth: strictly exceeds every pairwise root contact.
 
-    With monic squarefree F, ord disc = 2 * sum of contacts over unordered
-    root pairs, and each contact is at least the minimal root order, so
-    each contact is at most vdisc/2 - (pairs - 1) * minord.  vdisc is
-    ord_z disc_y(F).
+    With monic squarefree F of degree n, ord disc = 2 * sum of contacts
+    over unordered root pairs, and each contact is at least the minimal
+    root order minord, so each contact is at most
+    vdisc/2 - (pairs - 1) * minord.
     """
-    n = F.degree
     if n < 2:
         return Fraction(1)
-    minord = min_root_order(F)
     pairs = n * (n - 1) // 2
     bound = Fraction(vdisc, 2) - (pairs - 1) * min(minord, 0)
     return max(Fraction(0), bound) + 1

@@ -178,11 +178,15 @@ class RatFn:
 
     def expand_local(self, nterms: int) -> Series:
         """Laurent expansion at 0 with nterms certified coefficient orders
-        past the leading one."""
+        past the leading one.  A Laurent polynomial (denominator t^vd)
+        comes out exact, with every term, whatever nterms is."""
         if self.is_zero():
             return Series.zero()
-        vn = _root_order_zero(self.num)
         vd = _root_order_zero(self.den)
+        if vd == self.den.degree:
+            return Series({Fraction(k - vd): c
+                           for k, c in enumerate(self.num.coeffs) if c})
+        vn = _root_order_zero(self.num)
         v = vn - vd
         num = UPoly(self.num.coeffs[vn:])
         den = UPoly(self.den.coeffs[vd:])
@@ -196,10 +200,8 @@ class RatFn:
             if c:
                 for j in range(1, min(len(den.coeffs), nterms - k)):
                     rem[k + j] -= c * den.coeffs[j]
-        exact = self.den.degree == vd and len(self.num.coeffs) - vn <= nterms
-        prec = None if exact else Fraction(v + nterms)
         return Series({Fraction(v + i): c for i, c in enumerate(out) if c},
-                      prec)
+                      Fraction(v + nterms))
 
     def __repr__(self):
         return f"RatFn({list(self.num.coeffs)}, {list(self.den.coeffs)})"
@@ -234,6 +236,15 @@ def ratfn_pole_points(f: RatFn):
         else:
             irrational.append((p, k))
     return out, irrational
+
+
+def is_laurent_at(f: RatFn, a) -> bool:
+    """Whether f is a Laurent polynomial in the local coordinate at a
+    (z - a, or w = 1/z at INFINITY), so that :func:`expand_at` is exact.
+    At infinity that holds when den is a power of z: the chart reverses
+    den, and a reversal is a power of w only for a monomial."""
+    point = 0 if a == INFINITY else Fraction(a)
+    return _root_order(f.den, point) == f.den.degree
 
 
 def expand_at(f: RatFn, a, nterms: int) -> Series:

@@ -93,6 +93,16 @@ EXAMPLE_TEXTS = {f"example_{p.stem}": p.read_text()
                  for p in sorted(EXAMPLES.glob("*.txt"))}
 
 
+# the generator families at the sizes the property tests run, and the
+# examples
+GENERATED = dict(
+    [(f"airy_{n}", airy(n)) for n in (2, 3, 4)]
+    + [(f"gen_airy_{k}", gen_airy(k)) for k in range(1, 9)]
+    + [(f"diag_irreg_{n}", diag_irreg(n)) for n in (2, 3, 4)]
+    + [(f"dense_fuchs_{n}", dense_fuchs(n)) for n in (2, 3)]
+    + sorted(EXAMPLE_TEXTS.items()))
+
+
 CORPUS = {
     "airy": AIRY,
     "gen_airy_3": gen_airy(3),

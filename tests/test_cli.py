@@ -11,6 +11,7 @@ from conftest import CORPUS, gen_airy, parse_report
 from specrig import localmod
 from specrig.cli import main
 from specrig.errors import InsufficientTruncation
+from specrig.matrf import default_truncation
 from specrig.report import render_text, serialize
 
 
@@ -88,9 +89,10 @@ class TestExitCodes:
             in out.err
         assert "Traceback" not in out.err
 
-    def test_exhausted_truncation(self, tmp_path, capsys, monkeypatch):
-        """A pole that runs out of terms at every order is localized at
-        N, 2N, 4N and 8N, then refused with exit code 2."""
+    @staticmethod
+    def _orders_until_refused(path, monkeypatch, capsys, *options):
+        """The orders at which a pole that never has enough terms is
+        localized before the input is refused with exit code 2."""
         orders = []
 
         def never_enough(cp, a, nterms):
@@ -98,11 +100,30 @@ class TestExitCodes:
             raise InsufficientTruncation("forced")
 
         monkeypatch.setattr(localmod, "localize_charpoly", never_enough)
-        assert main(["analyze", write_problem(tmp_path, CORPUS["airy"])]) \
-            == 2
-        assert orders == [orders[0] * 2 ** k for k in range(4)]
+        assert main(["analyze", path, *options]) == 2
         assert "error: InsufficientTruncation: forced" in \
             capsys.readouterr().err
+        return orders
+
+    def test_exhausted_truncation(self, tmp_path, capsys, monkeypatch):
+        """The orders double from the a-priori first order (1 here: the
+        charpoly's coefficients are Laurent polynomials at infinity), and
+        the last one is 8 times the default truncation."""
+        orders = self._orders_until_refused(
+            write_problem(tmp_path, CORPUS["airy"]), monkeypatch, capsys)
+        last = 8 * default_truncation(2, 3)
+        assert orders[0] == 1
+        assert orders[-1] == last
+        assert orders[:-1] == [2 ** k for k in range(len(orders) - 1)]
+        assert orders[-2] < last <= 2 * orders[-2]
+
+    def test_exhausted_truncation_override(self, tmp_path, capsys,
+                                           monkeypatch):
+        """--truncation N keeps the ladder N, 2N, 4N, 8N."""
+        orders = self._orders_until_refused(
+            write_problem(tmp_path, CORPUS["airy"]), monkeypatch, capsys,
+            "--truncation", "5")
+        assert orders == [5, 10, 20, 40]
 
     @pytest.mark.parametrize("order", ["0", "-1"])
     def test_nonpositive_truncation(self, tmp_path, capsys, order):
@@ -119,6 +140,23 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "assumption violation at pole 0" in out.err
         assert out.out == ""  # no invariants emitted
+
+
+    def test_ramified_cell_sharing_its_principal_part(self, tmp_path,
+                                                       capsys):
+        """The scalar twist by 3/z^2 of a system with a ramified regular
+        cell: the cell's q = 3/t is unramified, so both conjugates share
+        it, and the gate refuses it as it refuses the untwisted input."""
+        path = write_problem(
+            tmp_path, "poles 0, inf\nmatrix\n1/z^2 + 3/z^2, 0, 0\n"
+                      "0, 3/z^2, 1\n0, 1/z, 3/z^2\nend\n")
+        assert main(["analyze", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: AssumptionFailure: assumption violation at pole 0: " \
+            "2 conjugates of a cell of ramification 2 share its " \
+            "principal part q: a multiplicity-2 cell" in out.err
+        assert "Traceback" not in out.err
 
 
 CORPUS_BESSEL = "poles 0, inf\nmatrix\n0, 1\n1/z, 0\nend\n"

@@ -22,9 +22,8 @@ from math import ceil
 
 import pytest
 
-from conftest import (EXAMPLE_TEXTS, airy, conjugate_by, dense_fuchs,
-                      diag_irreg, gen_airy, local_at, problem_text,
-                      unimodular)
+from conftest import (EXAMPLE_TEXTS, GENERATED, conjugate_by, local_at,
+                      problem_text, unimodular)
 from specrig import rigidity
 from specrig.errors import SpecrigError
 from specrig.matrf import MatRF, entry_form_valuation, pole_order
@@ -33,12 +32,7 @@ from specrig.pipeline import run_analysis
 from specrig.ratfn import INFINITY
 
 
-INPUTS = dict(
-    [(f"airy_{n}", airy(n)) for n in (2, 3, 4)]
-    + [(f"gen_airy_{k}", gen_airy(k)) for k in range(1, 9)]
-    + [(f"diag_irreg_{n}", diag_irreg(n)) for n in (2, 3, 4)]
-    + [(f"dense_fuchs_{n}", dense_fuchs(n)) for n in (2, 3)]
-    + sorted(EXAMPLE_TEXTS.items()))
+INPUTS = dict(GENERATED)
 
 # airy(z) + airy(2 z): reducible, with no root in Q(z), so the verdict
 # comes from the sympy fallback
@@ -163,6 +157,16 @@ def test_unimodular_conjugation(name, seed):
     conj = conjugate_by(spec.matrix, unimodular(spec.matrix.n, seed))
     after = outcome(ProblemSpec("z", [], conj, spec.poles, spec.genus))
     _assert_same(outcome(spec), after, subleading=True)
+
+
+def test_twist_keeping_a_ramified_cell_unramified_in_q_is_refused():
+    """Twisting by 3/z^2 gives the ramified regular cell of the untwisted
+    input the unramified q = 3/t, shared by both of its conjugates: a
+    multiplicity-2 cell either way, refused with the same error class."""
+    spec = parse_problem("poles 0, inf\nmatrix\n1/z^2, 0, 0\n"
+                         "0, 0, 1\n0, 1/z, 0\nend\n")
+    after = outcome(twisted(spec, parse_expression("3/z^2")))
+    assert outcome(spec) == after == "AssumptionFailure"
 
 
 def test_subleading_twists_are_exercised():

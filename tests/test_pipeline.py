@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, no_sympy
-from specrig import pipeline, rigidity
-from specrig.errors import InputError
-from specrig.parsing import parse_problem
-from specrig.pipeline import AssumptionFailure, run_analysis
+from conftest import (CORPUS, GENERATED, conjugate_by, no_sympy,
+                      unimodular)
+from specrig import localmod, pipeline, rigidity
+from specrig.errors import InputError, InsufficientTruncation
+from specrig.matrf import (CharpolyDiscriminant, charpoly,
+                           default_truncation, pole_order)
+from specrig.parsing import ProblemSpec, parse_problem
+from specrig.pipeline import (TRUNCATION_ATTEMPTS, AssumptionFailure,
+                              first_truncation, run_analysis,
+                              truncation_orders)
 from specrig.report import render_text
 
 
@@ -87,6 +92,89 @@ class TestVerdicts:
         doc, code = run("poles inf\nmatrix\n0, 1\nz^1000, 0\nend\n")
         assert code == 0
         assert doc["global"]["irreducibility"] == "reducible"
+
+
+def _first_orders(spec):
+    cp = charpoly(spec.matrix)
+    disc = CharpolyDiscriminant(cp)
+    return {pole: first_truncation(
+        cp, disc, pole,
+        default_truncation(spec.matrix.n, pole_order(spec.matrix, pole)))
+        for pole in spec.poles}
+
+
+class TestPrecisionPolicy:
+    def test_orders_double_up_to_the_ceiling(self):
+        assert list(truncation_orders(5, 5)) == [5, 10, 20, 40]
+        assert list(truncation_orders(3, 20)) == [3, 6, 12, 24, 48, 96, 160]
+        assert list(truncation_orders(20, 20)) == [20, 40, 80, 160]
+        assert list(truncation_orders(1, 1)) == \
+            [2 ** k for k in range(TRUNCATION_ATTEMPTS)]
+
+    @pytest.mark.parametrize("name", ["dense_fuchs_2", "dense_fuchs_3"])
+    def test_first_order_on_dense_fuchsian_poles(self, name):
+        """Three orders is the least that analyses these poles in one
+        attempt; the estimate finds it from cp and disc alone."""
+        assert set(_first_orders(parse_problem(GENERATED[name])).values()) \
+            == {3}
+
+    @pytest.mark.parametrize("name", ["airy_4", "gen_airy_7",
+                                      "diag_irreg_4", "example_bessel"])
+    def test_laurent_polynomial_poles_start_at_one_order(self, name):
+        assert set(_first_orders(parse_problem(GENERATED[name])).values()) \
+            == {1}
+
+    def test_first_order_never_passes_the_default(self):
+        spec = parse_problem(GENERATED["dense_fuchs_3"])
+        cp = charpoly(spec.matrix)
+        disc = CharpolyDiscriminant(cp)
+        assert first_truncation(cp, disc, 0, 2) == 2
+
+    def test_pole_needing_more_than_the_first_order_finishes(
+            self, monkeypatch):
+        """Three forced shortfalls at pole 1 re-analyse it at 2, 4 and 8
+        times its first order; the report is the one-attempt report."""
+        text = GENERATED["dense_fuchs_2"]
+        expected, _ = run(text)
+        first = _first_orders(parse_problem(text))
+        build = localmod.localize_charpoly
+        orders = {pole: [] for pole in first}
+
+        def short_at_one(cp, a, nterms):
+            orders[a].append(nterms)
+            if a == 1 and len(orders[a]) <= 3:
+                raise InsufficientTruncation("forced")
+            return build(cp, a, nterms)
+
+        monkeypatch.setattr(localmod, "localize_charpoly", short_at_one)
+        doc, code = run(text)
+        assert code == 0
+        assert doc == expected
+        assert orders[1] == [first[1] * 2 ** k for k in range(4)]
+        assert all(orders[p] == [first[p]] for p in first if p != 1)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_every_pole_is_built_once(self, name, seed, monkeypatch):
+        spec = parse_problem(GENERATED[name])
+        if seed:
+            spec = ProblemSpec("z", [], conjugate_by(
+                spec.matrix, unimodular(spec.matrix.n, seed)), spec.poles,
+                spec.genus)
+        built = []
+        build = pipeline.build_local
+
+        def spy(a_mat, a, nterms, cp, disc):
+            built.append((a, nterms))
+            return build(a_mat, a, nterms, cp, disc)
+
+        monkeypatch.setattr(pipeline, "build_local", spy)
+        try:
+            run_analysis(spec)
+        except AssumptionFailure:  # example_bessel, refused at pole 0
+            assert built == [(0, 1)]
+            return
+        assert built == list(_first_orders(spec).items())
 
 
 class TestDocument:

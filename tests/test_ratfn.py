@@ -6,8 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import diag_irreg, no_sympy
+from specrig import pipeline, rigidity
+from specrig.parsing import parse_problem
 from specrig.qpoly import UPoly, poly_gcd
-from specrig.ratfn import (INFINITY, RatFn, expand_at, ratfn_pole_points)
+from specrig.ratfn import (INFINITY, RatFn, expand_at, is_laurent_at,
+                           ratfn_pole_points)
 
 
 F = Fraction
@@ -189,6 +193,41 @@ class TestExpansion:
         assert t.valuation() == 1
         assert t.coeff(2) == 1  # 1/(z-1) = w/(1-w) = w + w^2 + ...
 
+    def test_laurent_polynomial_past_nterms_is_exact(self):
+        s = expand_at(Z ** 10 + 1, 0, 3)
+        assert s.prec is None
+        assert s.terms == {F(0): 1, F(10): 1}
+        t = expand_at(1 / Z ** 7 + Z ** 5, 0, 2)
+        assert t.prec is None
+        assert t.terms == {F(-7): 1, F(5): 1}
+
+    def test_laurent_polynomial_in_the_local_coordinate_is_exact(self):
+        s = expand_at(Z ** 4 / (Z - 1) ** 3, 1, 1)  # (w + 1)^4 / w^3
+        assert s.prec is None
+        assert s.terms == {F(-3): 1, F(-2): 4, F(-1): 6, F(0): 4, F(1): 1}
+        t = expand_at((Z ** 9 + 2) / Z ** 2, INFINITY, 1)  # w^-7 + 2 w^2
+        assert t.prec is None
+        assert t.terms == {F(-7): 1, F(2): 2}
+
+    def test_true_series_keeps_its_precision(self):
+        for f, v in ((1 / (1 - Z), 0), (Z ** 3 / (1 - Z), 3),
+                     (1 / (Z ** 2 * (1 - Z)), -2)):
+            for nterms in (1, 2, 7):
+                s = expand_at(f, 0, nterms)
+                assert s.valuation() == v
+                assert s.prec == v + nterms
+                assert len(s.terms) == nterms
+
+    @pytest.mark.parametrize("f, a, laurent", [
+        (Z ** 3 + 1 / Z, 0, True), (Z ** 3 + 1 / Z, 1, False),
+        (Z ** 3 + 2, 1, True),
+        (1 / (Z - 1) ** 2, 1, True), (1 / (Z - 1) ** 2, 0, False),
+        (1 / (Z - 1), INFINITY, False), (Z ** 5 + 1 / Z ** 2, INFINITY, True),
+        (1 / (Z * (Z - 1)), 0, False)])
+    def test_is_laurent_at(self, f, a, laurent):
+        assert is_laurent_at(f, a) is laurent
+        assert (expand_at(f, a, 2).prec is None) is laurent
+
     def test_inverse_pairs_to_one(self):
         rng = random.Random(9)
         for _ in range(8):
@@ -211,3 +250,24 @@ class TestPolePoints:
         pts, irr = ratfn_pole_points(1 / (Z ** 2 + 1))
         assert pts == []
         assert len(irr) == 1 and irr[0][0].degree == 2
+
+
+def test_exact_expansion_decides_a_reducible_curve_at_order_one(
+        monkeypatch):
+    """diag_irreg_rank3's charpoly coefficients are Laurent polynomials at
+    0 and infinity: one analysis per pole at one order gives exact
+    rational roots, which prove the curve reducible without sympy."""
+    built = []
+    build = pipeline.build_local
+
+    def spy(a_mat, a, nterms, cp, disc):
+        built.append((a, nterms))
+        return build(a_mat, a, nterms, cp, disc)
+
+    monkeypatch.setattr(pipeline, "build_local", spy)
+    monkeypatch.setattr(rigidity, "_bipoly_to_sympy", no_sympy)
+    doc, code = pipeline.run_analysis(parse_problem(diag_irreg(3)),
+                                      truncation=1)
+    assert code == 0
+    assert doc["global"]["irreducibility"] == "reducible"
+    assert built == [(0, 1), (INFINITY, 1)]
