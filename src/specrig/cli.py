@@ -7,7 +7,7 @@ import sys
 
 from .errors import SpecrigError
 from .parsing import parse_problem
-from .pipeline import run_analysis
+from .pipeline import MAX_TRUNCATION, run_analysis
 from .report import render_text, serialize
 
 
@@ -28,12 +28,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "connection is irreducible)")
     an.add_argument("--truncation", type=int, default=None, metavar="N",
                     help="first series truncation order at every pole, "
-                         "then 2N, 4N, 8N (default: an a-priori order per "
-                         "pole, doubled up to 8 times the old fixed "
-                         "default)")
+                         f"at most {MAX_TRUNCATION}, then 2N, 4N, 8N "
+                         "(default: an a-priori order per pole, doubled up "
+                         "to 8 times the old fixed default)")
     an.add_argument("--check-reduction", action="store_true",
-                    help="cross-check HTL cells by the splitting route "
-                         "at every pole where it applies")
+                    help="cross-check the HTL cells and their residues by "
+                         "the splitting route at every pole")
     return parser
 
 

@@ -16,6 +16,7 @@ from .errors import InternalInconsistency, SpecrigError
 from .localmod import HTLCell, LocalModule, delta_end, irr_end, irr_hom
 from .qpoly import UPoly, resultant_det
 from .series import Series
+from .tower import rational_value
 
 
 class GermData:
@@ -123,11 +124,20 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
 
 def germ_equation(g: GermData) -> UPoly:
     """Reduced local equation F(zeta, z) of the germ: the product of the
-    minimal polynomials of the unbounded clusters."""
+    minimal polynomials of the unbounded clusters, with every rational
+    tower coefficient as a Fraction (for resultant_det's integer path)."""
     f = UPoly([Series.const(Fraction(1))])
     for c in g.branches:
         f = f * _cluster_min_poly(c)
-    return f
+    return f.map_coeffs(_rationalized)
+
+
+def _rationalized(s):
+    if not isinstance(s, Series):
+        return s
+    values = {e: rational_value(c) for e, c in s.terms.items()}
+    return Series({e: c if values[e] is None else values[e]
+                   for e, c in s.terms.items()}, s.prec)
 
 
 def germ_milnor_oracle(g: GermData) -> int:

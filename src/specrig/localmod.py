@@ -4,7 +4,9 @@ Each Puiseux cluster of the local characteristic polynomial gives one cell:
 q is the strictly negative exponent part of z * (representative root),
 r the ramification, p = -r * ord(q).  Formulas below require the local
 normal form to be multiplicity free or regular semisimple; anything else
-is reported as an assumption violation, never silently computed.
+is reported as an assumption violation, never silently computed.  Both
+modes are decided from the Puiseux clusters alone; the reduction route
+(:func:`reduction_cross_check`) only re-derives the cells when asked.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import InternalInconsistency, ReductionUnavailable
+from .errors import InternalInconsistency
 from .matrf import (CharpolyDiscriminant, MatRF, localize,
                     localize_charpoly, pole_order)
 from .puiseux import (PuiseuxCluster, contact_pair_sum, first_difference,
@@ -20,11 +22,16 @@ from .puiseux import (PuiseuxCluster, contact_pair_sum, first_difference,
                       text_key)
 from .qpoly import UPoly
 from .series import INF, Series
-from .tower import TowerElem
+from .tower import rational_value
 
 
 class HTLCell:
-    """One formal exponential cell: principal part q, orbit size r."""
+    """One formal exponential cell: principal part q, orbit size r.
+
+    residue (r = 1 only, else None) is the z^-1 coefficient of the root,
+    always certified: the Puiseux descent ends a cluster only once it is
+    alone and its last exponent reaches :func:`separation_depth` >= 1, so
+    every term below an exponent above 1 is known."""
 
     __slots__ = ("q", "r", "p", "cluster", "residue")
 
@@ -36,7 +43,8 @@ class HTLCell:
         ordq = min(q.terms) if q.terms else None
         self.p = 0 if ordq is None else int(-cluster.r * ordq)
         self.cluster = cluster
-        self.residue = None  # filled by the reduction cross-check
+        self.residue = (rep.terms.get(Fraction(-1), Fraction(0))
+                        if cluster.r == 1 else None)
 
     @property
     def is_regular(self):
@@ -105,23 +113,18 @@ def build_local(a_mat: MatRF, a, nterms: int, cp: UPoly,
 
 # -- assumption check --------------------------------------------------------
 
-def _cells_same_orbit(ci: HTLCell, cj: HTLCell) -> bool:
-    """True when the principal parts lie in one Galois orbit: some
-    conjugate of q_j equals q_i."""
-    for k in range(lcm(ci.r, cj.r)):
-        if principal_contact_negative(ci.cluster, cj.cluster, k) is None:
-            return True
-    return False
-
-
 def check_assumption(local: LocalModule) -> bool:
-    """Multiplicity-free or regular-semisimple gate.
+    """Multiplicity-free or regular-semisimple gate, from the Puiseux
+    cells alone; sets local.mode and, on failure, local.violation, and
+    returns the ok flag.
 
-    Sets local.mode and, on failure, local.violation; returns ok flag.
+    Regular semisimple: every cell is unramified (so there are n) and
+    the (q, residue) pairs are pairwise distinct.  The residue is the
+    t^-1 coefficient of an eigenvalue series of the local matrix, which
+    similarity leaves unchanged: what the reduction route reads too.
     """
     cells = local.cells
     regular = [c for c in cells if c.is_regular]
-    mf_ok = True
     reason = None
     for c in cells:
         # how many of the r conjugates xi^k q (k = 0..r-1) equal q
@@ -130,7 +133,6 @@ def check_assumption(local: LocalModule) -> bool:
             for k in range(1, c.r))
         if shared == 1:
             continue
-        mf_ok = False
         if c.is_regular:
             reason = (f"a regular cell (q = 0) has ramification {c.r}: "
                       "a multiplicity-" f"{c.r} cell")
@@ -139,45 +141,36 @@ def check_assumption(local: LocalModule) -> bool:
                       f"{c.r} share its principal part q: a "
                       f"multiplicity-{shared} cell")
     if len(regular) > 1:
-        mf_ok = False
         reason = f"{len(regular)} regular cells (q = 0) coincide"
-    if mf_ok:
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if cells[i].is_regular and cells[j].is_regular:
-                    continue
-                if _cells_same_orbit(cells[i], cells[j]):
-                    mf_ok = False
-                    reason = ("two cells share the same exponential "
-                              "principal part")
-    if mf_ok:
+    elif reason is None and any(  # some conjugate of q_j equals q_i
+            principal_contact_negative(ci.cluster, cj.cluster, k) is None
+            for i, ci in enumerate(cells) for cj in cells[i + 1:]
+            for k in range(lcm(ci.r, cj.r))):
+        reason = "two cells share the same exponential principal part"
+    if reason is None:
         local.mode = "multiplicity-free"
         return True
-    # regular-semisimple fallback: all cells unramified and the reduction
-    # certificate produces pairwise distinct diagonal normal forms
-    if all(c.r == 1 for c in cells) and len(cells) == local.n:
-        try:
-            ok = reduction_cross_check(local)
-        except ReductionUnavailable as exc:
-            ok = False
-            reason = (f"{reason}, and the regular-semisimple check is "
-                      f"unavailable: {exc}")
-        if ok:
-            forms = [(tuple(sorted(c.q.terms.items(), key=lambda t: t[0])),
-                      c.residue) for c in cells]
-            if len(set(map(str, forms))) == len(forms):
-                local.mode = "regular-semisimple"
-                return True
+    if all(c.r == 1 for c in cells):
+        twin = next((ci for i, ci in enumerate(cells) for cj in cells[i + 1:]
+                     if (ci.q.terms, ci.residue) == (cj.q.terms, cj.residue)),
+                    None)
+        if twin is None:
+            local.mode = "regular-semisimple"
+            return True
+        if twin.is_regular:
+            value = rational_value(twin.residue)
+            reason += (", and the residue has the repeated eigenvalue "
+                       + text_key(twin.residue if value is None else value))
+        else:
             reason = "diagonal normal forms are not pairwise distinct"
     local.mode = None
-    local.violation = reason or "neither multiplicity free nor regular " \
-                                "semisimple"
+    local.violation = reason
     return False
 
 
 def reduction_cross_check(local: LocalModule) -> bool:
-    """Recompute the HTL cells by pullback + splitting and match
-    them against the Puiseux-route cells; fills cell residues.
+    """Recompute the HTL cells by pullback + splitting and match them
+    against the Puiseux-route cells: q, and the residue if r = 1.
 
     Returns True on agreement; raises InternalInconsistency on mismatch
     and ReductionUnavailable when the split route cannot run.
@@ -187,29 +180,20 @@ def reduction_cross_check(local: LocalModule) -> bool:
     red = htl_from_reduction(local.local_matrix, s, local.tower)
     matched = [0] * len(local.cells)
     for q_red, residue in red:
-        hit = None
-        for idx, cell in enumerate(local.cells):
-            if matched[idx] >= cell.r:
-                continue
-            if _principal_parts_equal_some_conjugate(q_red, cell):
-                hit = idx
-                break
+        hit = next((idx for idx, cell in enumerate(local.cells)
+                    if matched[idx] < cell.r
+                    and (cell.r > 1 or cell.residue == residue)
+                    and any(first_difference(q_red, cell.q, k, INF) is None
+                            for k in range(cell.r))), None)
         if hit is None:
             raise InternalInconsistency(
-                "reduction produced a principal part with no matching "
-                "Puiseux cell")
+                "reduction produced a principal part and residue with no "
+                "matching Puiseux cell")
         matched[hit] += 1
-        if local.cells[hit].r == 1:
-            local.cells[hit].residue = residue
     if matched != [c.r for c in local.cells]:
         raise InternalInconsistency(
             "reduction blocks do not cover each cell exactly r times")
     return True
-
-
-def _principal_parts_equal_some_conjugate(q_red: Series, cell: HTLCell):
-    return any(first_difference(q_red, cell.q, k, INF) is None
-               for k in range(cell.r))
 
 
 # -- irregularity ------------------------------------------------------------
@@ -262,34 +246,16 @@ def hor_dim(local: LocalModule) -> int:
     count, by Schur's lemma for pairwise distinct cells.  In the
     regular-semisimple mode, integer-resonant exponent residues are
     flagged because the Schur argument does not cover them."""
-    if local.mode == "regular-semisimple":
-        cells = local.cells
-        for i, ci in enumerate(cells):
-            for cj in cells[i + 1:]:
-                if ci.q.terms or cj.q.terms:
-                    continue
-                d = _rational_difference(ci.residue, cj.residue)
-                if d is not None and d != 0 and d.denominator == 1:
-                    msg = (f"resonant exponent residues at pole "
-                           f"{local.pole}: horizontal dimension may "
-                           "overcount; dependent results unverified")
-                    if msg not in local.warnings:
-                        local.warnings.append(msg)
+    msg = (f"resonant exponent residues at pole {local.pole}: horizontal "
+           "dimension may overcount; dependent results unverified")
+    cells = local.cells
+    if local.mode == "regular-semisimple" and msg not in local.warnings:
+        gaps = [rational_value(ci.residue - cj.residue)
+                for i, ci in enumerate(cells) for cj in cells[i + 1:]
+                if not (ci.q.terms or cj.q.terms)]
+        if any(d is not None and d and d.denominator == 1 for d in gaps):
+            local.warnings.append(msg)
     return local.m
-
-
-def _rational_difference(a, b):
-    if a is None or b is None:
-        return None
-    d = a - b
-    if isinstance(d, Fraction):
-        return d
-    if isinstance(d, TowerElem):
-        if not d.coeffs:
-            return Fraction(0)
-        if len(d.coeffs) == 1:
-            return _rational_difference(d.coeffs[0], 0)
-    return None
 
 
 def delta_end(local: LocalModule) -> int:

@@ -27,6 +27,9 @@ from .rigidity import (CurveClass, arithmetic_genus, cohomology_dims,
 # --truncation N the orders are N, 2N, 4N, 8N
 TRUNCATION_ATTEMPTS = 4
 
+# the largest order --truncation accepts (a series product is quadratic in it)
+MAX_TRUNCATION = 1000
+
 
 class AssumptionFailure(SpecrigError):
     """Carries the per-pole violation diagnostic."""
@@ -102,7 +105,7 @@ def _analyze_pole(a_mat, pole, nterms, cp, disc, check_reduction):
         raise InternalInconsistency(
             f"discriminant valuation identity fails at pole "
             f"{_pole_str(pole)}")
-    if check_reduction and local.mode == "multiplicity-free":
+    if check_reduction:
         reduction_cross_check(local)
     return local, GermData(local)
 
@@ -124,6 +127,10 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     if truncation is not None and truncation < 1:
         raise InputError(
             f"truncation order must be at least 1, got {truncation}")
+    if truncation is not None and truncation > MAX_TRUNCATION:
+        raise InputError(
+            f"truncation order (--truncation) must be at most "
+            f"{MAX_TRUNCATION}, got {truncation}")
     a_mat = spec.matrix
     n = a_mat.n
     warnings = list(validate_poles(a_mat, spec.poles))

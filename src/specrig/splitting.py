@@ -40,8 +40,8 @@ def cmat_identity(n):
 
 def cmat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
-             for j in range(m)] for i in range(n)]
+    return [[sum((a[i][t] * b[t][j] for t in range(k) if a[i][t]),
+                 Fraction(0)) for j in range(m)] for i in range(n)]
 
 
 def cmat_charpoly(a) -> UPoly:
@@ -94,7 +94,9 @@ def smat_coeff(g, e):
 
 def smat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), Series.zero())
+    # skip exact zeros only: a zero known to a precision caps the sum's
+    return [[sum((a[i][t] * b[t][j] for t in range(k)
+                  if not a[i][t].is_zero()), Series.zero())
              for j in range(m)] for i in range(n)]
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SpecrigError, UnsupportedExtension, InternalInconsistency
-from .qpoly import UPoly, poly_gcd, poly_xgcd, factor_rational, squarefree_part
+from .qpoly import (UPoly, factor_rational, poly_gcd, poly_xgcd,
+                    resultant_det, squarefree_part)
 
 # largest degree of a minimal polynomial adjoin accepts
 DEGREE_BOUND = 4
@@ -67,7 +68,7 @@ class TowerElem:
         return TowerElem(self.tower, self.level, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        neg = -other if isinstance(other, TowerElem) else -_ratio(other)
+        neg = -other if isinstance(other, TowerElem) else -Fraction(other)
         return self + neg
 
     def __rsub__(self, other):
@@ -135,7 +136,13 @@ class TowerElem:
         return "(" + " + ".join(parts) + ")"
 
 
-def _ratio(x):
+def rational_value(x):
+    """x (a rational or a tower element) as a Fraction, or None when it is
+    irrational: when some level of its reduced form is not a constant."""
+    while isinstance(x, TowerElem):
+        if len(x.coeffs) > 1:
+            return None
+        x = x.coeffs[0] if x.coeffs else 0
     return Fraction(x)
 
 
@@ -195,11 +202,9 @@ class FieldTower:
     def one(self, level):
         return self.lift(1, level)
 
-    def level_of(self, x) -> int:
-        return x.level if isinstance(x, TowerElem) else 0
-
     def poly_level(self, f: UPoly) -> int:
-        return max((self.level_of(c) for c in f.coeffs), default=0)
+        return max((c.level for c in f.coeffs if isinstance(c, TowerElem)),
+                   default=0)
 
     def lift_poly(self, f: UPoly, level) -> UPoly:
         return UPoly([self.lift(c, level) for c in f.coeffs])
@@ -235,6 +240,8 @@ class FieldTower:
         f = self.lift_poly(f, level)
         if f.degree < 1:
             return []
+        if f.degree == 1:
+            return [(f.monic(), 1)]
         sqf = squarefree_part(f)
         irr = self._factor_squarefree(sqf, level)
         out = []
@@ -296,7 +303,6 @@ class FieldTower:
                     biv[j] = biv[j] + UPoly.const(cj).shift_up(i)
         H = UPoly(biv)  # in y, coeffs UPoly-in-x over level-1
         M = UPoly([UPoly.const(c) for c in m.coeffs])
-        from .qpoly import resultant_det
         res = resultant_det(M, H)
         if isinstance(res, UPoly):
             return res
@@ -306,20 +312,29 @@ class FieldTower:
 
     def split_completely(self, f: UPoly):
         """Roots of f with multiplicities, adjoining generators as needed
-        until f splits into linear factors over the (extended) tower."""
+        until f splits into linear factors over the (extended) tower.
+        After adjoin(p), p is not factored again: only its exact quotient
+        by (y - generator), and the other factors, over the new level."""
         roots = []
         pending = [(f, 1)]
-        guard = 0
         while pending:
-            guard += 1
-            if guard > 100:  # pragma: no cover
-                raise InternalInconsistency("split_completely did not settle")
             poly, mult = pending.pop()
-            poly = self.lift_poly(poly, self.height)
-            for p, k in self.factor(poly):
+            nonlinear = []
+            for p, k in self.factor(self.lift_poly(poly, self.height)):
                 if p.degree == 1:
-                    roots.append((-p.coeffs[0] / p.coeffs[1], mult * k))
+                    roots.append((-p.coeffs[0], mult * k))
                 else:
-                    self.adjoin(p)
-                    pending.append((p, mult * k))
+                    nonlinear.append((p, mult * k))
+            if not nonlinear:
+                continue
+            (p, k), rest = nonlinear[0], nonlinear[1:]
+            alpha = self.adjoin(p)
+            roots.append((alpha, k))
+            quotient, remainder = self.lift_poly(p, self.height).divmod(
+                UPoly([-alpha, self.one(self.height)]))
+            if not remainder.is_zero():
+                raise InternalInconsistency(
+                    "an adjoined generator is not a root of its polynomial")
+            pending.extend(rest)
+            pending.append((quotient, k))
         return roots

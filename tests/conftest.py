@@ -88,6 +88,20 @@ def dense_fuchs(n: int) -> str:
                           for j in range(n)] for i in range(n)])
 
 
+def fuchs(n: int, seed: int) -> str:
+    """A generic dense Fuchsian system with poles 0, 1, inf: each entry
+    a/z + b/(z - 1), a drawn before b from randint(-3, 3)."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            a = rng.randint(-3, 3)
+            row.append(f"{a}/z + {rng.randint(-3, 3)}/(z-1)")
+        rows.append(row)
+    return problem_text(["0", "1", "inf"], rows)
+
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_input"
 EXAMPLE_TEXTS = {f"example_{p.stem}": p.read_text()
                  for p in sorted(EXAMPLES.glob("*.txt"))}
@@ -252,3 +266,22 @@ def no_sympy(_):
     """Stand-in for ``rigidity._bipoly_to_sympy`` in tests that prove a
     verdict is reached without sympy."""
     raise AssertionError("reached sympy's bivariate factorization")
+
+
+def refactoring_split(tower, f: UPoly):
+    """Reference for :meth:`specrig.tower.FieldTower.split_completely`:
+    after adjoining a root of a factor, factor that whole factor again
+    over the new level, and adjoin every nonlinear factor found in one
+    pass."""
+    roots = []
+    pending = [(f, 1)]
+    while pending:
+        poly, mult = pending.pop()
+        poly = tower.lift_poly(poly, tower.height)
+        for p, k in tower.factor(poly):
+            if p.degree == 1:
+                roots.append((-p.coeffs[0] / p.coeffs[1], mult * k))
+            else:
+                tower.adjoin(p)
+                pending.append((p, mult * k))
+    return roots

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from conftest import CORPUS, gen_airy, parse_report
-from specrig import localmod
+from conftest import CORPUS, dense_fuchs, gen_airy, parse_report
+from specrig import localmod, pipeline
 from specrig.cli import main
 from specrig.errors import InsufficientTruncation
 from specrig.matrf import default_truncation
@@ -124,6 +124,20 @@ class TestExitCodes:
             write_problem(tmp_path, CORPUS["airy"]), monkeypatch, capsys,
             "--truncation", "5")
         assert orders == [5, 10, 20, 40]
+
+    def test_truncation_above_the_bound(self, tmp_path, capsys):
+        """An order past MAX_TRUNCATION is refused before any series is
+        expanded."""
+        path = write_problem(tmp_path, dense_fuchs(2))
+        order = pipeline.MAX_TRUNCATION * 100
+        start = time.perf_counter()
+        assert main(["analyze", path, "--truncation", str(order)]) == 2
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr()
+        assert out.err == (
+            "error: InputError: truncation order (--truncation) must be "
+            f"at most {pipeline.MAX_TRUNCATION}, got {order}\n")
+        assert out.out == ""
 
     @pytest.mark.parametrize("order", ["0", "-1"])
     def test_nonpositive_truncation(self, tmp_path, capsys, order):

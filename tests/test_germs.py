@@ -16,6 +16,7 @@ from specrig.parsing import parse_problem
 from specrig.qpoly import det_bareiss, resultant_det, sylvester_matrix
 from specrig.series import Series
 from specrig.ratfn import INFINITY
+from specrig.tower import TowerElem
 
 
 F = Fraction
@@ -161,8 +162,36 @@ def test_integer_sylvester_matches_series_rows(name, monkeypatch):
         res = resultant_det(f, fy)
         assert (res.terms, res.prec) == (ref.terms, ref.prec)
         assert res.valuation() == ref.valuation()
-        # the towers of dense_fuchs keep their entries off the integer path
-        rational = all(isinstance(x, Fraction) for c in f.coeffs
-                       if isinstance(c, Series) for x in c.terms.values())
-        assert (qpoly._integer_sylvester(f, fy) is not None) == rational
-        assert rational or name.startswith("dense_fuchs")
+        # every germ equation of these inputs is rational, so every
+        # oracle determinant takes the integer path
+        assert all(isinstance(x, Fraction) for c in f.coeffs
+                   if isinstance(c, Series) for x in c.terms.values())
+        assert qpoly._integer_sylvester(f, fy) is not None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dense_fuchs_germs_leave_the_tower(n, monkeypatch):
+    """The germ equations of dense_fuchs hold no tower element, and the
+    oracle's Milnor numbers equal those computed in tower arithmetic."""
+    spec = parse_problem(dense_fuchs(n))
+    rationalized, in_tower = [], []
+    for pole in spec.poles:
+        local = local_at(spec.matrix, pole)
+        assert check_assumption(local)
+        g = GermData(local)
+        f = germ_equation(g)
+        assert not any(isinstance(x, TowerElem) for c in f.coeffs
+                       for x in c.terms.values())
+        rationalized.append(g.mu_oracle_value)
+    monkeypatch.setattr(germs, "_rationalized", lambda s: s)
+    seen_tower = False
+    for pole in spec.poles:
+        local = local_at(spec.matrix, pole)
+        check_assumption(local)
+        g = GermData(local)
+        seen_tower |= any(isinstance(x, TowerElem)
+                          for c in germ_equation(g).coeffs
+                          for x in c.terms.values())
+        in_tower.append(g.mu_oracle_value)
+    assert seen_tower
+    assert rationalized == in_tower

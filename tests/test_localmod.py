@@ -1,12 +1,17 @@
 """Per-pole modules: HTL cells, assumption gate, irregularities."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import local_at, mat, problem
-from specrig import localmod, pipeline
-from specrig.errors import InsufficientTruncation
+from conftest import (FUCHSIAN, conjugate_by, dense_fuchs, fuchs, local_at,
+                      mat, problem, unimodular)
+from specrig import localmod, pipeline, splitting
+from specrig.errors import (AmbiguousComparison, InsufficientTruncation,
+                            InternalInconsistency, ReductionUnavailable,
+                            SpecrigError, UnsupportedExtension)
 from specrig.localmod import (check_assumption, delta_end,
                               discriminant_identity_holds, hor_dim, irr_end,
                               irr_hom, irregularity, reduction_cross_check)
@@ -74,6 +79,22 @@ class TestAssumptionGate:
         local = local_at(a, F(0))
         assert not check_assumption(local)
         assert "not pairwise distinct" in local.violation
+
+    def test_repeated_residue_is_named(self):
+        a = mat([["1/z", "1/z"], ["0", "1/z + 1"]])
+        local = local_at(a, F(0))
+        assert not check_assumption(local)
+        assert local.violation == ("2 regular cells (q = 0) coincide, and "
+                                   "the residue has the repeated "
+                                   "eigenvalue 1")
+
+    def test_dense_fuchs_rank4_refused_at_pole_0(self):
+        with pytest.raises(pipeline.AssumptionFailure) as info:
+            pipeline.run_analysis(problem(dense_fuchs(4)))
+        assert info.value.pole == "0"
+        assert info.value.detail == (
+            "4 regular cells (q = 0) coincide, and the residue has the "
+            "repeated eigenvalue 0")
 
     def test_failed_fallback_keeps_its_reason(self):
         # Jordan-block residue: two regular cells, and the splitting route
@@ -153,10 +174,16 @@ class TestCrossChecks:
     def test_reduction_matches_airy(self, airy_local):
         assert reduction_cross_check(airy_local)
 
-    def test_reduction_fills_residues(self, fuchsian_local):
+    def test_reduction_agrees_on_residues(self, fuchsian_local):
+        before = [c.residue for c in fuchsian_local.cells]
+        assert sorted(before) == [F(1, 3), F(1, 2)]
         assert reduction_cross_check(fuchsian_local)
-        assert sorted(c.residue for c in fuchsian_local.cells) == \
-            [F(1, 3), F(1, 2)]
+        assert [c.residue for c in fuchsian_local.cells] == before
+
+    def test_reduction_refuses_a_wrong_residue(self, fuchsian_local):
+        fuchsian_local.cells[0].residue += 1
+        with pytest.raises(InternalInconsistency, match="residue"):
+            reduction_cross_check(fuchsian_local)
 
     def test_reduction_on_sibling_pair(self):
         a = mat([["0", "1", "0", "0"],
@@ -176,6 +203,7 @@ LAZY_CASES = {
     "dense_fuchs_rank2": "poles 0, 1, inf\nmatrix\n"
                          "1/z + 1/(z - 1), 3/z + 1/(z - 1)\n"
                          "2/z + 1/(z - 1), 4/z + 2/(z - 1)\nend\n",
+    "dense_fuchs_rank3": dense_fuchs(3),
 }
 
 
@@ -218,8 +246,22 @@ class TestLazyLocalMatrix:
     def test_one_expansion_per_reduced_pole(self, name, check, spies):
         pipeline.run_analysis(problem(LAZY_CASES[name]),
                               check_reduction=check)
-        assert spies["reduction"]
+        # only --check-reduction reaches the reduction route
+        assert bool(spies["reduction"]) == check
         assert sorted(spies["localize"], key=str) == _reduced_at(spies)
+
+    @pytest.mark.parametrize("name", ["example_fuchsian",
+                                      "dense_fuchs_rank2",
+                                      "dense_fuchs_rank3"])
+    def test_gate_runs_without_the_reduction_route(self, name, spies,
+                                                   monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the reduction route ran")
+
+        monkeypatch.setattr(splitting, "htl_from_reduction", refuse)
+        doc, _ = pipeline.run_analysis(problem(LAZY_CASES[name]))
+        assert spies["localize"] == [] and spies["reduction"] == []
+        assert {b["mode"] for b in doc["poles"]} == {"regular-semisimple"}
 
     def test_built_once_and_cached(self, spies):
         local = local_at(mat([["(1/2)/z", "0"], ["0", "(1/3)/z"]]), F(0))
@@ -229,15 +271,17 @@ class TestLazyLocalMatrix:
         assert spies["localize"] == [(F(0), local.nterms)]
 
     def test_retry_expands_at_the_new_order(self, spies, monkeypatch):
-        """Each forced InsufficientTruncation, at the build, the gate or
-        the germ, re-analyses only its pole, at twice the order; the
-        matrix is expanded at every order that got past the build."""
+        """Each forced InsufficientTruncation, at the build, the reduction
+        cross-check (run under check_reduction) or the germ, re-analyses
+        only its pole, at twice the order; the matrix is expanded at every
+        order that got past the build."""
         build = localmod.localize_charpoly
-        gate = localmod.reduction_cross_check
+        cross_check = localmod.reduction_cross_check
         germ_data = pipeline.GermData
         for stages, failing in ((["germ"], (0, 1, INFINITY)),
                                 (["build", "germ"], (1,)),
-                                (["build", "gate", "germ"], (INFINITY,))):
+                                (["build", "reduction", "germ"],
+                                 (INFINITY,))):
             pending = {pole: list(stages) if pole in failing else []
                        for pole in (0, 1, INFINITY)}
             orders = {pole: [] for pole in pending}
@@ -253,8 +297,8 @@ class TestLazyLocalMatrix:
                 return build(cp, a, nterms)
 
             def reduce(local):
-                ok = gate(local)
-                fail(local.pole, "gate")
+                ok = cross_check(local)
+                fail(local.pole, "reduction")
                 return ok
 
             def germ(local):
@@ -262,11 +306,12 @@ class TestLazyLocalMatrix:
                 return germ_data(local)
 
             monkeypatch.setattr(localmod, "localize_charpoly", charpoly_at)
-            monkeypatch.setattr(localmod, "reduction_cross_check", reduce)
+            monkeypatch.setattr(pipeline, "reduction_cross_check", reduce)
             monkeypatch.setattr(pipeline, "GermData", germ)
             spies["localize"].clear()
             spies["reduction"].clear()
-            pipeline.run_analysis(problem(LAZY_CASES["dense_fuchs_rank2"]))
+            pipeline.run_analysis(problem(LAZY_CASES["dense_fuchs_rank2"]),
+                                  check_reduction=True)
             calls = spies["localize"]
             for pole, seen in orders.items():
                 fails = stages if pole in failing else []
@@ -275,3 +320,52 @@ class TestLazyLocalMatrix:
                 assert [n for a, n in calls if a == pole] == \
                     seen[fails.count("build"):], stages
             assert sorted(calls, key=str) == _reduced_at(spies)
+
+
+# -- the gate and the reduction route agree ----------------------------------
+
+FUCHSIAN_INPUTS = st.one_of(
+    st.sampled_from([FUCHSIAN, dense_fuchs(2), dense_fuchs(3)]),
+    st.builds(fuchs, st.integers(2, 3), st.integers(0, 10 ** 6)))
+
+
+def _same_multiset(xs, ys):
+    rest = list(xs)
+    for y in ys:
+        hit = next((i for i, x in enumerate(rest) if x == y), None)
+        if hit is None:
+            return False
+        rest.pop(hit)
+    return not rest
+
+
+@settings(max_examples=15, deadline=None)
+@given(FUCHSIAN_INPUTS, st.integers(0, 10 ** 6))
+def test_gate_agrees_with_the_reduction_route(text, seed):
+    """Wherever htl_from_reduction runs, the mode its (q, residue) pairs
+    give and its residues are the gate's, under a unimodular
+    conjugation."""
+    spec = problem(text)
+    a = conjugate_by(spec.matrix, unimodular(spec.matrix.n, seed))
+    for pole in spec.poles:
+        try:
+            local = local_at(a, pole)
+        except SpecrigError:
+            return  # charpoly not squarefree, or no supported extension
+        if local.nu == 0:
+            continue
+        check_assumption(local)
+        s = lcm(*(c.r for c in local.cells))
+        try:
+            red = splitting.htl_from_reduction(local.local_matrix, s,
+                                               local.tower)
+        except (ReductionUnavailable, AmbiguousComparison,
+                UnsupportedExtension, InsufficientTruncation):
+            continue
+        distinct = all(not (qi.terms == qj.terms and ri == rj)
+                       for i, (qi, ri) in enumerate(red)
+                       for qj, rj in red[i + 1:])
+        assert local.mode == ("regular-semisimple" if distinct else None)
+        if all(c.r == 1 for c in local.cells):
+            assert _same_multiset([c.residue for c in local.cells],
+                                  [r for _, r in red])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import poly_to_string, refactoring_split
+from specrig import tower
 from specrig.errors import SpecrigError, UnsupportedExtension
 from specrig.qpoly import UPoly
 from specrig.tower import FieldTower
@@ -117,3 +119,101 @@ class TestSplitCompletely:
         roots = t.split_completely(P(2, -3, 1))
         assert t.height == 0
         assert sorted(roots) == [(1, 1), (2, 1)]
+
+
+def _split_text(tower, roots):
+    """Roots and multiplicities, with the tower they live in, as text:
+    equal for two towers built by the same adjunctions.  Every root is
+    written at the top level, so that its text does not depend on the
+    level it was found at."""
+    levels = [(name, repr(m)) for name, m in tower.levels]
+    return levels, sorted((repr(tower.lift(r, tower.height)), k)
+                          for r, k in roots)
+
+
+RATIONAL_CASES = [
+    P(-3, 1), P(1, 2),
+    P(-2, 0, 1), P(1, 1, 1), P(6, -5, 1),
+    P(-2, 0, 0, 1), P(-1, -1, 0, 1), P(1, -3, 0, 1), P(-1, 3, -3, 1),
+    P(1, 0, -10, 0, 1), P(1, 0, 0, 0, 1), P(-2, 0, 0, 0, 1),
+    P(6, 0, -5, 0, 1), P(-2, 2, -1, 1),
+]
+
+# coefficient lists over Q(sqrt 2), a standing for the generator
+TOWER_CASES = [
+    lambda a: [-a, 0, 1],
+    lambda a: [1, a, 1],
+    lambda a: [-3, 0, 1],
+    lambda a: [2, -2 * a, 1],
+    lambda a: [-a, 0, 0, 1],
+    lambda a: [1 - a, 1, a, 1],
+    lambda a: [-2 * a, 2, -a, 1],
+]
+
+REPEATED_CASES = [
+    P(-2, 0, 1) ** 2 * P(-1, 1) ** 3,
+    P(1, 1, 1) ** 2,
+    P(-2, 0, 0, 1) * P(-2, 1) ** 2,
+]
+
+
+class TestSplitAgainstReference:
+    """split_completely gives the roots, the multiplicities and the tower
+    of the loop that re-factors every polynomial after each adjoin."""
+
+    @pytest.mark.parametrize("f", RATIONAL_CASES + REPEATED_CASES,
+                             ids=poly_to_string)
+    def test_rational(self, f):
+        new, ref = FieldTower(), FieldTower()
+        roots = new.split_completely(f)
+        assert sum(k for _, k in roots) == f.degree
+        assert _split_text(new, roots) == \
+            _split_text(ref, refactoring_split(ref, f))
+
+    @pytest.mark.parametrize("case", range(len(TOWER_CASES)))
+    @pytest.mark.parametrize("square", [False, True])
+    def test_over_a_height_one_tower(self, case, square):
+        towers = []
+        for split in (FieldTower.split_completely, refactoring_split):
+            t = FieldTower()
+            a = t.adjoin(P(-2, 0, 1))
+            f = UPoly([t.lift(c, 1) for c in TOWER_CASES[case](a)])
+            if square:
+                f = f * f
+            roots = split(t, f)
+            for r, _ in roots:
+                value = 0
+                for c in reversed(f.coeffs):
+                    value = value * r + c
+                assert value == 0
+            towers.append(_split_text(t, roots))
+        assert towers[0] == towers[1]
+
+    def test_conjugate_quadratics_split_over_one_generator(self):
+        """x^6 - 1 has the factors x^2 + x + 1 and x^2 - x + 1, which
+        split over one common quadratic field.  The reference adjoins
+        both at once and refuses the second as reducible (the defect
+        that refused airy_rank6 under --check-reduction)."""
+        f = P(-1, 0, 0, 0, 0, 0, 1)
+        t = FieldTower()
+        roots = t.split_completely(f)
+        assert t.height == 1
+        assert [k for _, k in roots] == [1] * 6
+        assert all(r ** 6 == 1 for r, _ in roots)
+        assert len({repr(r) for r, _ in roots}) == 6
+        with pytest.raises(SpecrigError, match="irreducible"):
+            refactoring_split(FieldTower(), f)
+
+    def test_a_linear_input_is_not_made_squarefree(self, monkeypatch):
+        t = FieldTower()
+        a = t.adjoin(P(-2, 0, 1))
+
+        def refuse(f):
+            raise AssertionError("a linear input reached squarefree_part")
+
+        monkeypatch.setattr(tower, "squarefree_part", refuse)
+        assert t.split_completely(P(-3, 2)) == [(Fraction(3, 2), 1)]
+        assert t.factor(P(4, 2)) == [(P(2, 1), 1)]
+        linear = UPoly([-a, t.lift(3, 1)])
+        assert t.split_completely(linear) == [(a / 3, 1)]
+        assert t.height == 1
