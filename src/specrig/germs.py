@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, SpecrigError
 from .localmod import HTLCell, LocalModule, delta_end, irr_end, irr_hom
-from .qpoly import UPoly, resultant_det
+from .qpoly import UPoly, integer_series_product, resultant_det
 from .series import Series
 from .tower import rational_value
 
@@ -88,15 +88,17 @@ def germ_milnor(g: GermData) -> int:
 # -- oracle route ------------------------------------------------------------
 
 def _newton_identities(power_sums, r):
-    """Elementary symmetric functions e_1..e_r from power sums s_1..s_r."""
-    es = [Series.const(Fraction(1))]
+    """Elementary symmetric functions e_1..e_r from power sums s_1..s_r:
+    k e_k = sum over i = 1..k of (-1)^(i-1) e_(k-i) s_i, where the term
+    of e_0 = 1 is s_k itself."""
+    es = []
     for k in range(1, r + 1):
-        acc = Series.zero()
-        for i in range(1, k + 1):
-            term = es[k - i] * power_sums[i - 1]
-            acc = acc + (term if i % 2 else -term)
+        acc = power_sums[k - 1] if k % 2 else -power_sums[k - 1]
+        for i in range(1, k):
+            term = es[k - i - 1] * power_sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
         es.append(acc * Fraction(1, k))
-    return es[1:]
+    return es
 
 
 def _cluster_min_poly(cell: HTLCell) -> UPoly:
@@ -110,9 +112,10 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
     zeta = rep.inverse(order=None if rep.prec is not None else
                        -rep.valuation() * (r + 2) + 4)
     sums = []
-    power = Series.const(Fraction(1), zeta.prec)
-    for _ in range(r):
-        power = power * zeta
+    power = zeta
+    for k in range(r):
+        if k:
+            power = power * zeta
         sums.append(power.integer_part() * r)
     es = _newton_identities(sums, r)
     coeffs = [Series.const(Fraction(1))]
@@ -125,10 +128,19 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
 def germ_equation(g: GermData) -> UPoly:
     """Reduced local equation F(zeta, z) of the germ: the product of the
     minimal polynomials of the unbounded clusters, with every rational
-    tower coefficient as a Fraction (for resultant_det's integer path)."""
+    tower coefficient as a Fraction (for resultant_det's integer path).
+
+    When every minimal polynomial is rational, the product runs over
+    truncated Z[[z]]; an irrational tower coefficient keeps the product
+    over Series."""
+    factors = [_cluster_min_poly(c).map_coeffs(_rationalized)
+               for c in g.branches]
+    f = integer_series_product(factors)
+    if f is not None:
+        return f
     f = UPoly([Series.const(Fraction(1))])
-    for c in g.branches:
-        f = f * _cluster_min_poly(c)
+    for p in factors:
+        f = f * p
     return f.map_coeffs(_rationalized)
 
 

@@ -59,7 +59,7 @@ class LocalModule:
 
     __slots__ = ("pole", "n", "nu", "cells", "clusters", "tower",
                  "local_charpoly", "a_mat", "_local_matrix", "mode",
-                 "violation", "warnings", "nterms", "vdisc")
+                 "violation", "warnings", "nterms", "vdisc", "_irr_end")
 
     def __init__(self, pole, n, nu, cells, clusters, tower, local_charpoly,
                  a_mat, nterms, vdisc):
@@ -77,6 +77,7 @@ class LocalModule:
         self.mode = None
         self.violation = None
         self.warnings = []
+        self._irr_end = None  # irr_end, kept at its first call
 
     @property
     def m(self):
@@ -232,13 +233,17 @@ def _as_int(x) -> int:
 
 
 def irr_end(local: LocalModule) -> int:
-    cells = local.cells
-    total = 0
-    for i, ci in enumerate(cells):
-        total += irr_hom(ci, ci)
-        for cj in cells[i + 1:]:
-            total += 2 * irr_hom(ci, cj)
-    return total
+    """Irr(End) = sum of Irr(Hom) over ordered pairs of cells, computed
+    at the first call (after the assumption gate has run) and kept."""
+    if local._irr_end is None:
+        cells = local.cells
+        total = 0
+        for i, ci in enumerate(cells):
+            total += irr_hom(ci, ci)
+            for cj in cells[i + 1:]:
+                total += 2 * irr_hom(ci, cj)
+        local._irr_end = total
+    return local._irr_end
 
 
 def hor_dim(local: LocalModule) -> int:

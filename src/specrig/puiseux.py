@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import (AmbiguousComparison, InputError, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
@@ -25,15 +25,14 @@ class Edge:
     """One lower-hull edge: root order rho = -slope, horizontal length,
     supporting points (i, leading coefficient)."""
 
-    __slots__ = ("slope", "rho", "length", "i0", "points", "residual")
+    __slots__ = ("slope", "rho", "length", "i0", "points")
 
-    def __init__(self, slope, length, i0, points, residual):
+    def __init__(self, slope, length, i0, points):
         self.slope = slope
         self.rho = -slope
         self.length = length
         self.i0 = i0
         self.points = points
-        self.residual = residual
 
 
 class NewtonPolygon:
@@ -102,18 +101,8 @@ def newton_polygon(F: UPoly) -> NewtonPolygon:
         for i in range(x1, x2 + 1):
             if i in known and known[i] == y1 + slope * (i - x1):
                 points.append((i, wrapped[i].leading()))
-        edges.append(Edge(slope, x2 - x1, x1, points,
-                          _residual_full(points, x1)))
+        edges.append(Edge(slope, x2 - x1, x1, points))
     return NewtonPolygon(hull, edges, i_min)
-
-
-def _residual_full(points, i0):
-    """Classical residual Phi(c) = sum of leading coefficients times
-    c^(i - i0) over the edge's supporting points."""
-    coeffs = [0] * (points[-1][0] - i0 + 1)
-    for i, lead in points:
-        coeffs[i - i0] = lead
-    return UPoly(coeffs)
 
 
 def _residual_compressed(points, i0, q):
@@ -270,13 +259,64 @@ def _descend(F, prev_terms, last_exp, lattice, mult, tower, target, out,
             else:
                 xq = UPoly([-t] + [0] * (q - 1) + [tower.one(tower.height)])
                 c = _any_root(tower, xq)
-            term = Series.monomial(c, rho)
-            arg = UPoly([term, Series.const(1)])
-            F_next = F.compose(arg)
+            F_next = taylor_shift(F, c, rho)
             nt = dict(prev_terms)
             nt[rho] = c
             _descend(F_next, nt, rho, new_lattice, m, tower, target, out,
                      depth_guard + 1)
+
+
+def taylor_shift(F: UPoly, c, rho) -> UPoly:
+    """F(y + c z^rho) for F over Series, as a Taylor shift by the
+    monomial: G_j = sum over i >= j of C(i, j) c^(i-j) z^((i-j) rho) F_i.
+
+    Each term of G_j is a scaled copy of a term of F_i moved by
+    (i - j) rho, so no series is multiplied; exponents are carried as
+    integers on the common lattice (1/den)Z.  G_j is certified below the
+    least F_i.prec + (i - j) rho, a coefficient that vanishes only up to
+    its precision included, as the composition by Series arithmetic
+    certifies it.
+    """
+    coeffs = [f if isinstance(f, Series) else Series.const(f)
+              for f in F.coeffs]
+    den = lcm(rho.denominator, *(e.denominator for f in coeffs
+                                 for e in f.terms),
+              *(f.prec.denominator for f in coeffs if f.prec is not None))
+    step = rho.numerator * (den // rho.denominator)
+    lattice = [[(e.numerator * (den // e.denominator), a)
+                for e, a in f.terms.items()] for f in coeffs]
+    precs = [None if f.prec is None
+             else f.prec.numerator * (den // f.prec.denominator)
+             for f in coeffs]
+    n = len(coeffs)
+    powers = [1]
+    for _ in range(1, n):
+        powers.append(powers[-1] * c)
+    exponents = {}  # lattice point -> its Fraction, shared by every G_j
+    out = []
+    for j in range(n):
+        terms = {}
+        prec = None
+        for i in range(j, n):
+            move = (i - j) * step
+            if precs[i] is not None and (prec is None
+                                         or precs[i] + move < prec):
+                prec = precs[i] + move
+            scale = comb(i, j) * powers[i - j] if i > j else None
+            for e, a in lattice[i]:
+                e += move
+                if scale is not None:
+                    a = a * scale
+                terms[e] = terms[e] + a if e in terms else a
+        clean = {}
+        for e, a in terms.items():
+            if a and (prec is None or e < prec):
+                if e not in exponents:
+                    exponents[e] = Fraction(e, den)
+                clean[exponents[e]] = a
+        out.append(Series._of(clean, None if prec is None
+                              else Fraction(prec, den)))
+    return UPoly(out)
 
 
 # -- contact valuations ----------------------------------------------------

@@ -3,8 +3,10 @@
 Coefficients may be ``fractions.Fraction``, tower elements
 (:mod:`specrig.tower`), rational functions, or truncated series -- anything
 supporting ``+ - * /``, ``bool`` (nonzero test) and mixing with ints.
-Integer coefficients occur only inside the fraction-free kernel of
-:func:`resultant_det`, which divides them exactly.
+Integer coefficients occur only inside the two kernels over Z:
+:func:`resultant_det`'s fraction-free elimination, which divides them
+exactly, and :func:`integer_series_product`; both clear denominators once
+and rescale their result to Q once.
 The zero polynomial is the empty coefficient tuple.
 """
 
@@ -13,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import ceil, gcd, isqrt, lcm
-
-import sympy
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      SpecrigError)
@@ -91,13 +91,16 @@ class UPoly:
             other = UPoly.const(other)
         if not self.coeffs or not other.coeffs:
             return UPoly()
+        # only exact zeros are skipped: a series that vanishes up to its
+        # precision still bounds the precision of the product
+        live = [(j, b) for j, b in enumerate(other.coeffs)
+                if b or not _exact_zero(b)]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if not a:
+            if not a and _exact_zero(a):
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
+            for j, b in live:
+                out[i + j] = out[i + j] + a * b
         return UPoly(out)
 
     __rmul__ = __mul__
@@ -165,10 +168,14 @@ class UPoly:
         return acc
 
     def compose(self, other):
-        """self(other) for a polynomial argument."""
+        """self(other) for a polynomial argument, by Horner's rule.  Each
+        coefficient is added in place: ``UPoly.const`` would drop one that
+        vanishes only up to its precision, and its bound with it."""
         acc = UPoly()
         for c in reversed(self.coeffs):
-            acc = acc * other + UPoly.const(c)
+            acc = acc * other
+            acc = UPoly((acc.coeffs[0] + c,) + acc.coeffs[1:]
+                        if acc.coeffs else (c,))
         return acc
 
     def map_coeffs(self, fn):
@@ -348,11 +355,12 @@ class _ZSeries:
     prec bounds the certified exponents as in :class:`Series` (None:
     exact).
 
-    The integer form :func:`resultant_det` gives a Sylvester matrix of
-    rational series with integer exponents.  Its ``*``, ``-`` and exact
+    It is the integer form of a rational series with integer exponents,
+    in the Sylvester matrices of :func:`resultant_det` and the factors of
+    :func:`integer_series_product`.  Its ``+``, ``-``, ``*`` and exact
     division keep the precision that Series arithmetic certifies for the
-    same operation, so :func:`det_bareiss` certifies the same terms on
-    it as on the Series rows.
+    same operation, so :func:`det_bareiss` and the polynomial product
+    certify the same terms on it as on the Series.
     """
 
     __slots__ = ("c", "prec")
@@ -395,15 +403,26 @@ class _ZSeries:
     def __neg__(self):
         return _ZSeries([-x for x in self.c], self.prec)
 
-    def __sub__(self, other):
+    def _minprec(self, other):
         if self.prec is None:
-            prec = other.prec
-        elif other.prec is None:
-            prec = self.prec
-        else:
-            prec = min(self.prec, other.prec)
+            return other.prec
+        if other.prec is None:
+            return self.prec
+        return min(self.prec, other.prec)
+
+    def __add__(self, other):
+        if not isinstance(other, _ZSeries):
+            other = _ZSeries([other])
+        return _ZSeries([x + y for x, y in
+                         zip_longest(self.c, other.c, fillvalue=0)],
+                        self._minprec(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
         return _ZSeries([x - y for x, y in
-                         zip_longest(self.c, other.c, fillvalue=0)], prec)
+                         zip_longest(self.c, other.c, fillvalue=0)],
+                        self._minprec(other))
 
     def __rsub__(self, other):
         return _ZSeries([other]) - self
@@ -650,6 +669,35 @@ def _integer_sylvester(f: UPoly, g: UPoly):
     return sylvester_matrix(fz, gz), back
 
 
+def integer_series_product(polys):
+    """Product of polynomials over series over Q with integer exponents,
+    taken over truncated Z[[z]]: each factor p is cleared once to
+    (den / num) z^s p with :class:`_ZSeries` coefficients (the scale of
+    :func:`_cleared`), the factors are multiplied, and the product is
+    rescaled once.  Its terms and precisions are those of the product
+    over Series.  None when some coefficient is not such a series.
+    """
+    if not all(isinstance(c, Series) and _over_q_integer_exponents(c)
+               for p in polys for c in p.coeffs):
+        return None
+    prod = None
+    num = den = 1
+    top = 0
+    for p in polys:
+        shift = -min(min(c.terms) for c in p.coeffs if c.terms).numerator
+        q, d, m = _cleared(p, Series, shift)
+        prod = q if prod is None else prod * q
+        num, den, top = num * m, den * d, top + shift
+
+    def back(x):
+        if not isinstance(x, _ZSeries):
+            return x
+        return Series({i - top: Fraction(a * num, den)
+                       for i, a in enumerate(x.c) if a},
+                      None if x.prec is None else x.prec - top)
+    return prod.map_coeffs(back)
+
+
 def resultant_det(f: UPoly, g: UPoly):
     """Resultant via the Sylvester determinant; valid over any integral
     domain whose division is exact (see :func:`det_bareiss`).
@@ -677,12 +725,12 @@ def resultant_det(f: UPoly, g: UPoly):
 
 # -- rational-coefficient helpers (sympy-backed factorization) --------------
 
-_X = sympy.Symbol("x")
-
-
 def _to_sympy(f: UPoly):
-    return sympy.Poly(list(reversed([sympy.Rational(c) for c in f.coeffs])), _X,
-                      domain="QQ")
+    """f as a sympy polynomial in x over QQ.  sympy is imported here, at
+    the first factorization that needs it, not with the package."""
+    import sympy
+    return sympy.Poly(list(reversed([sympy.Rational(c) for c in f.coeffs])),
+                      sympy.Symbol("x"), domain="QQ")
 
 
 def _from_sympy(p) -> UPoly:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .errors import (InternalInconsistency, SpecrigError,
                      UnsupportedExtension)
 from .germs import GermData
@@ -77,14 +75,14 @@ def cohomology_dims(rig: int):
 
 # -- bivariate helpers -------------------------------------------------------
 
-_Y, _Z = sympy.symbols("y z")
-
-
 def _bipoly_to_sympy(f: UPoly):
+    """f as a sympy polynomial in the generators (y, z) over QQ; sympy is
+    imported here, at the first bivariate factorization."""
+    import sympy
     terms = {(i, j): sympy.Rational(c)
              for i, cz in enumerate(f.coeffs)
              for j, c in enumerate(cz.coeffs) if c}
-    return sympy.Poly.from_dict(terms, _Y, _Z, domain="QQ")
+    return sympy.Poly.from_dict(terms, *sympy.symbols("y z"), domain="QQ")
 
 
 def irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
@@ -110,7 +108,7 @@ def irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
                              for num, den in _exact_rational_roots(locals_)):
         return "reducible"
     _, factors = _bipoly_to_sympy(f).factor_list()
-    ydeg_factors = sum(k for p, k in factors if p.degree(_Y) >= 1)
+    ydeg_factors = sum(k for p, k in factors if p.degree(0) >= 1)
     if ydeg_factors > 1:
         return "reducible"
     return "unknown"

@@ -12,6 +12,7 @@ InsufficientTruncation rather than returning a guess.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, lcm
 
 from .errors import InsufficientTruncation, SpecrigError
 
@@ -39,6 +40,15 @@ class Series:
             clean[e] = c
         self.terms = clean
         self.prec = p
+
+    @staticmethod
+    def _of(terms, prec):
+        """A series from a term map that is already clean: Fraction
+        exponents below prec and nonzero coefficients."""
+        s = object.__new__(Series)
+        s.terms = terms
+        s.prec = prec
+        return s
 
     # -- constructors ---------------------------------------------------
 
@@ -102,28 +112,49 @@ class Series:
         return min(self.prec, other.prec)
 
     def __add__(self, other):
-        if not isinstance(other, Series):
-            other = Series.const(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Series(terms, self._minprec(other))
+        return self._combine(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series({e: -c for e, c in self.terms.items()}, self.prec)
+        return Series._of({e: -c for e, c in self.terms.items()}, self.prec)
 
     def __sub__(self, other):
-        if not isinstance(other, Series):
-            other = Series.const(other)
-        return self + (-other)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return Series.const(other) - self
 
+    def _combine(self, other, negate):
+        """self + other, or self - other when negate."""
+        if not isinstance(other, Series):
+            other = Series.const(other)
+        prec = self._minprec(other)
+        # only the operand of the larger precision has terms to drop
+        if prec is None or self.prec == prec:
+            terms = dict(self.terms)
+        else:
+            terms = {e: c for e, c in self.terms.items() if e < prec}
+        cut = prec is not None and other.prec != prec
+        for e, c in other.terms.items():
+            if cut and e >= prec:
+                continue
+            if negate:
+                c = -c
+            if e in terms:
+                c = terms[e] + c
+                if not c:
+                    del terms[e]
+                    continue
+            terms[e] = c
+        return Series._of(terms, prec)
+
     def __mul__(self, other):
         if not isinstance(other, Series):
+            if other:
+                return Series._of({e: c * other
+                                   for e, c in self.terms.items()},
+                                  self.prec)
             other = Series.const(other)
         precs = []
         if self.prec is not None:
@@ -135,8 +166,10 @@ class Series:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
+                if prec is not None and e >= prec:
+                    continue
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Series(terms, prec)
+        return Series._of({e: c for e, c in terms.items() if c}, prec)
 
     __rmul__ = __mul__
 
@@ -155,8 +188,8 @@ class Series:
     def shift(self, e):
         """Multiply by z^e."""
         e = _fr(e)
-        return Series({k + e: c for k, c in self.terms.items()},
-                      None if self.prec is None else self.prec + e)
+        return Series._of({k + e: c for k, c in self.terms.items()},
+                          None if self.prec is None else self.prec + e)
 
     def scale_exponents(self, factor):
         """Substitute z -> z^factor (factor a positive rational)."""
@@ -175,39 +208,47 @@ class Series:
 
     def inverse(self, order=None):
         """Multiplicative inverse. For a non-exact or non-monomial series
-        the result is truncated; order caps the number of correction terms."""
+        the result is truncated; order caps the number of correction terms.
+
+        Writing self = c0 z^v (1 + u), the coefficients b_m of 1 / (1 + u)
+        on the lattice (1/den)Z of u's exponents follow b_0 = 1 and
+        b_m = -sum over u's terms u_i z^(i/den) of u_i b_(m-i), for every
+        lattice point below the bound: self.prec - v, or order for an
+        exact series.  The inverse is certified below bound - v.
+        """
         v = self.valuation()
         if v == INF:
             raise ZeroDivisionError("inverse of zero series")
         c0 = self.terms[v]
         if len(self.terms) == 1 and self.prec is None:
             return Series.monomial(1 / c0, -v)
-        # write self = c0 z^v (1 + u), invert the unit by geometric series
-        u = Series({e - v: c / c0 for e, c in self.terms.items() if e != v},
-                   None if self.prec is None else self.prec - v)
-        if u.prec is not None:
-            gap = u.low()
-            bound = u.prec
+        if self.prec is not None:
+            bound = self.prec - v
+        elif order is not None:
+            bound = _fr(order)
         else:
-            gap = min(u.terms) if u.terms else INF
-            bound = _fr(order) if order is not None else None
-            if bound is None:
-                raise SpecrigError(
-                    "inverse of an exact multi-term series needs an order")
-        acc = Series.const(1, bound)
-        if u.terms:
-            powu = Series.const(1, bound)
-            k = 0
-            while k * gap < bound:
-                k += 1
-                powu = (powu * u).truncate(bound)
-                if k % 2:
-                    acc = acc - powu
-                else:
-                    acc = acc + powu
-                if powu.known_zero_to_prec():
+            raise SpecrigError(
+                "inverse of an exact multi-term series needs an order")
+        u = [(e - v, c / c0) for e, c in self.terms.items() if e != v]
+        den = lcm(*(e.denominator for e, _ in u))
+        u = sorted(((e.numerator * (den // e.denominator), c) for e, c in u),
+                   key=lambda t: t[0])
+        b = [0] * max(0, ceil(bound * den))
+        if b:
+            b[0] = 1
+        for m in range(1, len(b)):
+            acc = 0
+            for i, c in u:
+                if i > m:
                     break
-        return acc.shift(-v) * Series.const(1 / c0)
+                x = b[m - i]
+                if x:
+                    acc = acc - c * x
+            b[m] = acc
+        inv = 1 / c0
+        terms = {Fraction(m, den) - v: x * inv
+                 for m, x in enumerate(b) if x}
+        return Series._of(terms, bound - v)
 
     def __truediv__(self, other):
         """Quotient, exact whenever it can be certified.

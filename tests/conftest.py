@@ -16,7 +16,8 @@ from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
 from specrig.parsing import parse_expression, parse_problem
 from specrig.qpoly import UPoly, row_reduce
 from specrig.ratfn import INFINITY, RatFn
-from specrig.rigidity import _bipoly_to_sympy, _Y
+from specrig.rigidity import _bipoly_to_sympy
+from specrig.series import Series
 
 
 AIRY = """\
@@ -257,7 +258,7 @@ def sympy_irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
         if len(L.cells) == 1 and L.cells[0].r == L.n:
             return "irreducible"
     _, factors = _bipoly_to_sympy(disc.cleared).factor_list()
-    if sum(k for p, k in factors if p.degree(_Y) >= 1) > 1:
+    if sum(k for p, k in factors if p.degree(0) >= 1) > 1:
         return "reducible"
     return "unknown"
 
@@ -285,3 +286,54 @@ def refactoring_split(tower, f: UPoly):
                 tower.adjoin(p)
                 pending.append((p, mult * k))
     return roots
+
+
+def residual_full(points, i0):
+    """Classical residual Phi(c) of a Newton polygon edge: the sum of the
+    leading coefficients of its supporting points (i, lead) times
+    c^(i - i0)."""
+    coeffs = [0] * (points[-1][0] - i0 + 1)
+    for i, lead in points:
+        coeffs[i - i0] = lead
+    return UPoly(coeffs)
+
+
+def series_form(c):
+    """(terms, prec) of a polynomial coefficient over series; a plain
+    number stands for the exact constant series."""
+    if not isinstance(c, Series):
+        c = Series.const(c)
+    return c.terms, c.prec
+
+
+def fraction_series_product(polys):
+    """Reference for :func:`specrig.qpoly.integer_series_product`: the
+    product of polynomials over series, multiplied as Series."""
+    f = UPoly([Series.const(Fraction(1))])
+    for p in polys:
+        f = f * p
+    return f
+
+
+def geometric_inverse(s, order=None):
+    """Reference for :meth:`specrig.series.Series.inverse`: with
+    s = c0 z^v (1 + u), the geometric series 1 - u + u^2 - ... summed
+    power by power, each power truncated at the bound."""
+    v = s.valuation()
+    c0 = s.terms[v]
+    if len(s.terms) == 1 and s.prec is None:
+        return Series.monomial(1 / c0, -v)
+    u = Series({e - v: c / c0 for e, c in s.terms.items() if e != v},
+               None if s.prec is None else s.prec - v)
+    if u.prec is not None:
+        gap, bound = u.low(), u.prec
+    else:
+        gap, bound = min(u.terms), Fraction(order)
+    acc = Series.const(1, bound)
+    powu = Series.const(1, bound)
+    k = 0
+    while u.terms and k * gap < bound:
+        k += 1
+        powu = (powu * u).truncate(bound)
+        acc = acc - powu if k % 2 else acc + powu
+    return acc.shift(-v) * Series.const(1 / c0)

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, golden reports."""
 
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -16,6 +18,7 @@ from specrig.report import render_text, serialize
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_problem(tmp_path, text, name="problem.txt"):
@@ -240,3 +243,28 @@ def test_golden_reports(name, tmp_path, capsys):
     out = capsys.readouterr().out
     expected = (GOLDEN / f"{name}.json").read_text()
     assert out == expected
+
+
+COLD_RUN = """
+import contextlib, io, sys
+from specrig.cli import main
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    main(["analyze", sys.argv[1]])
+print("sympy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("example", sorted(
+    p.name for p in (ROOT / "examples_input").glob("*.txt")))
+def test_examples_run_without_importing_sympy(example):
+    """No example needs a factorization by sympy, so a fresh interpreter
+    analyzes each one without importing it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_RUN,
+         str(ROOT / "examples_input" / example)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

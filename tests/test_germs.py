@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (EXAMPLE_TEXTS, airy, dense_fuchs, diag_irreg,
-                      gen_airy, local_at, mat)
+                      fraction_series_product, gen_airy, local_at, mat,
+                      series_form)
 from specrig import germs, qpoly
 from specrig.errors import SpecrigError
 from specrig.germs import (GermData, branch_intersection, branch_milnor,
@@ -13,7 +15,8 @@ from specrig.germs import (GermData, branch_intersection, branch_milnor,
                            germ_milnor_oracle, unbounded_branches)
 from specrig.localmod import check_assumption
 from specrig.parsing import parse_problem
-from specrig.qpoly import det_bareiss, resultant_det, sylvester_matrix
+from specrig.qpoly import (det_bareiss, integer_series_product,
+                           resultant_det, sylvester_matrix)
 from specrig.series import Series
 from specrig.ratfn import INFINITY
 from specrig.tower import TowerElem
@@ -195,3 +198,101 @@ def test_dense_fuchs_germs_leave_the_tower(n, monkeypatch):
         in_tower.append(g.mu_oracle_value)
     assert seen_tower
     assert rationalized == in_tower
+
+
+# -- the germ product over Z[[z]] --------------------------------------------
+
+PRODUCT_CASES = (
+    {f"diag_irreg_rank{n}": diag_irreg(n) for n in range(2, 7)}
+    | {f"airy_rank{n}": airy(n) for n in range(2, 8)}
+    | {f"gen_airy_k{k}": gen_airy(k) for k in range(1, 31)}
+    | EXAMPLE_TEXTS)
+
+
+def _germs_of(text):
+    spec = parse_problem(text)
+    out = []
+    for pole in spec.poles:
+        local = local_at(spec.matrix, pole)
+        if check_assumption(local):
+            out.append(GermData(local))
+    return out
+
+
+def _rational_factors(g):
+    return [germs._cluster_min_poly(c).map_coeffs(germs._rationalized)
+            for c in g.branches]
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_integer_germ_product_matches_series_product(name, monkeypatch):
+    """The germ equation multiplied over Z[[z]] has the terms and the
+    precisions of the product over Fraction series, and the oracle reads
+    the same Milnor numbers off either."""
+    found = _germs_of(PRODUCT_CASES[name])
+    for g in found:
+        if not g.r_c:
+            continue
+        factors = _rational_factors(g)
+        got = integer_series_product(factors)
+        if name.startswith("diag_irreg"):
+            # the irregular ladder takes the integer path at every pole
+            assert got is not None
+        if got is None:
+            continue
+        ref = fraction_series_product(factors)
+        assert [series_form(c) for c in got.coeffs] == \
+            [series_form(c) for c in ref.coeffs]
+        assert [series_form(c) for c in germ_equation(g).coeffs] == \
+            [series_form(c) for c in got.coeffs]
+    oracle = [g.mu_oracle_value for g in found]
+    monkeypatch.setattr(germs, "integer_series_product", lambda polys: None)
+    assert [germ_milnor_oracle(g) for g in found] == oracle
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dense_fuchs_germs_keep_the_tower_product(n):
+    """Conjugate branches of dense_fuchs carry irrational minimal
+    polynomials, so their germs multiply over Series; the rationalized
+    product is the germ equation."""
+    tower_path = 0
+    for g in _germs_of(dense_fuchs(n)):
+        if not g.r_c:
+            continue
+        factors = _rational_factors(g)
+        if integer_series_product(factors) is None:
+            tower_path += 1
+            ref = fraction_series_product(factors).map_coeffs(
+                germs._rationalized)
+            assert [series_form(c) for c in germ_equation(g).coeffs] == \
+                [series_form(c) for c in ref.coeffs]
+    assert tower_path
+
+
+def _newton_reference(power_sums, r):
+    """e_1..e_r by k e_k = sum over i of (-1)^(i-1) e_(k-i) s_i, with
+    e_0 = 1 multiplied in like every other e."""
+    es = [Series.const(Fraction(1))]
+    for k in range(1, r + 1):
+        acc = Series.zero()
+        for i in range(1, k + 1):
+            term = es[k - i] * power_sums[i - 1]
+            acc = acc + (term if i % 2 else -term)
+        es.append(acc * Fraction(1, k))
+    return es[1:]
+
+
+_POWER_SUM = st.builds(
+    Series,
+    st.dictionaries(st.integers(0, 6),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=3), max_size=4),
+    st.one_of(st.none(), st.integers(1, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_POWER_SUM, min_size=1, max_size=4))
+def test_newton_identities_match_reference(sums):
+    got = germs._newton_identities(sums, len(sums))
+    ref = _newton_reference(sums, len(sums))
+    assert [series_form(e) for e in got] == [series_form(e) for e in ref]

@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import residual_full, series_form
 from specrig.errors import (AmbiguousComparison, InsufficientTruncation,
                             SpecrigError)
 from specrig.puiseux import (_diff_nonzero, _phase_denominator,
                              cluster_contact, contact_pair_sum,
                              default_target_depth, discriminant_valuation,
                              min_root_order, newton_polygon,
-                             principal_contact_negative, puiseux_clusters)
+                             principal_contact_negative, puiseux_clusters,
+                             taylor_shift)
 from specrig.qpoly import UPoly
 from specrig.series import Series
 from specrig.tower import FieldTower
@@ -73,9 +76,63 @@ class TestNewtonPolygon:
 
     def test_residual(self):
         poly = newton_polygon(spoly({-1: -4}, 0, 1))
-        res = poly.edges[0].residual
+        edge = poly.edges[0]
+        res = residual_full(edge.points, edge.i0)
         assert res.degree == 2
         assert res.eval(F(2)) == 0  # c^2 - 4
+
+
+TOWER = FieldTower()
+SQRT2 = TOWER.adjoin(UPoly([F(-2), F(0), F(1)]))
+_QS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _taylor_case(draw):
+    """(F, c, rho): F of degree 1-6 whose coefficients are exact,
+    truncated or zero up to their precision, over Q or over Q(sqrt 2),
+    and a nonzero c with an integer or fractional rho."""
+    over_tower = draw(st.booleans())
+
+    def number():
+        x = draw(_QS)
+        return x + draw(_QS) * SQRT2 if over_tower else x
+
+    def exponent():
+        return F(draw(st.integers(-6, 12)), draw(st.sampled_from([1, 2, 3])))
+
+    def coefficient():
+        kind = draw(st.sampled_from(["exact", "truncated", "zero"]))
+        if kind == "zero":
+            return Series.zero(prec=exponent())
+        terms = {exponent(): number()
+                 for _ in range(draw(st.integers(0, 3)))}
+        return Series(terms, None if kind == "exact" else exponent())
+
+    f = UPoly([coefficient() for _ in range(draw(st.integers(2, 7)))])
+    assume(f.degree >= 1)
+    c = number()
+    assume(c)
+    return f, c, exponent()
+
+
+class TestTaylorShift:
+    @settings(max_examples=150, deadline=None)
+    @given(_taylor_case())
+    def test_matches_composition(self, case):
+        f, c, rho = case
+        ref = f.compose(UPoly([Series.monomial(c, rho), Series.const(1)]))
+        got = taylor_shift(f, c, rho)
+        assert [series_form(x) for x in got.coeffs] == \
+            [series_form(x) for x in ref.coeffs]
+
+    def test_truncated_zero_bounds_the_precision(self):
+        # O(z^3) + y^2 at y -> y + z: the constant term z^2 keeps the
+        # bound O(z^3) of a coefficient with no known term
+        f = UPoly([Series.zero(prec=3), Series.zero(), Series.const(1)])
+        got = taylor_shift(f, F(1), F(1))
+        assert series_form(got.coeffs[0]) == ({F(2): 1}, 3)
+        assert series_form(got.coeffs[1]) == ({F(1): 2}, None)
 
 
 class TestClusters:

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
+from conftest import fraction_series_product, series_form
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
-                           poly_gcd, poly_xgcd, resultant, resultant_det,
-                           squarefree_part, sylvester_matrix)
+                           integer_series_product, poly_gcd, poly_xgcd,
+                           resultant, resultant_det, squarefree_part,
+                           sylvester_matrix)
 from specrig.ratfn import RatFn
 from specrig.series import Series
 from specrig.tower import FieldTower
@@ -368,6 +370,53 @@ class TestIntegerSeriesResultant:
         for e in set(res.terms) | set(ref.terms):
             if common is None or e < common:
                 assert res.terms.get(e, 0) == ref.terms.get(e, 0)
+
+
+class TestTruncatedZeroCoefficient:
+    """A coefficient that vanishes only up to its precision is not an
+    exact zero: the product keeps its precision bound."""
+
+    def test_series(self):
+        f = UPoly([Series.zero(prec=3), Series.const(1)])
+        h = f * UPoly([Series.const(1), Series.const(1)])
+        assert isinstance(h.coeffs[0], Series)
+        assert series_form(h.coeffs[0]) == ({}, 3)
+        assert series_form(h.coeffs[1]) == ({Fraction(0): 1}, 3)
+
+    def test_integer_series(self):
+        zs = qpoly._ZSeries
+        h = UPoly([zs([], 3), zs([1])]) * UPoly([zs([1]), zs([1])])
+        assert isinstance(h.coeffs[0], zs)
+        assert (h.coeffs[0].c, h.coeffs[0].prec) == ([], 3)
+        assert (h.coeffs[1].c, h.coeffs[1].prec) == ([1], 3)
+
+    def test_exact_zero_still_skipped(self):
+        h = UPoly([Series.zero(), Series.const(1)]) * UPoly(
+            [Series.const(1), Series.const(1)])
+        assert h.coeffs[0] == 0 and series_form(h.coeffs[1]) == (
+            {Fraction(0): 1}, None)
+
+
+class TestIntegerSeriesProduct:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_series_poly(3), min_size=1, max_size=3))
+    def test_matches_the_series_product(self, polys):
+        polys = [p.map_coeffs(lambda c: c if isinstance(c, Series)
+                              else Series.const(c)) for p in polys]
+        got = integer_series_product(polys)
+        ref = fraction_series_product(polys)
+        assert [series_form(c) for c in got.coeffs] == \
+            [series_form(c) for c in ref.coeffs]
+
+    def test_refuses_other_rings(self):
+        tower = FieldTower()
+        a = tower.adjoin(P(-2, 0, 1))
+        assert integer_series_product(
+            [UPoly([Series.const(a), Series.const(1)])]) is None
+        assert integer_series_product(
+            [UPoly([Series.monomial(1, Fraction(1, 2)),
+                    Series.const(1)])]) is None
+        assert integer_series_product([P(1, 1)]) is None
 
 
 class TestRationalFactorization:

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import geometric_inverse
 from specrig.errors import InsufficientTruncation, SpecrigError
 from specrig.series import INF, Series
 
@@ -157,3 +159,73 @@ class TestParts:
     def test_principal_part_needs_positive_prec(self):
         with pytest.raises(InsufficientTruncation):
             Series({-2: 1}, prec=-1).nonpositive_part()
+
+
+# -- arithmetic against term-by-term references ------------------------------
+
+_EXP = st.builds(F, st.integers(-6, 9), st.sampled_from([1, 2, 3]))
+_VAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _series():
+    """Exact or truncated, with zero coefficients and terms past the
+    precision for the constructor to drop."""
+    return st.builds(Series, st.dictionaries(_EXP, _VAL, max_size=5),
+                     st.one_of(st.none(), _EXP))
+
+
+def _minprec(a, b):
+    precs = [p for p in (a.prec, b.prec) if p is not None]
+    return min(precs) if precs else None
+
+
+def _form(s):
+    return s.terms, s.prec
+
+
+class TestAgainstReferences:
+    """Each operation equals the checking constructor on the raw term map
+    it stands for; the inverse equals the geometric series."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_series(), _series())
+    def test_add_sub(self, a, b):
+        keys = set(a.terms) | set(b.terms)
+        for sign, got in ((1, a + b), (-1, a - b)):
+            raw = {e: a.terms.get(e, 0) + sign * b.terms.get(e, 0)
+                   for e in keys}
+            assert _form(got) == _form(Series(raw, _minprec(a, b)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_series(), _series())
+    def test_mul(self, a, b):
+        precs = []
+        if a.prec is not None:
+            precs.append(a.prec + b.low())
+        if b.prec is not None:
+            precs.append(b.prec + a.low())
+        raw = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                raw[e1 + e2] = raw.get(e1 + e2, 0) + c1 * c2
+        ref = Series(raw, min(precs) if precs else None)
+        assert _form(a * b) == _form(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_series(), _VAL, _EXP)
+    def test_scalar_and_shift(self, a, c, e):
+        assert _form(a * c) == _form(a * Series.const(c))
+        assert _form(c * a) == _form(a * Series.const(c))
+        shifted = Series({k + e: x for k, x in a.terms.items()},
+                             None if a.prec is None else a.prec + e)
+        assert _form(a.shift(e)) == _form(shifted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_series(), st.integers(-2, 8))
+    def test_inverse(self, a, order):
+        assume(a.terms)
+        if a.prec is None and len(a.terms) > 1:
+            got, ref = a.inverse(order=order), geometric_inverse(a, order)
+        else:
+            got, ref = a.inverse(), geometric_inverse(a)
+        assert _form(got) == _form(ref)

@@ -1,5 +1,6 @@
-"""Static guards on the package source: no unused import, and no
-module-level function or class that only the tests reach."""
+"""Static guards on the package source: no unused import, no
+module-level function or class that only the tests reach, and no
+module-level import of sympy."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,28 @@ def test_every_definition_has_a_caller_in_src():
                     and not _references_elsewhere(module, name, node)]
     assert not unreferenced, \
         f"no reference in src/ outside their own bodies: {unreferenced}"
+
+
+def _import_time_modules(tree):
+    """Modules named by the import statements that run when the module is
+    imported: every one outside a function body."""
+    out = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append(node.module or "")
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_sympy_is_imported_only_when_a_factorization_needs_it():
+    eager = [module for module, tree in sorted(MODULES.items())
+             if any(name.split(".")[0] == "sympy"
+                    for name in _import_time_modules(tree))]
+    assert not eager, f"import sympy at module level: {eager}"
