@@ -88,17 +88,15 @@ def germ_milnor(g: GermData) -> int:
 # -- oracle route ------------------------------------------------------------
 
 def _newton_identities(power_sums, r):
-    """Elementary symmetric functions e_1..e_r from power sums s_1..s_r:
-    k e_k = sum over i = 1..k of (-1)^(i-1) e_(k-i) s_i, where the term
-    of e_0 = 1 is s_k itself."""
-    es = []
+    """Elementary symmetric functions e_1..e_r from power sums s_1..s_r."""
+    es = [Series.const(Fraction(1))]
     for k in range(1, r + 1):
-        acc = power_sums[k - 1] if k % 2 else -power_sums[k - 1]
-        for i in range(1, k):
-            term = es[k - i - 1] * power_sums[i - 1]
-            acc = acc + term if i % 2 else acc - term
+        acc = Series.zero()
+        for i in range(1, k + 1):
+            term = es[k - i] * power_sums[i - 1]
+            acc = acc + (term if i % 2 else -term)
         es.append(acc * Fraction(1, k))
-    return es
+    return es[1:]
 
 
 def _cluster_min_poly(cell: HTLCell) -> UPoly:
@@ -112,10 +110,9 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
     zeta = rep.inverse(order=None if rep.prec is not None else
                        -rep.valuation() * (r + 2) + 4)
     sums = []
-    power = zeta
-    for k in range(r):
-        if k:
-            power = power * zeta
+    power = Series.const(Fraction(1), zeta.prec)
+    for _ in range(r):
+        power = power * zeta
         sums.append(power.integer_part() * r)
     es = _newton_identities(sums, r)
     coeffs = [Series.const(Fraction(1))]

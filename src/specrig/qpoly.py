@@ -168,14 +168,10 @@ class UPoly:
         return acc
 
     def compose(self, other):
-        """self(other) for a polynomial argument, by Horner's rule.  Each
-        coefficient is added in place: ``UPoly.const`` would drop one that
-        vanishes only up to its precision, and its bound with it."""
+        """self(other) for a polynomial argument."""
         acc = UPoly()
         for c in reversed(self.coeffs):
-            acc = acc * other
-            acc = UPoly((acc.coeffs[0] + c,) + acc.coeffs[1:]
-                        if acc.coeffs else (c,))
+            acc = acc * other + UPoly.const(c)
         return acc
 
     def map_coeffs(self, fn):

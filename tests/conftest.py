@@ -298,6 +298,19 @@ def residual_full(points, i0):
     return UPoly(coeffs)
 
 
+def horner_compose(f: UPoly, g: UPoly) -> UPoly:
+    """f(g) by Horner's rule, each coefficient of f added in place to the
+    constant term.  ``UPoly.compose`` adds ``UPoly.const(c)`` instead, which
+    drops a c that vanishes only up to its precision, and its bound with
+    it; the two agree on every other f."""
+    acc = UPoly()
+    for c in reversed(f.coeffs):
+        acc = acc * g
+        acc = UPoly((acc.coeffs[0] + c,) + acc.coeffs[1:]
+                    if acc.coeffs else (c,))
+    return acc
+
+
 def series_form(c):
     """(terms, prec) of a polynomial coefficient over series; a plain
     number stands for the exact constant series."""
