@@ -42,7 +42,7 @@ def charpoly(m: MatRF) -> UPoly:
     was slower on it, and its cost follows the sparsity of M.
     """
     n = m.n
-    one = UPoly([Fraction(1)])
+    one = UPoly([1])
     d = one
     for row in m.entries:
         for f in row:
@@ -68,7 +68,7 @@ def cleared_charpoly(cp: UPoly):
     """Multiply through by the denominator lcm: returns (F, D) with F a
     polynomial in y whose coefficients are polynomials in z, and D(z) the
     clearing factor (vanishing only at poles)."""
-    den = UPoly([Fraction(1)])
+    den = UPoly([1])
     for c in cp.coeffs:
         if isinstance(c, RatFn) and not c.is_zero():
             g = poly_gcd(den, c.den)

@@ -17,7 +17,7 @@ from math import comb, lcm
 from .errors import (AmbiguousComparison, InputError, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
 from .qpoly import UPoly, resultant_det
-from .series import INF, Series
+from .series import INF, Series, qdiv
 from .tower import FieldTower, TowerElem
 
 
@@ -155,7 +155,7 @@ def _any_root(tower: FieldTower, p: UPoly):
                      key=lambda fk: _factor_key(fk[0]))
     for f, _ in factors:
         if f.degree == 1:
-            return -f.coeffs[0] / f.coeffs[1]
+            return qdiv(-f.coeffs[0], f.coeffs[1])
     return tower.adjoin(factors[0][0])
 
 

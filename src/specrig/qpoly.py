@@ -1,12 +1,14 @@
 """Dense univariate polynomials over an exact coefficient field.
 
-Coefficients may be ``fractions.Fraction``, tower elements
-(:mod:`specrig.tower`), rational functions, or truncated series -- anything
-supporting ``+ - * /``, ``bool`` (nonzero test) and mixing with ints.
-Integer coefficients occur only inside the two kernels over Z:
-:func:`resultant_det`'s fraction-free elimination, which divides them
-exactly, and :func:`integer_series_product`; both clear denominators once
-and rescale their result to Q once.
+Coefficients may be rationals, tower elements (:mod:`specrig.tower`),
+rational functions, or truncated series -- anything supporting
+``+ - * /``, ``bool`` (nonzero test) and mixing with ints.  A rational
+that is an integer is an ``int``; a ``fractions.Fraction`` comes only from
+a division that does not come out even, and every division of the
+rational layer goes through :func:`specrig.series.qdiv`.  Over Q the gcd
+(:func:`poly_gcd`), the resultant (:func:`resultant_det`) and the germ
+product (:func:`integer_series_product`) clear denominators once, work
+over Z, and rescale their result to Q once.
 The zero polynomial is the empty coefficient tuple.
 """
 
@@ -18,7 +20,7 @@ from math import ceil, gcd, isqrt, lcm
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      SpecrigError)
-from .series import INF, Series
+from .series import INF, Series, qdiv
 
 
 class UPoly:
@@ -108,6 +110,10 @@ class UPoly:
     def __pow__(self, n):
         if n < 0:
             raise SpecrigError("negative polynomial power")
+        *low, top = self.coeffs or (0,)
+        if n and top and all(_exact_zero(c) for c in low):
+            # a monomial c x^d: c^n x^(dn)
+            return UPoly([0] * (len(low) * n) + [top ** n])
         result = UPoly([1])
         base = self
         while n:
@@ -140,7 +146,7 @@ class UPoly:
             top = rem[k + other.degree]
             if not top:
                 continue
-            q = top / lead
+            q = qdiv(top, lead)
             quot[k] = q
             for j, c in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - q * c
@@ -156,7 +162,7 @@ class UPoly:
         if self.is_zero():
             return self
         lead = self.lc()
-        return UPoly([c / lead for c in self.coeffs])
+        return UPoly([qdiv(c, lead) for c in self.coeffs])
 
     def derivative(self):
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -182,11 +188,57 @@ class UPoly:
 
 
 def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd over a field."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over a field; the gcd of two zero polynomials is zero.
+
+    Over Q both operands are cleared to primitive integer polynomials and
+    the gcd is taken by a primitive remainder sequence over Z (Collins,
+    JACM 14, 1967), then made monic once.  Tower coefficients take the
+    Euclidean algorithm over their field.
+    """
+    if not (_over_q(f) and _over_q(g)):
+        a, b = f, g
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()
+    if not f or not g:
+        return (f or g).monic()
+    a = _primitive_integers(f.coeffs)[0]
+    b = _primitive_integers(g.coeffs)[0]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _int_pseudo_remainder(a, b)
+        if not r:
+            break
+        a, b = b, _primitive_integers(r)[0]
+    else:
+        return UPoly([1])
+    return UPoly(b).monic()
+
+
+def _int_pseudo_remainder(a, b):
+    """A nonzero integer multiple of the remainder of a by b, two integer
+    coefficient lists (lowest degree first) with len(a) >= len(b) and a
+    nonzero last entry of b; trailing zeros stripped.  Each step cancels
+    the top entry of a against b scaled by the least integers that do
+    it."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = a.pop()
+        if not top:
+            continue
+        g = gcd(top, lead)
+        m, q = lead // g, top // g
+        if m != 1:
+            a = [m * x for x in a]
+        for j, y in enumerate(b[:db], k):
+            if y:
+                a[j] -= q * y
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def poly_xgcd(f: UPoly, g: UPoly):
@@ -201,8 +253,7 @@ def poly_xgcd(f: UPoly, g: UPoly):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    lead = r0.lc()
-    inv = 1 / lead
+    inv = qdiv(1, r0.lc())
     return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
@@ -535,10 +586,10 @@ def row_reduce(rows):
     columns), the i-th pivot column belonging to reduced row i.
 
     The pivot is the first nonzero entry of the column at or below the
-    current row; it is scaled by 1/x for a Fraction and by x.inverse()
-    for a tower element.  Callers read an inverse, a solution or a kernel
-    vector off the result and decide themselves what a missing pivot
-    means.
+    current row; it is scaled by qdiv(1, x) for a rational and by
+    x.inverse() for a tower element.  Callers read an inverse, a solution
+    or a kernel vector off the result and decide themselves what a
+    missing pivot means.
     """
     m = [list(r) for r in rows]
     pivots = []
@@ -551,7 +602,7 @@ def row_reduce(rows):
             continue
         m[top], m[piv] = m[piv], m[top]
         lead = m[top][col]
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
+        inv = qdiv(1, lead) if _rational(lead) else lead.inverse()
         m[top] = [x * inv for x in m[top]]
         for r, row in enumerate(m):
             if r != top and row[col]:
@@ -651,7 +702,7 @@ def _integer_sylvester(f: UPoly, g: UPoly):
     top = shift * (m + n)
 
     def rational(a):
-        return Fraction(a * num, den)
+        return qdiv(a * num, den)
 
     def back(x):
         if ring is None:
@@ -688,7 +739,7 @@ def integer_series_product(polys):
     def back(x):
         if not isinstance(x, _ZSeries):
             return x
-        return Series({i - top: Fraction(a * num, den)
+        return Series({i - top: qdiv(a * num, den)
                        for i, a in enumerate(x.c) if a},
                       None if x.prec is None else x.prec - top)
     return prod.map_coeffs(back)
@@ -730,7 +781,7 @@ def _to_sympy(f: UPoly):
 
 
 def _from_sympy(p) -> UPoly:
-    return UPoly([Fraction(c.p, c.q) for c in reversed(p.all_coeffs())])
+    return UPoly([qdiv(c.p, c.q) for c in reversed(p.all_coeffs())])
 
 
 def factor_rational(f: UPoly):
@@ -744,8 +795,7 @@ def factor_rational(f: UPoly):
     if f.degree < 1:
         return []
     if f.degree == 1:
-        lead = Fraction(f.coeffs[1])
-        return [(UPoly([Fraction(f.coeffs[0]) / lead, Fraction(1)]), 1)]
+        return [(f.monic(), 1)]
     if f.degree == 2:
         return _factor_quadratic(*(Fraction(c) for c in f.coeffs))
     _, factors = _to_sympy(f).factor_list()

@@ -9,14 +9,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qpoly import UPoly, poly_gcd
-from .series import Series
+from .series import Series, qdiv
 
 INFINITY = "inf"  # token for the point at infinity
-_ONE = UPoly([Fraction(1)])
+_ONE = UPoly([1])
 
 
 class RatFn:
     """num/den with gcd(num, den) = 1 and den monic.
+
+    Coefficients follow the rule of the rational layer: a rational that
+    is an integer is an int, and a Fraction comes only from a division
+    that does not come out even (:func:`specrig.series.qdiv`).
 
     The constructor normalizes once, and skips the two steps that are
     trivial: the gcd when den is constant (gcd(num, c) = 1 for c != 0)
@@ -40,10 +44,7 @@ class RatFn:
                 g = poly_gcd(num, den)
                 if g.degree >= 1:
                     num, den = num // g, den // g
-            lead = den.lc()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+            num, den = _monic_den(num, den)
         self.num = num
         self.den = den
 
@@ -54,21 +55,16 @@ class RatFn:
         if num.is_zero():
             return cls(num)
         out = object.__new__(cls)
-        lead = den.lc()
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        out.num = num
-        out.den = den
+        out.num, out.den = _monic_den(num, den)
         return out
 
     @staticmethod
     def const(c):
-        return RatFn(UPoly([Fraction(c)]))
+        return RatFn(UPoly([c]))
 
     @staticmethod
     def var():
-        return RatFn(UPoly([Fraction(0), Fraction(1)]))
+        return RatFn(UPoly([0, 1]))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -136,7 +132,7 @@ class RatFn:
         d = self.den.eval(x0)
         if not d:
             raise ZeroDivisionError("evaluation at a pole")
-        return self.num.eval(x0) / d
+        return qdiv(self.num.eval(x0), d)
 
     # -- local data ------------------------------------------------------
 
@@ -191,11 +187,11 @@ class RatFn:
         num = UPoly(self.num.coeffs[vn:])
         den = UPoly(self.den.coeffs[vd:])
         # power series division num/den to nterms coefficients
-        inv_d0 = 1 / den.coeffs[0]
+        d0 = den.coeffs[0]
         out = []
-        rem = list(num.coeffs) + [Fraction(0)] * nterms
+        rem = list(num.coeffs) + [0] * nterms
         for k in range(nterms):
-            c = rem[k] * inv_d0
+            c = qdiv(rem[k], d0)
             out.append(c)
             if c:
                 for j in range(1, min(len(den.coeffs), nterms - k)):
@@ -205,6 +201,14 @@ class RatFn:
 
     def __repr__(self):
         return f"RatFn({list(self.num.coeffs)}, {list(self.den.coeffs)})"
+
+
+def _monic_den(num: UPoly, den: UPoly):
+    """(num, den) divided by lc(den), so that den is monic."""
+    lead = den.lc()
+    if lead == 1:
+        return num, den
+    return (UPoly([qdiv(c, lead) for c in num.coeffs]), den.monic())
 
 
 def _root_order(p: UPoly, a) -> int:
@@ -232,7 +236,7 @@ def ratfn_pole_points(f: RatFn):
     irrational = []
     for p, k in factor_rational(f.den):
         if p.degree == 1:
-            out.append((-p.coeffs[0] / p.coeffs[1], k))
+            out.append((qdiv(-p.coeffs[0], p.coeffs[1]), k))
         else:
             irrational.append((p, k))
     return out, irrational

@@ -18,6 +18,7 @@ from .localmod import LocalModule, delta_end
 from .matrf import CharpolyDiscriminant
 from .qpoly import UPoly, factor_rational, poly_gcd, squarefree_part
 from .ratfn import INFINITY
+from .series import qdiv
 from .tower import FieldTower
 
 
@@ -168,7 +169,7 @@ def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles):
     declared = {p for p in declared_poles if p != "inf"}
     for pi, _k in factor_rational(squarefree_part(s)):
         if pi.degree == 1:
-            z0 = -Fraction(pi.coeffs[0]) / Fraction(pi.coeffs[1])
+            z0 = qdiv(-pi.coeffs[0], pi.coeffs[1])
             if z0 in declared or not den.eval(z0):
                 continue
             if _common_root_at(f, fy, fz, z0):

@@ -19,6 +19,17 @@ from .errors import InsufficientTruncation, SpecrigError
 INF = Fraction(10 ** 12)  # sentinel used only in internal min/max bookkeeping
 
 
+def qdiv(a, b):
+    """a / b in the rational layer, where a rational that is an integer is
+    an int: for two ints the exact quotient a // b when b divides a, else
+    Fraction(a, b); any other operand (a Fraction, a tower element, a
+    series) divides by its own rule."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 def _fr(e):
     return e if isinstance(e, Fraction) else Fraction(e)
 
@@ -221,7 +232,7 @@ class Series:
             raise ZeroDivisionError("inverse of zero series")
         c0 = self.terms[v]
         if len(self.terms) == 1 and self.prec is None:
-            return Series.monomial(1 / c0, -v)
+            return Series.monomial(qdiv(1, c0), -v)
         if self.prec is not None:
             bound = self.prec - v
         elif order is not None:
@@ -229,7 +240,7 @@ class Series:
         else:
             raise SpecrigError(
                 "inverse of an exact multi-term series needs an order")
-        u = [(e - v, c / c0) for e, c in self.terms.items() if e != v]
+        u = [(e - v, qdiv(c, c0)) for e, c in self.terms.items() if e != v]
         den = lcm(*(e.denominator for e, _ in u))
         u = sorted(((e.numerator * (den // e.denominator), c) for e, c in u),
                    key=lambda t: t[0])
@@ -245,7 +256,7 @@ class Series:
                 if x:
                     acc = acc - c * x
             b[m] = acc
-        inv = 1 / c0
+        inv = qdiv(1, c0)
         terms = {Fraction(m, den) - v: x * inv
                  for m, x in enumerate(b) if x}
         return Series._of(terms, bound - v)
@@ -285,7 +296,7 @@ class Series:
             if e < floor:
                 raise SpecrigError(
                     "exact series division leaves a nonzero remainder")
-            c = rem[top] / lead
+            c = qdiv(rem[top], lead)
             quot[e] = c
             for ed, cd in other.terms.items():
                 k = ed + e

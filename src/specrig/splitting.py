@@ -27,7 +27,7 @@ from math import ceil
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      ReductionUnavailable, SpecrigError)
 from .qpoly import UPoly, det_cofactor, resultant_det, row_reduce
-from .series import INF, Series
+from .series import INF, Series, qdiv
 from .tower import FieldTower
 
 # -- constant matrices over a field (Fraction / tower elements) -------------
@@ -138,7 +138,7 @@ def split_once(g):
             if i != j and (a[0][i][j] or lam[i] == lam[j]):
                 raise SpecrigError("leading coefficient is not diagonal "
                                    "with distinct entries")
-    inv = [[1 / (lam[i] - lam[j]) if i != j else None for j in range(n)]
+    inv = [[qdiv(1, lam[i] - lam[j]) if i != j else None for j in range(n)]
            for i in range(n)]
     t_coeffs = [cmat_identity(n)]
     b_coeffs = [lam]

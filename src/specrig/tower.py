@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import SpecrigError, UnsupportedExtension, InternalInconsistency
 from .qpoly import (UPoly, factor_rational, poly_gcd, poly_xgcd,
                     resultant_det, squarefree_part)
+from .series import qdiv
 
 # largest degree of a minimal polynomial adjoin accepts
 DEGREE_BOUND = 4
@@ -101,7 +102,7 @@ class TowerElem:
         if a is NotImplemented:
             return NotImplemented
         if not isinstance(a, TowerElem):
-            return a / b
+            return qdiv(a, b)
         return a * b.inverse()
 
     def __rtruediv__(self, other):

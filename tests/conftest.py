@@ -17,7 +17,7 @@ from specrig.parsing import parse_expression, parse_problem
 from specrig.qpoly import UPoly, row_reduce
 from specrig.ratfn import INFINITY, RatFn
 from specrig.rigidity import _bipoly_to_sympy
-from specrig.series import Series
+from specrig.series import Series, qdiv
 
 
 AIRY = """\
@@ -281,7 +281,7 @@ def refactoring_split(tower, f: UPoly):
         poly = tower.lift_poly(poly, tower.height)
         for p, k in tower.factor(poly):
             if p.degree == 1:
-                roots.append((-p.coeffs[0] / p.coeffs[1], mult * k))
+                roots.append((qdiv(-p.coeffs[0], p.coeffs[1]), mult * k))
             else:
                 tower.adjoin(p)
                 pending.append((p, mult * k))
@@ -311,6 +311,16 @@ def horner_compose(f: UPoly, g: UPoly) -> UPoly:
     return acc
 
 
+def euclid_gcd(f: UPoly, g: UPoly) -> UPoly:
+    """Reference for :func:`specrig.qpoly.poly_gcd` over Q: the monic gcd
+    by Euclid's algorithm over the coefficient field (zero for two zero
+    polynomials)."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 def series_form(c):
     """(terms, prec) of a polynomial coefficient over series; a plain
     number stands for the exact constant series."""
@@ -335,8 +345,8 @@ def geometric_inverse(s, order=None):
     v = s.valuation()
     c0 = s.terms[v]
     if len(s.terms) == 1 and s.prec is None:
-        return Series.monomial(1 / c0, -v)
-    u = Series({e - v: c / c0 for e, c in s.terms.items() if e != v},
+        return Series.monomial(qdiv(1, c0), -v)
+    u = Series({e - v: qdiv(c, c0) for e, c in s.terms.items() if e != v},
                None if s.prec is None else s.prec - v)
     if u.prec is not None:
         gap, bound = u.low(), u.prec
@@ -349,4 +359,4 @@ def geometric_inverse(s, order=None):
         k += 1
         powu = (powu * u).truncate(bound)
         acc = acc - powu if k % 2 else acc + powu
-    return acc.shift(-v) * Series.const(1 / c0)
+    return acc.shift(-v) * Series.const(qdiv(1, c0))

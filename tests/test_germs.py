@@ -164,9 +164,10 @@ def test_integer_sylvester_matches_series_rows(name, monkeypatch):
         res = resultant_det(f, fy)
         assert (res.terms, res.prec) == (ref.terms, ref.prec)
         assert res.valuation() == ref.valuation()
-        # every germ equation of these inputs is rational, so every
-        # oracle determinant takes the integer path
-        assert all(isinstance(x, Fraction) for c in f.coeffs
+        # every germ equation of these inputs is rational (int or
+        # Fraction, never float), so every oracle determinant takes the
+        # integer path
+        assert all(isinstance(x, (int, Fraction)) for c in f.coeffs
                    if isinstance(c, Series) for x in c.terms.values())
         assert qpoly._integer_sylvester(f, fy) is not None
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (CORPUS, GENERATED, conjugate_by, no_sympy,
                       unimodular)
-from specrig import localmod, pipeline, rigidity
+from specrig import germs, localmod, pipeline, rigidity
 from specrig.errors import InputError, InsufficientTruncation
 from specrig.matrf import (CharpolyDiscriminant, charpoly,
                            default_truncation, pole_order)
@@ -14,7 +14,11 @@ from specrig.parsing import ProblemSpec, parse_problem
 from specrig.pipeline import (TRUNCATION_ATTEMPTS, AssumptionFailure,
                               first_truncation, run_analysis,
                               truncation_orders)
+from specrig.qpoly import UPoly
+from specrig.ratfn import RatFn
 from specrig.report import render_text
+from specrig.series import Series
+from specrig.tower import TowerElem
 
 
 F = Fraction
@@ -175,6 +179,57 @@ class TestPrecisionPolicy:
             assert built == [(0, 1)]
             return
         assert built == list(_first_orders(spec).items())
+
+
+def _numbers(x):
+    """Every coefficient and exponent inside x, through polynomials,
+    rational functions, series and tower elements."""
+    if isinstance(x, UPoly):
+        for c in x.coeffs:
+            yield from _numbers(c)
+    elif isinstance(x, RatFn):
+        yield from _numbers(x.num)
+        yield from _numbers(x.den)
+    elif isinstance(x, Series):
+        for e, c in x.terms.items():
+            yield e
+            yield from _numbers(c)
+        if x.prec is not None:
+            yield x.prec
+    elif isinstance(x, TowerElem):
+        for c in x.coeffs:
+            yield from _numbers(c)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_exact_data_holds_no_float(name, monkeypatch):
+    """The charpoly, its discriminant, every local charpoly and cluster
+    representative, and every germ equation of an analysis hold
+    rationals (int or Fraction), never a float."""
+    data = []
+    build, equation = pipeline.build_local, germs.germ_equation
+
+    def build_spy(a_mat, a, nterms, cp, disc):
+        local = build(a_mat, a, nterms, cp, disc)
+        data.extend([cp, disc.res, local.local_charpoly]
+                    + [c.rep for c in local.clusters])
+        return local
+
+    def equation_spy(g):
+        data.append(equation(g))
+        return data[-1]
+
+    monkeypatch.setattr(pipeline, "build_local", build_spy)
+    monkeypatch.setattr(germs, "germ_equation", equation_spy)
+    try:
+        run(GENERATED[name])
+    except AssumptionFailure:  # example_bessel, refused at pole 0
+        pass
+    values = [v for x in data for v in _numbers(x)]
+    assert values
+    assert all(isinstance(v, (int, Fraction)) for v in values)
 
 
 class TestDocument:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
-from conftest import fraction_series_product, series_form
+from conftest import euclid_gcd, fraction_series_product, series_form
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
                            integer_series_product, poly_gcd, poly_xgcd,
                            resultant, resultant_det, squarefree_part,
@@ -60,6 +60,15 @@ class TestArithmetic:
         assert P(5, 1, 4).derivative() == P(1, 8)
 
 
+def _gcd_poly():
+    """A polynomial over Q of degree 0-8, or zero, with int and Fraction
+    coefficients."""
+    coeff = st.one_of(st.integers(-9, 9),
+                      st.fractions(min_value=-9, max_value=9,
+                                   max_denominator=12))
+    return st.lists(coeff, max_size=9).map(UPoly)
+
+
 class TestGcd:
     def test_gcd(self):
         f = (X - 1) * (X + 1)
@@ -78,6 +87,25 @@ class TestGcd:
     def test_squarefree_part(self):
         f = (X + 1) ** 2 * X
         assert squarefree_part(f) == X * (X + 1)
+
+    def test_zero_and_constant_operands(self):
+        assert poly_gcd(UPoly(), UPoly()) == UPoly()
+        assert poly_gcd(UPoly(), P(2, 4)) == P(Fraction(1, 2), 1)
+        assert poly_gcd(P(Fraction(3, 2)), X * X - 1) == UPoly([1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gcd_poly(), _gcd_poly(), _gcd_poly())
+    @example(UPoly(), UPoly([Fraction(3, 4), 0, 1]), UPoly())
+    @example(UPoly([5]), UPoly([0, 0, 7]), UPoly([-1, 1]))
+    def test_equals_euclid_over_q(self, f, g, h):
+        """The integer remainder sequence gives Euclid's monic gcd over Q,
+        on random pairs and on pairs with the common factor h."""
+        for a, b in ((f, g), (f * h, g * h)):
+            d = poly_gcd(a, b)
+            assert d == euclid_gcd(a, b)
+            assert all(isinstance(c, (int, Fraction)) for c in d.coeffs)
+        if h and (f or g):
+            assert poly_gcd(f * h, g * h).degree >= h.degree
 
 
 class TestResultant:
@@ -272,7 +300,7 @@ class TestIntegerResultant:
     @given(_q_poly(), _q_poly())
     def test_over_q_equals_references(self, f, g):
         res = resultant_det(f, g)
-        assert isinstance(res, Fraction)
+        assert isinstance(res, (int, Fraction))
         assert res == resultant(f, g)
         if f.degree and g.degree:
             assert res == det_cofactor(sylvester_matrix(f, g))
@@ -283,7 +311,7 @@ class TestIntegerResultant:
         res = resultant_det(f, g)
         assert RatFn(res) == resultant(_over_qz(f), _over_qz(g))
         if f.degree and g.degree:
-            assert all(isinstance(c, Fraction) for c in res.coeffs)
+            assert all(isinstance(c, (int, Fraction)) for c in res.coeffs)
             assert res == det_cofactor(sylvester_matrix(f, g))
 
     @settings(max_examples=40, deadline=None)

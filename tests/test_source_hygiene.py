@@ -1,6 +1,7 @@
 """Static guards on the package source: no unused import, no
-module-level function or class that only the tests reach, and no
-module-level import of sympy."""
+module-level function or class that only the tests reach, no
+module-level import of sympy, and true division only where it cannot
+make a float."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,39 @@ def test_sympy_is_imported_only_when_a_factorization_needs_it():
              if any(name.split(".")[0] == "sympy"
                     for name in _import_time_modules(tree))]
     assert not eager, f"import sympy at module level: {eager}"
+
+
+# the (module, function) sites allowed to use "/": series.qdiv, the one
+# division of the rational layer, where two ints give an int or a
+# Fraction; the RatFn division and the parser's use of it; the series
+# division of the fraction-free elimination; and divisions of explicit
+# Fractions or tower elements.  Anywhere else, two ints would divide to
+# a float.
+DIVISION_SITES = {("series", "qdiv"),
+                  ("ratfn", "RatFn.__rtruediv__"),
+                  ("parsing", "_ExprParser._term"),
+                  ("qpoly", "_exact_quotient"),
+                  ("qpoly", "_factor_quadratic"),
+                  ("puiseux", "_diff_nonzero")}
+
+
+def _division_sites(module, tree):
+    """(module, dotted enclosing definition) of every true division."""
+    out = set()
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.Div):
+            out.add((module, scope))
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def test_true_division_only_at_named_sites():
+    found = set().union(*(_division_sites(module, tree)
+                          for module, tree in MODULES.items()))
+    assert found == DIVISION_SITES

@@ -112,7 +112,7 @@ class TestSplitCompletely:
         roots = t.split_completely(f)
         assert sum(m for _, m in roots) == 5
         assert (Fraction(1), 1) in [(r, m) for r, m in roots
-                                    if isinstance(r, Fraction)]
+                                    if isinstance(r, (int, Fraction))]
 
     def test_rational_only_no_growth(self):
         t = FieldTower()
