@@ -56,6 +56,9 @@ class UPoly:
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def __eq__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
@@ -190,10 +193,11 @@ class UPoly:
 def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
     """Monic gcd over a field; the gcd of two zero polynomials is zero.
 
-    Over Q both operands are cleared to primitive integer polynomials and
-    the gcd is taken by a primitive remainder sequence over Z (Collins,
-    JACM 14, 1967), then made monic once.  Tower coefficients take the
-    Euclidean algorithm over their field.
+    Over Q both operands are cleared to primitive integer polynomials.
+    Coprime ones are recognized by one Euclid run modulo a prime (see
+    :func:`_coprime_modulo_prime`); any other pair takes a primitive
+    remainder sequence over Z (Collins, JACM 14, 1967), made monic once.
+    Tower coefficients take the Euclidean algorithm over their field.
     """
     if not (_over_q(f) and _over_q(g)):
         a, b = f, g
@@ -204,6 +208,8 @@ def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
         return (f or g).monic()
     a = _primitive_integers(f.coeffs)[0]
     b = _primitive_integers(g.coeffs)[0]
+    if _coprime_modulo_prime(a, b):
+        return UPoly([1])
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -214,6 +220,30 @@ def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
     else:
         return UPoly([1])
     return UPoly(b).monic()
+
+
+_PRIME = (1 << 61) - 1  # a Mersenne prime
+
+
+def _coprime_modulo_prime(a, b):
+    """True when Euclid over GF(_PRIME) proves the integer polynomials a
+    and b (lowest degree first) coprime over Q: their gcd there is a
+    constant and _PRIME divides neither leading coefficient, so the gcd
+    over Z, whose leading coefficient divides both, keeps its degree
+    modulo _PRIME."""
+    if not (a[-1] % _PRIME and b[-1] % _PRIME):
+        return False
+    a, b = [x % _PRIME for x in a], [x % _PRIME for x in b]
+    while len(b) > 1:
+        inv, db = pow(b[-1], -1, _PRIME), len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            q = a.pop() * inv % _PRIME
+            for j, y in enumerate(b[:db], k):
+                a[j] = (a[j] - q * y) % _PRIME
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def _int_pseudo_remainder(a, b):
@@ -239,22 +269,6 @@ def _int_pseudo_remainder(a, b):
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def poly_xgcd(f: UPoly, g: UPoly):
-    """Extended gcd: returns (d, u, v) with u*f + v*g = d, d monic."""
-    r0, r1 = f, g
-    s0, s1 = UPoly([1]), UPoly()
-    t0, t1 = UPoly(), UPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = qdiv(1, r0.lc())
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
 def squarefree_part(f: UPoly) -> UPoly:

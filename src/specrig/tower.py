@@ -1,9 +1,11 @@
 """Towers of simple algebraic extensions of Q.
 
 A tower is a chain Q = K_0 < K_1 < ... < K_h where K_j = K_{j-1}(a_j) and
-a_j has a monic minimal polynomial over K_{j-1} that is verified irreducible
-when adjoined. Elements of K_j are reduced polynomial expressions in a_j
-with K_{j-1} coefficients; level-0 elements are plain Fractions.
+a_j has a monic minimal polynomial m_j over K_{j-1} that is verified
+irreducible when adjoined.  Elements of K_j are reduced coordinate tuples
+over K_{j-1} (rationals at level 1).  Sums are elementwise, a lower-level
+operand scales the coordinates, a product is reduced by m_j (over Z at
+level 1), and an inverse costs one inverse a level down, of the norm.
 
 Factorization over a level is done by Trager's norm method, recursing down
 to Q where sympy does the rational factorization.
@@ -12,9 +14,10 @@ to Q where sympy does the rational factorization.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import SpecrigError, UnsupportedExtension, InternalInconsistency
-from .qpoly import (UPoly, factor_rational, poly_gcd, poly_xgcd,
+from .qpoly import (UPoly, det_cofactor, factor_rational, poly_gcd,
                     resultant_det, squarefree_part)
 from .series import qdiv
 
@@ -36,32 +39,46 @@ class TowerElem:
         self.level = level
         self.coeffs = tuple(coeffs)
 
+    def _level(self, other):  # 0 for a rational, None for a foreign type
+        if isinstance(other, TowerElem):
+            if other.tower is not self.tower:
+                raise SpecrigError("mixing elements of different towers")
+            return other.level
+        return 0 if isinstance(other, (int, Fraction)) else None
+
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        a, b = _pair(self, other)
-        if a is NotImplemented:
-            return NotImplemented
-        if isinstance(a, TowerElem):
-            return a.coeffs == b.coeffs
-        return a == b
+        level = self._level(other)
+        if level is None or level > self.level:
+            return NotImplemented if level is None else other == self
+        if level == self.level:
+            return self.coeffs == other.coeffs
+        c = self.coeffs
+        return len(c) < 2 and (c[0] if c else 0) == other
 
     def __hash__(self):
-        if not self.coeffs:
-            return hash(Fraction(0))
-        if len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.level, self.coeffs))
 
     def __add__(self, other):
-        a, b = _pair(self, other)
-        if a is NotImplemented:
-            return NotImplemented
-        if not isinstance(a, TowerElem):
-            return a + b
-        pa, pb = UPoly(a.coeffs), UPoly(b.coeffs)
-        return TowerElem(a.tower, a.level, (pa + pb).coeffs)
+        level = self._level(other)
+        if level is None or level > self.level:
+            return NotImplemented if level is None else other + self
+        a = self.coeffs
+        if level < self.level:
+            head = a[0] + other if a else \
+                self.tower.lift(other, self.level - 1)
+            return TowerElem(self.tower, self.level, (head,) + a[1:])
+        b = other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] = out[i] + y
+        return TowerElem(self.tower, self.level, out)
 
     __radd__ = __add__
 
@@ -69,44 +86,83 @@ class TowerElem:
         return TowerElem(self.tower, self.level, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        neg = -other if isinstance(other, TowerElem) else -Fraction(other)
-        return self + neg
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = _pair(self, other)
-        if a is NotImplemented:
-            return NotImplemented
-        if not isinstance(a, TowerElem):
-            return a * b
-        prod = UPoly(a.coeffs) * UPoly(b.coeffs)
-        m = a.tower.minpoly(a.level)
-        return TowerElem(a.tower, a.level, (prod % m).coeffs)
+        level = self._level(other)
+        if level is None or level > self.level:
+            return NotImplemented if level is None else other * self
+        a = self
+        if level == self.level:
+            # an operand with one coordinate is a lower-level value
+            if len(a.coeffs) < 2:
+                a, other = other, a
+            if len(other.coeffs) > 1:
+                return a._product(other)
+            other = other.coeffs[0] if other.coeffs else 0
+        return TowerElem(a.tower, a.level, [c * other for c in a.coeffs])
 
     __rmul__ = __mul__
 
+    def _product(self, other):
+        """Schoolbook product of two same-level elements, reduced by the
+        minimal polynomial; at level 1 over the integers."""
+        tower, level = self.tower, self.level
+        a, b = self.coeffs, other.coeffs
+        if level == 1:
+            (a, da), (b, db) = _integers(a), _integers(b)
+        out = [tower.zero(level - 1)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = out[j] + x * y
+        m, lead = tower.reducers[level - 1]
+        out = _reduce(out, m, lead)
+        if level == 1:
+            den = da * db * lead ** max(0, len(a) + len(b) - len(m))
+            out = [qdiv(x, den) for x in out]
+        return TowerElem(tower, level, out)
+
     def inverse(self):
-        if not self.coeffs:
+        """The first column of adj(M) / det(M) for the matrix M of
+        multiplication by self over the level below: one inverse there, of
+        the norm det(M), and no other division."""
+        c = self.coeffs
+        if not c:
             raise ZeroDivisionError("inverse of zero tower element")
-        m = self.tower.minpoly(self.level)
-        d, u, _ = poly_xgcd(UPoly(self.coeffs), m)
-        if d.degree != 0:
+        tower, level = self.tower, self.level
+        if len(c) == 1:
+            return TowerElem(tower, level, (_inverse(c[0]),))
+        den = 1
+        if level == 1:
+            c, den = _integers(c)
+        m, lead = tower.reducers[level - 1]
+        zero = tower.zero(level - 1)
+        # column j is lead^j (self x^j mod m)
+        cols = [list(c) + [zero] * (len(m) - 1 - len(c))]
+        while len(cols) < len(m) - 1:
+            cols.append(_reduce([zero] + cols[-1], m, lead))
+        rows = list(zip(*cols))
+        cof = [(-1) ** j * det_cofactor([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(cols))]
+        norm = sum(x * y for x, y in zip(rows[0], cof))
+        if not norm:
             raise InternalInconsistency(
                 "zero divisor in tower: a minimal polynomial is reducible")
-        return TowerElem(self.tower, self.level, u.coeffs)
+        inv = qdiv(den, norm) if level == 1 else norm.inverse()
+        return TowerElem(tower, level,
+                         [x * (lead ** j * inv) for j, x in enumerate(cof)])
 
     def __truediv__(self, other):
-        a, b = _pair(self, other)
-        if a is NotImplemented:
+        if self._level(other) is None:
             return NotImplemented
-        if not isinstance(a, TowerElem):
-            return qdiv(a, b)
-        return a * b.inverse()
+        return self * _inverse(other)
 
     def __rtruediv__(self, other):
-        return self.tower.lift(other, self.level) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n):
         if n < 0:
@@ -128,6 +184,7 @@ class TowerElem:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
+            c = c if isinstance(c, TowerElem) else Fraction(c)
             if i == 0:
                 parts.append(repr(c))
             elif i == 1:
@@ -135,6 +192,33 @@ class TowerElem:
             else:
                 parts.append(f"{c!r}*{name}^{i}")
         return "(" + " + ".join(parts) + ")"
+
+
+def _inverse(x):
+    """1 / x for a rational or a tower element."""
+    return x.inverse() if isinstance(x, TowerElem) else qdiv(1, x)
+
+
+def _integers(values):
+    """(the integers den * v, den) for rationals v, den the lcm of their
+    denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reduce(c, m, lead):
+    """The coordinate list c reduced by the polynomial with coefficients m
+    and leading coefficient lead, times lead per reduction step."""
+    d = len(m) - 1
+    for k in range(len(c) - 1, d - 1, -1):
+        t = c.pop()
+        if lead != 1:
+            c = [lead * x for x in c]
+        if t:
+            for i, y in enumerate(m[:d], k - d):
+                if y:
+                    c[i] = c[i] - t * y
+    return c
 
 
 def rational_value(x):
@@ -147,32 +231,13 @@ def rational_value(x):
     return Fraction(x)
 
 
-def _pair(a, b):
-    """Coerce the two operands to a common level; returns (a', b')."""
-    la = a.level if isinstance(a, TowerElem) else 0
-    if isinstance(b, TowerElem):
-        lb = b.level
-        tower = b.tower
-    elif isinstance(b, (int, Fraction)):
-        lb = 0
-        tower = a.tower if isinstance(a, TowerElem) else None
-    else:
-        return NotImplemented, NotImplemented
-    if isinstance(a, TowerElem) and isinstance(b, TowerElem) \
-            and a.tower is not b.tower:
-        raise SpecrigError("mixing elements of different towers")
-    tower = a.tower if isinstance(a, TowerElem) else tower
-    lv = max(la, lb)
-    if lv == 0:
-        return Fraction(a), Fraction(b)
-    return tower.lift(a, lv), tower.lift(b, lv)
-
-
 class FieldTower:
     """Chain of simple extensions; grows as roots are adjoined."""
 
     def __init__(self):
         self.levels = []  # (name, minpoly UPoly over previous level)
+        # per level, m_j as (coefficients, leading coefficient); Z at level 1
+        self.reducers = []
         self._gen_counter = 0
 
     @property
@@ -189,8 +254,7 @@ class FieldTower:
             if cur > level:
                 raise SpecrigError("cannot lower a tower element")
         else:
-            x = Fraction(x)
-            cur = 0
+            x, cur = Fraction(x), 0
         while cur < level:
             cur += 1
             x = TowerElem(self, cur, (x,))
@@ -202,6 +266,9 @@ class FieldTower:
 
     def one(self, level):
         return self.lift(1, level)
+
+    def zero(self, level):
+        return TowerElem(self, level, ()) if level else 0
 
     def poly_level(self, f: UPoly) -> int:
         return max((c.level for c in f.coeffs if isinstance(c, TowerElem)),
@@ -230,6 +297,8 @@ class FieldTower:
         name = f"a{self._gen_counter}"
         self._gen_counter += 1
         self.levels.append((name, minpoly))
+        self.reducers.append(_integers(minpoly.coeffs) if top == 0
+                             else (minpoly.coeffs, 1))
         return self.gen(self.height)
 
     # -- factorization (Trager) ----------------------------------------
@@ -242,19 +311,18 @@ class FieldTower:
         if f.degree < 1:
             return []
         if f.degree == 1:
-            return [(f.monic(), 1)]
+            return [(UPoly([f.coeffs[0] * _inverse(f.coeffs[1]),
+                            self.one(level)]), 1)]
         sqf = squarefree_part(f)
         irr = self._factor_squarefree(sqf, level)
         out = []
         rest = f.monic()
         for p in irr:
             k = 0
-            while True:
+            q, r = rest.divmod(p)
+            while r.is_zero():
+                rest, k = q, k + 1
                 q, r = rest.divmod(p)
-                if r.is_zero():
-                    rest, k = q, k + 1
-                else:
-                    break
             out.append((p, k))
         if rest.degree != 0:
             raise InternalInconsistency("factorization did not exhaust input")
@@ -293,21 +361,12 @@ class FieldTower:
     def _norm_resultant(self, h: UPoly, m: UPoly, level) -> UPoly:
         """Res_y(m(y), h(x) with the top generator renamed to y), a
         polynomial over level-1."""
-        # bivariate rep: coefficient of y^j is a UPoly in x over level-1
-        dm = m.degree
-        biv = [UPoly() for _ in range(dm)]
-        for i, c in enumerate(h.coeffs):
-            cc = self.lift(c, level)
-            rep = cc.coeffs if isinstance(cc, TowerElem) else (cc,)
-            for j, cj in enumerate(rep):
-                if cj:
-                    biv[j] = biv[j] + UPoly.const(cj).shift_up(i)
-        H = UPoly(biv)  # in y, coeffs UPoly-in-x over level-1
-        M = UPoly([UPoly.const(c) for c in m.coeffs])
-        res = resultant_det(M, H)
-        if isinstance(res, UPoly):
-            return res
-        return UPoly.const(res)
+        # coefficient of y^j: the UPoly in x of the j-th coordinates of h
+        coords = [self.lift(c, level).coeffs for c in h.coeffs]
+        H = UPoly([UPoly([r[j] if j < len(r) else 0 for r in coords])
+                   for j in range(m.degree)])
+        res = resultant_det(UPoly([UPoly.const(c) for c in m.coeffs]), H)
+        return res if isinstance(res, UPoly) else UPoly.const(res)
 
     # -- complete splitting ---------------------------------------------
 
@@ -315,11 +374,17 @@ class FieldTower:
         """Roots of f with multiplicities, adjoining generators as needed
         until f splits into linear factors over the (extended) tower.
         After adjoin(p), p is not factored again: only its exact quotient
-        by (y - generator), and the other factors, over the new level."""
+        by (y - generator), and the other factors, over the new level.
+        The root of a linear polynomial c1 y + c0 is read off as
+        -c0 c1^-1, at the top level."""
         roots = []
         pending = [(f, 1)]
         while pending:
             poly, mult = pending.pop()
+            if poly.degree == 1:
+                root = -poly.coeffs[0] * _inverse(poly.coeffs[1])
+                roots.append((self.lift(root, self.height), mult))
+                continue
             nonlinear = []
             for p, k in self.factor(self.lift_poly(poly, self.height)):
                 if p.degree == 1:

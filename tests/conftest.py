@@ -18,6 +18,7 @@ from specrig.qpoly import UPoly, row_reduce
 from specrig.ratfn import INFINITY, RatFn
 from specrig.rigidity import _bipoly_to_sympy
 from specrig.series import Series, qdiv
+from specrig.tower import TowerElem
 
 
 AIRY = """\
@@ -101,6 +102,22 @@ def fuchs(n: int, seed: int) -> str:
             row.append(f"{a}/z + {rng.randint(-3, 3)}/(z-1)")
         rows.append(row)
     return problem_text(["0", "1", "inf"], rows)
+
+
+def irreg(n: int, seed: int) -> str:
+    """A generic dense irregular system with poles 0, inf: each entry
+    a/z^2 + b/z + c, with a and b drawn from randint(-3, 3) and then c
+    from randint(-2, 2)."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            a = rng.randint(-3, 3)
+            b = rng.randint(-3, 3)
+            row.append(f"{a}/z^2 + {b}/z + {rng.randint(-2, 2)}")
+        rows.append(row)
+    return problem_text(["0", "inf"], rows)
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_input"
@@ -286,6 +303,182 @@ def refactoring_split(tower, f: UPoly):
                 tower.adjoin(p)
                 pending.append((p, mult * k))
     return roots
+
+
+def poly_xgcd(f: UPoly, g: UPoly):
+    """Extended gcd: returns (d, u, v) with u*f + v*g = d, d monic."""
+    r0, r1 = f, g
+    s0, s1 = UPoly([1]), UPoly()
+    t0, t1 = UPoly(), UPoly([1])
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = qdiv(1, r0.lc())
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+
+
+class UPolyTowerElem:
+    """Reference for the arithmetic of :class:`specrig.tower.TowerElem`:
+    every operand is lifted to the higher level, a product is a UPoly
+    product reduced by UPoly division over Fraction, and an inverse runs
+    :func:`poly_xgcd` against the minimal polynomial.  Coordinates are
+    Fractions at level 1 and reference elements above; ``ref_elem``
+    converts a kernel element."""
+
+    __slots__ = ("tower", "level", "coeffs")
+
+    def __init__(self, tower, level, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.tower = tower
+        self.level = level
+        self.coeffs = tuple(coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        a, b = _ref_pair(self, other)
+        if a is NotImplemented:
+            return NotImplemented
+        if isinstance(a, UPolyTowerElem):
+            return a.coeffs == b.coeffs
+        return a == b
+
+    def __hash__(self):
+        if not self.coeffs:
+            return hash(Fraction(0))
+        if len(self.coeffs) == 1:
+            return hash(self.coeffs[0])
+        return hash((self.level, self.coeffs))
+
+    def __add__(self, other):
+        a, b = _ref_pair(self, other)
+        if a is NotImplemented:
+            return NotImplemented
+        if not isinstance(a, UPolyTowerElem):
+            return a + b
+        pa, pb = UPoly(a.coeffs), UPoly(b.coeffs)
+        return UPolyTowerElem(a.tower, a.level, (pa + pb).coeffs)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return UPolyTowerElem(self.tower, self.level,
+                              [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        neg = -other if isinstance(other, UPolyTowerElem) \
+            else -Fraction(other)
+        return self + neg
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        a, b = _ref_pair(self, other)
+        if a is NotImplemented:
+            return NotImplemented
+        if not isinstance(a, UPolyTowerElem):
+            return a * b
+        prod = UPoly(a.coeffs) * UPoly(b.coeffs)
+        m = ref_minpoly(a.tower, a.level)
+        return UPolyTowerElem(a.tower, a.level, (prod % m).coeffs)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self.coeffs:
+            raise ZeroDivisionError("inverse of zero tower element")
+        m = ref_minpoly(self.tower, self.level)
+        d, u, _ = poly_xgcd(UPoly(self.coeffs), m)
+        assert d.degree == 0
+        return UPolyTowerElem(self.tower, self.level, u.coeffs)
+
+    def __truediv__(self, other):
+        a, b = _ref_pair(self, other)
+        if a is NotImplemented:
+            return NotImplemented
+        if not isinstance(a, UPolyTowerElem):
+            return qdiv(a, b)
+        return a * b.inverse()
+
+    def __rtruediv__(self, other):
+        return ref_lift(self.tower, other, self.level) * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = ref_lift(self.tower, 1, self.level)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __repr__(self):
+        name = self.tower.levels[self.level - 1][0]
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if i == 0:
+                parts.append(repr(c))
+            elif i == 1:
+                parts.append(f"{c!r}*{name}")
+            else:
+                parts.append(f"{c!r}*{name}^{i}")
+        return "(" + " + ".join(parts) + ")"
+
+
+def ref_lift(tower, x, level):
+    """x (a rational or a reference element) embedded into a level."""
+    if isinstance(x, UPolyTowerElem):
+        cur = x.level
+    else:
+        x, cur = Fraction(x), 0
+    while cur < level:
+        cur += 1
+        x = UPolyTowerElem(tower, cur, (x,))
+    return x
+
+
+def ref_elem(x):
+    """A kernel tower element (or a rational) as a reference element with
+    Fraction coordinates at level 1."""
+    if not isinstance(x, TowerElem):
+        return Fraction(x)
+    return UPolyTowerElem(x.tower, x.level, [ref_elem(c) for c in x.coeffs])
+
+
+def ref_minpoly(tower, level) -> UPoly:
+    return UPoly([ref_lift(tower, ref_elem(c), level - 1)
+                  for c in tower.minpoly(level).coeffs])
+
+
+def _ref_pair(a, b):
+    """Both operands lifted to their common level."""
+    la = a.level if isinstance(a, UPolyTowerElem) else 0
+    if isinstance(b, UPolyTowerElem):
+        lb, tower = b.level, b.tower
+    elif isinstance(b, (int, Fraction)):
+        lb, tower = 0, a.tower if isinstance(a, UPolyTowerElem) else None
+    else:
+        return NotImplemented, NotImplemented
+    tower = a.tower if isinstance(a, UPolyTowerElem) else tower
+    level = max(la, lb)
+    if level == 0:
+        return Fraction(a), Fraction(b)
+    return ref_lift(tower, a, level), ref_lift(tower, b, level)
 
 
 def residual_full(points, i0):

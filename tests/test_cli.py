@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from conftest import CORPUS, dense_fuchs, gen_airy, parse_report
-from specrig import localmod, pipeline
+from conftest import CORPUS, dense_fuchs, fuchs, gen_airy, irreg, parse_report
+from specrig import localmod, pipeline, tower
 from specrig.cli import main
 from specrig.errors import InsufficientTruncation
 from specrig.matrf import default_truncation
@@ -243,6 +243,29 @@ def test_golden_reports(name, tmp_path, capsys):
     out = capsys.readouterr().out
     expected = (GOLDEN / f"{name}.json").read_text()
     assert out == expected
+
+
+# the cheapest generic dense inputs whose field towers reach height 2 (a
+# cubic, then a quadratic); their reports were computed by the UPoly-based
+# tower arithmetic that the tuple kernel of specrig.tower replaced
+HEIGHT_TWO_CASES = {"fuchs_3_1": fuchs(3, 1), "irreg_3_1": irreg(3, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(HEIGHT_TWO_CASES))
+def test_height_two_reports(name, tmp_path, capsys, monkeypatch):
+    heights = []
+    adjoin = tower.FieldTower.adjoin
+
+    def spy(self, minpoly):
+        alpha = adjoin(self, minpoly)
+        heights.append(self.height)
+        return alpha
+
+    monkeypatch.setattr(tower.FieldTower, "adjoin", spy)
+    path = write_problem(tmp_path, HEIGHT_TWO_CASES[name])
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    assert max(heights) == 2
 
 
 COLD_RUN = """

@@ -1,7 +1,11 @@
 """Polynomial arithmetic, gcd, resultants, rational factorization."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,17 +14,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
-from conftest import euclid_gcd, fraction_series_product, series_form
+from conftest import (euclid_gcd, fraction_series_product, poly_xgcd,
+                      series_form)
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
-                           integer_series_product, poly_gcd, poly_xgcd,
-                           resultant, resultant_det, squarefree_part,
-                           sylvester_matrix)
+                           integer_series_product, poly_gcd, resultant,
+                           resultant_det, squarefree_part, sylvester_matrix)
 from specrig.ratfn import RatFn
 from specrig.series import Series
 from specrig.tower import FieldTower
 
 
 X = UPoly([Fraction(0), Fraction(1)])
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def P(*coeffs):
@@ -58,6 +63,18 @@ class TestArithmetic:
 
     def test_derivative(self):
         assert P(5, 1, 4).derivative() == P(1, 8)
+
+    def test_iteration_ends(self):
+        """Iterating a UPoly walks its coefficients and stops; a fresh
+        interpreter with a time limit runs it, so that an endless
+        iteration fails the test instead of hanging the suite."""
+        code = ("from specrig.qpoly import UPoly\n"
+                "assert list(UPoly([1, 2, 0])) == [1, 2]\n"
+                "assert UPoly(UPoly([1, 2])) == UPoly([1, 2])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                       check=True)
 
 
 def _gcd_poly():
@@ -106,6 +123,34 @@ class TestGcd:
             assert all(isinstance(c, (int, Fraction)) for c in d.coeffs)
         if h and (f or g):
             assert poly_gcd(f * h, g * h).degree >= h.degree
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gcd_poly(), _gcd_poly(), _gcd_poly(),
+           st.sampled_from([1, qpoly._PRIME, 3 * qpoly._PRIME]))
+    def test_modular_certificate_matches_remainder_sequence(self, f, g, h,
+                                                            scale):
+        """The gcd with the coprime test modulo a prime equals the gcd of
+        the remainder sequence alone, also when the prime divides a
+        leading coefficient (f's, scaled by a multiple of it)."""
+        if f:
+            f = UPoly(f.coeffs[:-1] + (f.coeffs[-1] * scale,))
+        for a, b in ((f, g), (f * h, g * h)):
+            with mock.patch.object(qpoly, "_coprime_modulo_prime",
+                                   return_value=False):
+                expected = poly_gcd(a, b)
+            assert poly_gcd(a, b) == expected
+
+    def test_prime_dividing_a_leading_coefficient_skips_the_test(self):
+        """p x + 1 is the constant 1 modulo p, but it divides
+        (p x + 1)(x + 1): the modular gcd would read 1."""
+        p = qpoly._PRIME
+        a = UPoly([1, p])
+        b = a * UPoly([1, 1])
+        assert not qpoly._coprime_modulo_prime(list(a.coeffs),
+                                               list(b.coeffs))
+        assert poly_gcd(a, b) == a.monic()
+        assert qpoly._coprime_modulo_prime([1, 1], [2, 1])
 
 
 class TestResultant:

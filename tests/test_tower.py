@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import poly_to_string, refactoring_split
+from conftest import poly_to_string, ref_elem, refactoring_split
 from specrig import tower
 from specrig.errors import SpecrigError, UnsupportedExtension
 from specrig.qpoly import UPoly
-from specrig.tower import FieldTower
+from specrig.tower import FieldTower, TowerElem
 
 
 def P(*coeffs):
@@ -217,3 +218,114 @@ class TestSplitAgainstReference:
         linear = UPoly([-a, t.lift(3, 1)])
         assert t.split_completely(linear) == [(a / 3, 1)]
         assert t.height == 1
+
+
+def _sqrt2_sqrt3(t):
+    t.adjoin(P(-2, 0, 1))
+    t.adjoin(P(-3, 0, 1))
+
+
+def _cbrt2_omega(t):
+    """The splitting field of x^3 - 2: a cube root a, then a root of
+    x^2 + a x + a^2."""
+    a = t.adjoin(P(-2, 0, 0, 1))
+    t.adjoin(UPoly([a * a, a, t.one(1)]))
+
+
+def _height_three(t):
+    _sqrt2_sqrt3(t)
+    a, b = t.gen(1), t.gen(2)
+    t.adjoin(UPoly([-(t.lift(a, 2) + b / 2), 0, t.one(2)]))
+
+
+TOWERS = {
+    "sqrt2": lambda t: t.adjoin(P(-2, 0, 1)),
+    "cbrt2": lambda t: t.adjoin(P(-2, 0, 0, 1)),
+    "quartic": lambda t: t.adjoin(UPoly([Fraction(5, 4), Fraction(-1, 2), 0,
+                                          Fraction(2, 3), 1])),
+    "sqrt2_sqrt3": _sqrt2_sqrt3,
+    "cbrt2_omega": _cbrt2_omega,
+    "height_three": _height_three,
+}
+
+
+def _tower(name):
+    t = FieldTower()
+    TOWERS[name](t)
+    return t
+
+
+_RATIONALS = st.one_of(st.integers(-4, 4),
+                       st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _elements(draw, t, level):
+    """A rational (level 0) or a reduced element of the level, built from
+    its coordinates; sometimes a constant, so that it is a lower-level
+    value in disguise."""
+    if level == 0:
+        return draw(_RATIONALS)
+    d = t.minpoly(level).degree
+    size = 1 if draw(st.integers(0, 3)) == 0 else d
+    coords = [t.lift(draw(_elements(t, level - 1)), level - 1)
+              for _ in range(size)]
+    return TowerElem(t, level, coords)
+
+
+def _same(kernel, reference):
+    assert repr(kernel) == repr(reference)
+    assert hash(kernel) == hash(reference)
+
+
+class TestKernelAgainstReference:
+    """The tuple kernel gives the text, hash and equality of the
+    UPoly-based arithmetic it replaced (tests/conftest.py), on random
+    elements of mixed levels and rational operands."""
+
+    @pytest.mark.parametrize("name", sorted(TOWERS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_operations(self, name, data):
+        t = _tower(name)
+        la = data.draw(st.integers(1, t.height))
+        lb = data.draw(st.integers(0, t.height))
+        a = data.draw(_elements(t, la))
+        b = data.draw(_elements(t, lb))
+        ra, rb = ref_elem(a), ref_elem(b)
+        _same(a, ra)
+        _same(a + b, ra + rb)
+        _same(b + a, rb + ra)
+        _same(a - b, ra - rb)
+        _same(b - a, rb - ra)
+        _same(a * b, ra * rb)
+        _same(b * a, rb * ra)
+        assert (a == b) == (ra == rb)
+        assert (b == a) == (rb == ra)
+        assert a == a + 0 and a - a == 0
+        n = data.draw(st.integers(-3 if a else 0, 4))
+        _same(a ** n, ra ** n)
+        if a:
+            _same(a.inverse(), ra.inverse())
+            _same(b / a, rb / ra)
+        if b:
+            _same(a / b, ra / rb)
+
+
+def test_one_inverse_per_level_below(monkeypatch):
+    """An inverse at height h takes at most one inverse at each level
+    below it, and none of a rational through the tower."""
+    t = _tower("height_three")
+    a, b, c = (t.gen(k) for k in (1, 2, 3))
+    x = 1 + a * b + c * (a - Fraction(1, 2)) + c * b
+    calls = []
+    inverse = TowerElem.inverse
+
+    def counting(self):
+        calls.append(self.level)
+        return inverse(self)
+
+    monkeypatch.setattr(TowerElem, "inverse", counting)
+    y = x.inverse()
+    assert sorted(calls) == [1, 2, 3]
+    assert x * y == 1
