@@ -145,11 +145,12 @@ class UPoly:
             return UPoly(), self
         quot = [0] * (dq + 1)
         lead = other.lc()
+        inv = _tower_inverse(lead)
         for k in range(dq, -1, -1):
             top = rem[k + other.degree]
             if not top:
                 continue
-            q = qdiv(top, lead)
+            q = qdiv(top, lead) if inv is None else top * inv
             quot[k] = q
             for j, c in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - q * c
@@ -165,7 +166,10 @@ class UPoly:
         if self.is_zero():
             return self
         lead = self.lc()
-        return UPoly([qdiv(c, lead) for c in self.coeffs])
+        inv = _tower_inverse(lead)
+        if inv is None:
+            return UPoly([qdiv(c, lead) for c in self.coeffs])
+        return UPoly([c * inv for c in self.coeffs])
 
     def derivative(self):
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -638,6 +642,17 @@ def _primitive_integers(values):
 
 def _rational(c):
     return isinstance(c, (int, Fraction))
+
+
+def _tower_inverse(c):
+    """c.inverse() for a tower element, so that one inverse serves every
+    coefficient of a division by c; None for any other coefficient, which
+    divides by its own rule (a rational by qdiv, so that an even quotient
+    stays an int)."""
+    if _rational(c):
+        return None
+    from .tower import TowerElem
+    return c.inverse() if isinstance(c, TowerElem) else None
 
 
 def _over_q(p: UPoly) -> bool:

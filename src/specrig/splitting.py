@@ -21,8 +21,7 @@ residue and nothing beyond them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
-from math import ceil
+from math import ceil, floor
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      ReductionUnavailable, SpecrigError)
@@ -142,16 +141,29 @@ def split_once(g):
            for i in range(n)]
     t_coeffs = [cmat_identity(n)]
     b_coeffs = [lam]
+    # a product with a zero factor adds nothing: after balancing, most
+    # a_m of a sparse input are zero, and so are the T_k they would feed
+    a_nonzero = [any(any(row) for row in am) for am in a]
+    t_nonzero = [True]
+    b_nonzero = [True]
     for m in range(1, order + 1):
         s = [row[:] for row in a[m]]
         for k in range(1, m):
-            tk_a = cmat_mul(t_coeffs[k], a[m - k])
-            tmk, bk = t_coeffs[m - k], b_coeffs[k]
-            s = [[s[i][j] + tk_a[i][j] - bk[i] * tmk[i][j]
-                  for j in range(n)] for i in range(n)]
-        t_coeffs.append([[s[i][j] * inv[i][j] if i != j else Fraction(0)
-                          for j in range(n)] for i in range(n)])
-        b_coeffs.append([s[i][i] for i in range(n)])
+            if t_nonzero[k] and a_nonzero[m - k]:
+                tk_a = cmat_mul(t_coeffs[k], a[m - k])
+                s = [[s[i][j] + tk_a[i][j] for j in range(n)]
+                     for i in range(n)]
+            if b_nonzero[k] and t_nonzero[m - k]:
+                tmk, bk = t_coeffs[m - k], b_coeffs[k]
+                s = [[s[i][j] - bk[i] * tmk[i][j] for j in range(n)]
+                     for i in range(n)]
+        tm = [[s[i][j] * inv[i][j] if i != j else Fraction(0)
+               for j in range(n)] for i in range(n)]
+        bm = [s[i][i] for i in range(n)]
+        t_coeffs.append(tm)
+        b_coeffs.append(bm)
+        t_nonzero.append(any(any(row) for row in tm))
+        b_nonzero.append(any(bm))
     T = [[Series({m: t_coeffs[m][i][j] for m in range(order + 1)
                   if t_coeffs[m][i][j]}, order + 1)
           for j in range(n)] for i in range(n)]
@@ -199,6 +211,13 @@ def full_split(g, tower: FieldTower):
     front of it, like the stripping and balancing before it, leaves the
     eigenvalue series unchanged.  Balancing runs before the cut and so
     sees the full precision of g.
+
+    The balancing gauge diag(t^{k_i}) is computed, not searched: k are
+    potentials for the least cycle mean lambda of the entry valuations
+    (see _balance).  A gauge with leading exponent below lambda gives a
+    nilpotent leading matrix, and every gauge that reaches lambda gives the
+    same leading charpoly, det(y t^lambda - D g D^-1) = det(y t^lambda - g);
+    so balancing fails only when every diagonal power gauge does.
     """
     n = len(g)
     if n == 1:
@@ -231,7 +250,7 @@ def full_split(g, tower: FieldTower):
         stripped = [[g[i][j] - (scalar if i == j else Series.zero())
                      for j in range(n)] for i in range(n)]
         return [scalar + b for b in full_split(stripped, tower)]
-    balanced = _balance(g, tower)
+    balanced = _balance(g)
     if balanced is not None:
         return full_split(balanced, tower)
     raise ReductionUnavailable(
@@ -239,38 +258,80 @@ def full_split(g, tower: FieldTower):
         "diagonal power gauge separates it")
 
 
-def _balance(g, tower):
-    """Search small diagonal power conjugations diag(t^{k_i}) that make the
-    leading matrix regular semisimple."""
+def _balance(g):
+    """The diagonal power gauge diag(t^{k_i}) that makes the leading
+    matrix of g regular semisimple, computed from the entry valuations;
+    None when no diagonal power gauge does.
+
+    Let v_ij be the valuation of each entry with terms.  The gauge moves
+    v_ij to v_ij + k_i - k_j, which leaves the mean of every cycle of the
+    digraph i -> j unchanged, so the leading exponent is at most lambda,
+    the least cycle mean (Karp).  It reaches lambda exactly when
+    k_j - k_i <= v_ij - lambda on every entry with terms; an entry that
+    vanishes only up to its precision adds k_j - k_i <= prec_ij - 1 - lambda,
+    so that its leading coefficient is certified.  The Bellman-Ford
+    potentials k solve these difference constraints, and a negative cycle
+    means nothing does.
+
+    No other gauge can succeed.  A gauge whose leading exponent lies below
+    lambda leaves no cycle in the support of the leading matrix, which is
+    then nilpotent.  Every gauge that reaches lambda gives the same leading
+    characteristic polynomial, because det(y t^lambda - D g D^-1) =
+    det(y t^lambda - g) for every diagonal D.  So one charpoly decides.
+    """
     n = len(g)
-    vals = [[(e.valuation() if e.terms else None) for e in row] for row in g]
-    progressions = [tuple(c * i for i in range(1, n))
-                    for c in range(-24, 25) if c]
-    tried = set(progressions)
-    # a generator: at rank 7 the brute range has 13^6 ~ 4.8M tuples
-    brute = (ks for ks in product(range(-6, 7), repeat=n - 1)
-             if ks not in tried)
-    for ks in chain(progressions, brute):
-        k = (0,) + ks
-        if all(x == 0 for x in k):
-            continue
-        r0 = INF
-        for i in range(n):
-            for j in range(n):
-                if vals[i][j] is not None:
-                    r0 = min(r0, vals[i][j] + k[i] - k[j])
-        if r0 == INF:
-            continue
-        a0 = [[(g[i][j].coeff(r0 - k[i] + k[j])
-                if g[i][j].prec is None or r0 - k[i] + k[j] < g[i][j].prec
-                else None)
-               for j in range(n)] for i in range(n)]
-        if any(x is None for row in a0 for x in row):
-            continue
-        cp = cmat_charpoly(a0)
-        if _charpoly_squarefree(cp):
-            return [[g[i][j].shift(k[i] - k[j]) for j in range(n)]
-                    for i in range(n)]
+    edges, caps = [], []
+    for i, row in enumerate(g):
+        for j, e in enumerate(row):
+            if e.terms:
+                edges.append((i, j, e.valuation()))
+            elif e.prec is not None:
+                caps.append((i, j, e.prec))
+    lam = _least_cycle_mean(n, edges)
+    if lam is None or lam != int(lam):
+        return None
+    lam = int(lam)
+    k = _potentials(n, [(i, j, floor(v) - lam) for i, j, v in edges]
+                    + [(i, j, ceil(p) - 1 - lam) for i, j, p in caps])
+    if k is None:
+        return None
+    balanced = [[g[i][j].shift(k[i] - k[j]) for j in range(n)]
+                for i in range(n)]
+    if not _charpoly_squarefree(cmat_charpoly(smat_coeff(balanced, lam))):
+        return None
+    return balanced
+
+
+def _least_cycle_mean(n, edges):
+    """Karp's least cycle mean of the digraph on range(n) with weighted
+    edges (i, j, w); None when it has no cycle."""
+    # walks[m][v]: least weight of an m-edge walk ending at v, from anywhere
+    walks = [[0] * n]
+    for _ in range(n):
+        prev, cur = walks[-1], [None] * n
+        for i, j, w in edges:
+            if prev[i] is not None and (cur[j] is None
+                                        or prev[i] + w < cur[j]):
+                cur[j] = prev[i] + w
+        walks.append(cur)
+    means = [max(qdiv(walks[n][v] - walks[m][v], n - m) for m in range(n))
+             for v in range(n) if walks[n][v] is not None]
+    return min(means, default=None)
+
+
+def _potentials(n, edges):
+    """k with k_j <= k_i + w on every edge (i, j, w), integers for integer
+    weights: the shortest distances from a source joined to every vertex
+    (Bellman-Ford); None when a negative cycle leaves no solution."""
+    k = [0] * n
+    for _ in range(n):
+        changed = False
+        for i, j, w in edges:
+            if k[i] + w < k[j]:
+                k[j] = k[i] + w
+                changed = True
+        if not changed:
+            return k
     return None
 
 

@@ -5,11 +5,14 @@ the package itself never calls."""
 import json
 import random
 from fractions import Fraction
+from itertools import chain, product
+from math import ceil
 from pathlib import Path
 
 import pytest
 
-from specrig.errors import InputError
+from specrig.errors import (InputError, InsufficientTruncation,
+                            InternalInconsistency, SpecrigError)
 from specrig.localmod import build_local
 from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
                            default_truncation, pole_order)
@@ -17,7 +20,10 @@ from specrig.parsing import parse_expression, parse_problem
 from specrig.qpoly import UPoly, row_reduce
 from specrig.ratfn import INFINITY, RatFn
 from specrig.rigidity import _bipoly_to_sympy
-from specrig.series import Series, qdiv
+from specrig.series import INF, Series, qdiv
+from specrig.splitting import (_charpoly_squarefree, cmat_charpoly,
+                               cmat_identity, cmat_mul, smat_coeff,
+                               smat_mul, smat_prec, smat_val)
 from specrig.tower import TowerElem
 
 
@@ -553,3 +559,89 @@ def geometric_inverse(s, order=None):
         powu = (powu * u).truncate(bound)
         acc = acc - powu if k % 2 else acc + powu
     return acc.shift(-v) * Series.const(qdiv(1, c0))
+
+
+def balance_reference(g):
+    """Reference for :func:`specrig.splitting._balance`: the search it
+    replaced.  It tries the progressions k = (0, c, 2c, ...) for
+    c = +-1 .. +-24, then every k in [-6, 6]^(n - 1), skips k = 0 and any k
+    whose leading coefficient is not certified, and returns the first
+    shift whose leading matrix has a squarefree charpoly."""
+    n = len(g)
+    vals = [[(e.valuation() if e.terms else None) for e in row] for row in g]
+    progressions = [tuple(c * i for i in range(1, n))
+                    for c in range(-24, 25) if c]
+    tried = set(progressions)
+    brute = (ks for ks in product(range(-6, 7), repeat=n - 1)
+             if ks not in tried)
+    for ks in chain(progressions, brute):
+        k = (0,) + ks
+        if all(x == 0 for x in k):
+            continue
+        r0 = INF
+        for i in range(n):
+            for j in range(n):
+                if vals[i][j] is not None:
+                    r0 = min(r0, vals[i][j] + k[i] - k[j])
+        if r0 == INF:
+            continue
+        a0 = [[(g[i][j].coeff(r0 - k[i] + k[j])
+                if g[i][j].prec is None or r0 - k[i] + k[j] < g[i][j].prec
+                else None)
+               for j in range(n)] for i in range(n)]
+        if any(x is None for row in a0 for x in row):
+            continue
+        if _charpoly_squarefree(cmat_charpoly(a0)):
+            return [[g[i][j].shift(k[i] - k[j]) for j in range(n)]
+                    for i in range(n)]
+    return None
+
+
+def dense_split_once(g):
+    """Reference for :func:`specrig.splitting.split_once`: the same
+    recurrence with every product of the order-m sum formed, zero blocks
+    included."""
+    n = len(g)
+    r0 = smat_val(g)
+    if r0 != int(r0):
+        raise SpecrigError("series matrix must have integer exponents")
+    r0 = int(r0)
+    prec = smat_prec(g)
+    if prec == INF:
+        raise SpecrigError("split_once needs truncated input")
+    order = ceil(prec - r0) - 1
+    if order < 0:
+        raise InsufficientTruncation("no certified orders beyond leading")
+    a = [smat_coeff(g, r0 + m) for m in range(order + 1)]
+    lam = [a[0][i][i] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and (a[0][i][j] or lam[i] == lam[j]):
+                raise SpecrigError("leading coefficient is not diagonal "
+                                   "with distinct entries")
+    inv = [[qdiv(1, lam[i] - lam[j]) if i != j else None for j in range(n)]
+           for i in range(n)]
+    t_coeffs = [cmat_identity(n)]
+    b_coeffs = [lam]
+    for m in range(1, order + 1):
+        s = [row[:] for row in a[m]]
+        for k in range(1, m):
+            tk_a = cmat_mul(t_coeffs[k], a[m - k])
+            tmk, bk = t_coeffs[m - k], b_coeffs[k]
+            s = [[s[i][j] + tk_a[i][j] - bk[i] * tmk[i][j]
+                  for j in range(n)] for i in range(n)]
+        t_coeffs.append([[s[i][j] * inv[i][j] if i != j else Fraction(0)
+                          for j in range(n)] for i in range(n)])
+        b_coeffs.append([s[i][i] for i in range(n)])
+    T = [[Series({m: t_coeffs[m][i][j] for m in range(order + 1)
+                  if t_coeffs[m][i][j]}, order + 1)
+          for j in range(n)] for i in range(n)]
+    eigs = [Series({r0 + m: b_coeffs[m][i] for m in range(order + 1)
+                    if b_coeffs[m][i]}, r0 + order + 1) for i in range(n)]
+    tg = smat_mul(T, g)
+    for i in range(n):
+        for j in range(n):
+            if (tg[i][j] - eigs[i] * T[i][j]).terms:
+                raise InternalInconsistency(
+                    "split residual does not vanish to the certified order")
+    return T, eigs

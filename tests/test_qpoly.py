@@ -21,7 +21,7 @@ from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
                            resultant_det, squarefree_part, sylvester_matrix)
 from specrig.ratfn import RatFn
 from specrig.series import Series
-from specrig.tower import FieldTower
+from specrig.tower import FieldTower, TowerElem
 
 
 X = UPoly([Fraction(0), Fraction(1)])
@@ -51,6 +51,30 @@ class TestArithmetic:
     def test_divmod_remainder(self):
         q, r = P(1, 1, 1).divmod(P(0, 2))
         assert P(0, 2) * q + r == P(1, 1, 1)
+
+    def test_one_inverse_per_tower_division(self, monkeypatch):
+        """A division by a polynomial with a tower leading coefficient
+        inverts that coefficient once, not once per quotient
+        coefficient, and gives what dividing each coefficient gives."""
+        r = FieldTower().adjoin(P(-2, 0, 1))  # sqrt 2
+        lead = 1 + r
+        f = UPoly([3, r, 2 * r, 1, r + 5, 7])
+        g = UPoly([r, 1, lead])
+        calls = []
+        inverse = TowerElem.inverse
+
+        def counting_inverse(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(TowerElem, "inverse", counting_inverse)
+        q, rem = f.divmod(g)
+        assert calls == [lead]
+        assert g * q + rem == f and rem.degree < g.degree
+        calls.clear()
+        m = f.scale(lead).monic()
+        assert calls == [7 * lead]
+        assert m == f.scale(Fraction(1, 7))
 
     def test_eval_compose(self):
         f = P(1, 2, 3)
