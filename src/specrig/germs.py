@@ -125,11 +125,12 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
 def germ_equation(g: GermData) -> UPoly:
     """Reduced local equation F(zeta, z) of the germ: the product of the
     minimal polynomials of the unbounded clusters, with every rational
-    tower coefficient as a Fraction (for resultant_det's integer path).
+    tower coefficient as a Fraction.  Its coefficients are then series
+    over Q, on which resultant_det eliminates over truncated Z[[z]].
 
     When every minimal polynomial is rational, the product runs over
     truncated Z[[z]]; an irrational tower coefficient keeps the product
-    over Series."""
+    over Series, rationalized after."""
     factors = [_cluster_min_poly(c).map_coeffs(_rationalized)
                for c in g.branches]
     f = integer_series_product(factors)
@@ -159,10 +160,7 @@ def germ_milnor_oracle(g: GermData) -> int:
     if f.degree == 1:
         res_val = Fraction(0)
     else:
-        res = resultant_det(f, f.derivative())
-        if not isinstance(res, Series):
-            res = Series.const(res)
-        res_val = res.valuation()
+        res_val = resultant_det(f, f.derivative()).valuation()
     mu = res_val + 1 - fz
     if Fraction(mu).denominator != 1 or mu < 0:
         raise InternalInconsistency(f"oracle Milnor number {mu} invalid")

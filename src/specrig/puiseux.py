@@ -58,7 +58,7 @@ def newton_polygon(F: UPoly) -> NewtonPolygon:
         if not isinstance(c, Series):
             c = Series.const(c)
         wrapped.append(c)
-        if c.is_zero():
+        if not c:
             continue
         if c.known_zero_to_prec():
             unknown[i] = c.prec
@@ -173,7 +173,7 @@ def discriminant_valuation(F: UPoly):
     res = resultant_det(F, F.derivative())
     if not isinstance(res, Series):
         res = Series.const(res)
-    if res.is_zero():
+    if not res:
         raise SpecrigError("polynomial is not squarefree in y")
     return res.valuation()
 

@@ -1,8 +1,8 @@
-"""Dense univariate polynomials over an exact coefficient field.
+"""Dense univariate polynomials over an exact coefficient ring.
 
 Coefficients may be rationals, tower elements (:mod:`specrig.tower`),
-rational functions, or truncated series -- anything supporting
-``+ - * /``, ``bool`` (nonzero test) and mixing with ints.  A rational
+rational functions, or truncated series, a ring without division; each
+mixes with ints and is falsy only when provably zero.  A rational
 that is an integer is an ``int``; a ``fractions.Fraction`` comes only from
 a division that does not come out even, and every division of the
 rational layer goes through :func:`specrig.series.qdiv`.  Over Q the gcd
@@ -96,13 +96,12 @@ class UPoly:
             other = UPoly.const(other)
         if not self.coeffs or not other.coeffs:
             return UPoly()
-        # only exact zeros are skipped: a series that vanishes up to its
-        # precision still bounds the precision of the product
-        live = [(j, b) for j, b in enumerate(other.coeffs)
-                if b or not _exact_zero(b)]
+        # a series that vanishes up to its precision is truthy and still
+        # bounds the precision of the product
+        live = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if not a and _exact_zero(a):
+            if not a:
                 continue
             for j, b in live:
                 out[i + j] = out[i + j] + a * b
@@ -114,7 +113,7 @@ class UPoly:
         if n < 0:
             raise SpecrigError("negative polynomial power")
         *low, top = self.coeffs or (0,)
-        if n and top and all(_exact_zero(c) for c in low):
+        if n and top and not any(low):
             # a monomial c x^d: c^n x^(dn)
             return UPoly([0] * (len(low) * n) + [top ** n])
         result = UPoly([1])
@@ -136,7 +135,8 @@ class UPoly:
         return UPoly([0] * k + list(self.coeffs))
 
     def divmod(self, other):
-        """Quotient and remainder; requires invertible lc(other)."""
+        """Quotient and remainder of degree < deg other, also over series,
+        whose cancelled tops may vanish only to their precision."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -145,7 +145,7 @@ class UPoly:
             return UPoly(), self
         quot = [0] * (dq + 1)
         lead = other.lc()
-        inv = _tower_inverse(lead)
+        inv = _ring_inverse(lead)
         for k in range(dq, -1, -1):
             top = rem[k + other.degree]
             if not top:
@@ -154,7 +154,7 @@ class UPoly:
             quot[k] = q
             for j, c in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - q * c
-        return UPoly(quot), UPoly(rem)
+        return UPoly(quot), UPoly(rem[:other.degree])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -166,7 +166,7 @@ class UPoly:
         if self.is_zero():
             return self
         lead = self.lc()
-        inv = _tower_inverse(lead)
+        inv = _ring_inverse(lead)
         if inv is None:
             return UPoly([qdiv(c, lead) for c in self.coeffs])
         return UPoly([c * inv for c in self.coeffs])
@@ -325,12 +325,6 @@ def sylvester_matrix(f: UPoly, g: UPoly):
     return rows
 
 
-def _exact_zero(a) -> bool:
-    """Provably zero.  A series that vanishes only up to its precision is
-    not: its unknown tail may carry the value."""
-    return a.is_zero() if isinstance(a, (Series, _ZSeries)) else not a
-
-
 def det_cofactor(rows):
     """Determinant by cofactor expansion; factorial cost.
 
@@ -346,7 +340,7 @@ def det_cofactor(rows):
     acc = None
     for j in range(size):
         a = rows[0][j]
-        if _exact_zero(a):
+        if not a:
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = a * det_cofactor(minor)
@@ -357,15 +351,17 @@ def det_cofactor(rows):
 
 
 def _pivot_order(a):
-    return a.valuation() if isinstance(a, (Series, _ZSeries)) else 0
+    """Lowest certified exponent of a pivot candidate; None if none."""
+    if isinstance(a, _ZSeries):
+        return a._first()
+    return 0 if a else None
 
 
 def _exact_quotient(num, den):
     """num / den where the division is known to be exact in the ring.
 
-    Integers and polynomials must leave no remainder; series use their
-    own division, which is exact for exact operands and certified for
-    truncated ones.
+    Integers, polynomials and truncated integer series must leave no
+    remainder; tower elements divide in their field.
     """
     if isinstance(num, _ZSeries):
         return num.exact_quotient(den)
@@ -383,7 +379,7 @@ def _exact_quotient(num, den):
             raise InternalInconsistency(
                 "fraction-free elimination: inexact integer division")
         return quot
-    return num / den
+    return qdiv(num, den)
 
 
 def _int_exact_quotient(a, b):
@@ -422,10 +418,10 @@ class _ZSeries:
 
     It is the integer form of a rational series with integer exponents,
     in the Sylvester matrices of :func:`resultant_det` and the factors of
-    :func:`integer_series_product`.  Its ``+``, ``-``, ``*`` and exact
-    division keep the precision that Series arithmetic certifies for the
-    same operation, so :func:`det_bareiss` and the polynomial product
-    certify the same terms on it as on the Series.
+    :func:`integer_series_product`.  Its ``+``, ``-`` and ``*`` keep the
+    precision that Series arithmetic certifies for the same operation,
+    and its exact quotient the precision of a product with the truncated
+    inverse of the divisor.  It is falsy only when provably zero.
     """
 
     __slots__ = ("c", "prec")
@@ -441,11 +437,8 @@ class _ZSeries:
         self.c = c if n == len(c) else c[:n]
         self.prec = prec
 
-    def is_zero(self):
-        return not self.c and self.prec is None
-
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.c) or self.prec is not None
 
     def _first(self):
         return next((i for i, x in enumerate(self.c) if x), None)
@@ -513,11 +506,11 @@ class _ZSeries:
         return _ZSeries(out, prec)
 
     def exact_quotient(self, den):
-        """self / den for a pivot den, with the precision Series division
-        certifies: exact by exact is polynomial division, anything else
-        is power-series division up to that precision.  Its terms are
-        those of a Bareiss minor, so they are integers; one that is not
-        raises InternalInconsistency."""
+        """self / den for a pivot den: exact by exact is polynomial
+        division; anything else is power-series division, certified to
+        the precision of self times the truncated inverse of den.  Its
+        terms are those of a Bareiss minor, so they are integers; one
+        that is not raises InternalInconsistency."""
         b = den.c
         v = den.valuation()
         if self.prec is None and den.prec is None:
@@ -556,12 +549,13 @@ def det_bareiss(rows):
     Step k replaces each trailing entry by the bordered minor
     (M[k][k] M[i][j] - M[i][k] M[k][j]) / (previous pivot), a division
     that is exact in any integral domain.  Over Z and Z[z] it is an
-    integer division that raises InternalInconsistency on a remainder.
-    Over truncated series (Series, or the truncated integer series of
-    :func:`resultant_det`) the pivot is a certified-nonzero entry of
-    lowest valuation, only exact zeros are skipped, and a pivot column
-    that vanishes only to its precision raises InsufficientTruncation:
-    the precision of the result is whatever Series arithmetic certifies.
+    integer division that raises InternalInconsistency on a remainder;
+    tower elements divide in their field.  Over the truncated integer
+    series of :func:`resultant_det` the pivot is an entry of lowest
+    valuation among those with a certified term, only provably zero
+    entries are skipped, and a pivot column that vanishes only to its
+    precision raises InsufficientTruncation: the precision of the result
+    is whatever the series arithmetic certifies.
     """
     m = [list(r) for r in rows]
     size = len(m)
@@ -570,14 +564,15 @@ def det_bareiss(rows):
     negate = False
     prev = None
     for k in range(size - 1):
-        live = [i for i in range(k, size) if m[i][k]]
-        if not live:
-            if all(_exact_zero(m[i][k]) for i in range(k, size)):
+        orders = [(v, i) for i in range(k, size)
+                  if (v := _pivot_order(m[i][k])) is not None]
+        if not orders:
+            if not any(m[i][k] for i in range(k, size)):
                 return m[k][k] * 0
             raise InsufficientTruncation(
                 "pivot column vanishes only to its precision; "
                 "determinant undecided")
-        p = min(live, key=lambda i: _pivot_order(m[i][k]))
+        p = min(orders)[1]
         if p != k:
             m[k], m[p] = m[p], m[k]
             negate = not negate
@@ -585,13 +580,13 @@ def det_bareiss(rows):
         piv = top[k]
         for row in m[k + 1:]:
             lead = row[k]
-            cross = not _exact_zero(lead)
+            cross = bool(lead)
             for j in range(k + 1, size):
                 a = row[j]
-                val = a if _exact_zero(a) else a * piv
-                if cross and not _exact_zero(top[j]):
+                val = a * piv if a else a
+                if cross and top[j]:
                     val = val - lead * top[j]
-                if prev is not None and not _exact_zero(val):
+                if prev is not None and val:
                     val = _exact_quotient(val, prev)
                 row[j] = val
         prev = piv
@@ -644,15 +639,15 @@ def _rational(c):
     return isinstance(c, (int, Fraction))
 
 
-def _tower_inverse(c):
-    """c.inverse() for a tower element, so that one inverse serves every
-    coefficient of a division by c; None for any other coefficient, which
-    divides by its own rule (a rational by qdiv, so that an even quotient
-    stays an int)."""
+def _ring_inverse(c):
+    """c.inverse() for a tower element or a series, so that one inverse
+    serves every coefficient of a division by c; None for any other
+    coefficient, which divides by its own rule (a rational by qdiv, so
+    that an even quotient stays an int)."""
     if _rational(c):
         return None
     from .tower import TowerElem
-    return c.inverse() if isinstance(c, TowerElem) else None
+    return c.inverse() if isinstance(c, (TowerElem, Series)) else None
 
 
 def _over_q(p: UPoly) -> bool:
@@ -698,7 +693,8 @@ def _integer_sylvester(f: UPoly, g: UPoly):
     coefficients are rationals, polynomials over Q or series over Q with
     integer exponents (rational constants may mix with the latter two):
     (rows, back), back mapping the integer determinant to Res(f, g).
-    None for any other coefficient ring.
+    None for a ring without series (tower elements); a series over any
+    other ring raises InternalInconsistency: series do not divide.
 
     The integer operands are F = c_f z^s f and G = c_g z^s g.  One shift
     s for both moves every entry by the same power of z, so the
@@ -710,19 +706,21 @@ def _integer_sylvester(f: UPoly, g: UPoly):
     elif all(_rational(c) or isinstance(c, UPoly) and _over_q(c)
              for c in coeffs):
         ring = UPoly
-    elif any(isinstance(c, Series) for c in coeffs) and all(
-            _rational(c) or isinstance(c, Series)
-            and _over_q_integer_exponents(c) for c in coeffs):
+    elif not any(isinstance(c, Series) for c in coeffs):
+        return None
+    elif all(_rational(c) or isinstance(c, Series)
+             and _over_q_integer_exponents(c) for c in coeffs):
         ring = Series
     else:
-        return None
+        raise InternalInconsistency("resultant over series that are not "
+                                    "over Q with integer exponents")
     shift = 0
     if ring is not None:
         f, g = (p.map_coeffs(lambda c: c if isinstance(c, ring)
                              else ring.const(c)) for p in (f, g))
     if ring is Series:
-        shift = -min(min(c.terms) for c in f.coeffs + g.coeffs
-                     if c.terms).numerator
+        shift = -min((min(c.terms) for c in f.coeffs + g.coeffs
+                      if c.terms), default=0).numerator
     (fz, df, nf), (gz, dg, ng) = (_cleared(p, ring, shift) for p in (f, g))
     # with c_f = df / nf and c_g = dg / ng, Res(c_f z^s f, c_g z^s g)
     # = c_f^deg g c_g^deg f z^(s (deg f + deg g)) Res(f, g)
@@ -760,7 +758,8 @@ def integer_series_product(polys):
     num = den = 1
     top = 0
     for p in polys:
-        shift = -min(min(c.terms) for c in p.coeffs if c.terms).numerator
+        shift = -min((min(c.terms) for c in p.coeffs if c.terms),
+                     default=0).numerator
         q, d, m = _cleared(p, Series, shift)
         prod = q if prod is None else prod * q
         num, den, top = num * m, den * d, top + shift
@@ -782,7 +781,8 @@ def resultant_det(f: UPoly, g: UPoly):
     denominators are cleared once and the elimination runs over Z, Z[z]
     or truncated Z[[z]]; the result is rescaled once by
     Res(c z^s f, d z^s g) = c^deg g d^deg f z^(s (deg f + deg g)) Res(f, g).
-    Tower elements are eliminated as they are.
+    Tower elements are eliminated as they are; any other series raises
+    InternalInconsistency.
     """
     if f.is_zero() and g.is_zero():
         raise SpecrigError("resultant of two zero polynomials")

@@ -7,6 +7,11 @@ polynomial in some z^(1/r)). Coefficients live in Q or a field tower.
 
 Any query that would need a coefficient beyond prec raises
 InsufficientTruncation rather than returning a guess.
+
+Series form a ring: ``+``, ``-``, ``*``, powers and :meth:`Series.inverse`,
+and no division.  A series is falsy only when it is provably zero (exact
+and empty); one that vanishes only up to its precision is truthy, so a
+polynomial that strips falsy coefficients keeps its bound.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ INF = Fraction(10 ** 12)  # sentinel used only in internal min/max bookkeeping
 def qdiv(a, b):
     """a / b in the rational layer, where a rational that is an integer is
     an int: for two ints the exact quotient a // b when b divides a, else
-    Fraction(a, b); any other operand (a Fraction, a tower element, a
-    series) divides by its own rule."""
+    Fraction(a, b); any other operand (a Fraction, a tower element)
+    divides by its own rule."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
@@ -76,10 +81,6 @@ class Series:
         return Series({Fraction(0): c}, prec)
 
     # -- predicates -----------------------------------------------------
-
-    def is_zero(self):
-        """True only when provably zero (exact and empty)."""
-        return not self.terms and self.prec is None
 
     def known_zero_to_prec(self):
         return not self.terms
@@ -261,55 +262,10 @@ class Series:
                  for m, x in enumerate(b) if x}
         return Series._of(terms, bound - v)
 
-    def __truediv__(self, other):
-        """Quotient, exact whenever it can be certified.
-
-        An exact multi-term divisor has no finite inverse: an exact
-        dividend is long-divided (raising unless the quotient is a Laurent
-        polynomial), a truncated one is multiplied by an inverse carried
-        just far enough to keep the dividend's relative precision.
-        """
-        if not isinstance(other, Series):
-            other = Series.const(other)
-        if other.prec is None and len(other.terms) > 1:
-            if self.prec is None:
-                return self._long_divide(other)
-            return self * other.inverse(order=self.prec - self.low())
-        return self * other.inverse()
-
-    def _long_divide(self, other):
-        """Exact quotient of two exact series, highest exponent first.
-
-        A true quotient q has min(q) = min(self) - min(other), so a
-        remainder that would need a lower exponent proves inexactness.
-        """
-        if not self.terms:
-            return Series.zero()
-        top_d = max(other.terms)
-        lead = other.terms[top_d]
-        floor = min(self.terms) - min(other.terms)
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            top = max(rem)
-            e = top - top_d
-            if e < floor:
-                raise SpecrigError(
-                    "exact series division leaves a nonzero remainder")
-            c = qdiv(rem[top], lead)
-            quot[e] = c
-            for ed, cd in other.terms.items():
-                k = ed + e
-                v = rem.get(k, 0) - c * cd
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        return Series(quot)
-
     def __bool__(self):
-        # nonzero as far as we can see; exact-zero is falsy
-        return bool(self.terms)
+        # not provably zero: a series that vanishes only up to its
+        # precision is truthy, since its unknown tail may carry the value
+        return bool(self.terms) or self.prec is not None
 
     def __eq__(self, other):
         if not isinstance(other, Series):

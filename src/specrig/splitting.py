@@ -94,8 +94,8 @@ def smat_coeff(g, e):
 def smat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     # skip exact zeros only: a zero known to a precision caps the sum's
-    return [[sum((a[i][t] * b[t][j] for t in range(k)
-                  if not a[i][t].is_zero()), Series.zero())
+    return [[sum((a[i][t] * b[t][j] for t in range(k) if a[i][t]),
+                 Series.zero())
              for j in range(m)] for i in range(n)]
 
 
@@ -230,38 +230,37 @@ def full_split(g, tower: FieldTower):
     r0 = smat_val(g)
     a0 = smat_coeff(g, r0)
     cp = cmat_charpoly(a0)
-    if _charpoly_squarefree(cp):
-        eigs = [e for e, _ in tower.split_completely(cp)]
-        if len(eigs) != n:
-            raise InternalInconsistency("eigenvalue count mismatch")
-        cut = max(0, r0 + 1)
-        if smat_prec(g) > cut:
-            g = [[e.truncate(cut) for e in row] for row in g]
-        vcols = [null_vector([[a0[i][j] - (eig if i == j else 0)
-                               for j in range(n)] for i in range(n)])
-                 for eig in eigs]
-        v = [[vcols[j][i] for j in range(n)] for i in range(n)]
-        vinv = _cmat_inverse(v)
-        _, eig_series = split_once(smat_conjugate_const(g, v, vinv))
-        return eig_series
-    c = _is_scalar(a0)
-    if c is not None:
-        scalar = Series.monomial(c, r0)
-        stripped = [[g[i][j] - (scalar if i == j else Series.zero())
-                     for j in range(n)] for i in range(n)]
-        return [scalar + b for b in full_split(stripped, tower)]
-    balanced = _balance(g)
-    if balanced is not None:
-        return full_split(balanced, tower)
-    raise ReductionUnavailable(
-        "leading matrix has a repeated eigenvalue and no balancing "
-        "diagonal power gauge separates it")
+    if not _charpoly_squarefree(cp):
+        c = _is_scalar(a0)
+        if c is not None:
+            scalar = Series.monomial(c, r0)
+            stripped = [[g[i][j] - (scalar if i == j else Series.zero())
+                         for j in range(n)] for i in range(n)]
+            return [scalar + b for b in full_split(stripped, tower)]
+        balanced = _balance(g)
+        if balanced is None:
+            raise ReductionUnavailable(
+                "leading matrix has a repeated eigenvalue and no balancing "
+                "diagonal power gauge separates it")
+        g, r0, a0, cp = balanced
+    eigs = [e for e, _ in tower.split_completely(cp)]
+    if len(eigs) != n:
+        raise InternalInconsistency("eigenvalue count mismatch")
+    cut = max(0, r0 + 1)
+    if smat_prec(g) > cut:
+        g = [[e.truncate(cut) for e in row] for row in g]
+    vcols = [null_vector([[a0[i][j] - (eig if i == j else 0)
+                           for j in range(n)] for i in range(n)])
+             for eig in eigs]
+    v = [[vcols[j][i] for j in range(n)] for i in range(n)]
+    return split_once(smat_conjugate_const(g, v, _cmat_inverse(v)))[1]
 
 
 def _balance(g):
     """The diagonal power gauge diag(t^{k_i}) that makes the leading
-    matrix of g regular semisimple, computed from the entry valuations;
-    None when no diagonal power gauge does.
+    matrix of g regular semisimple, computed from the entry valuations,
+    as (balanced g, lambda, leading matrix, its charpoly); None when no
+    diagonal power gauge does.
 
     Let v_ij be the valuation of each entry with terms.  The gauge moves
     v_ij to v_ij + k_i - k_j, which leaves the mean of every cycle of the
@@ -277,7 +276,8 @@ def _balance(g):
     lambda leaves no cycle in the support of the leading matrix, which is
     then nilpotent.  Every gauge that reaches lambda gives the same leading
     characteristic polynomial, because det(y t^lambda - D g D^-1) =
-    det(y t^lambda - g) for every diagonal D.  So one charpoly decides.
+    det(y t^lambda - g) for every diagonal D.  So one charpoly decides,
+    and full_split splits the balanced matrix by it.
     """
     n = len(g)
     edges, caps = [], []
@@ -297,9 +297,9 @@ def _balance(g):
         return None
     balanced = [[g[i][j].shift(k[i] - k[j]) for j in range(n)]
                 for i in range(n)]
-    if not _charpoly_squarefree(cmat_charpoly(smat_coeff(balanced, lam))):
-        return None
-    return balanced
+    a0 = smat_coeff(balanced, lam)
+    cp = cmat_charpoly(a0)
+    return (balanced, lam, a0, cp) if _charpoly_squarefree(cp) else None
 
 
 def _least_cycle_mean(n, edges):

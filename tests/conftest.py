@@ -499,9 +499,9 @@ def residual_full(points, i0):
 
 def horner_compose(f: UPoly, g: UPoly) -> UPoly:
     """f(g) by Horner's rule, each coefficient of f added in place to the
-    constant term.  ``UPoly.compose`` adds ``UPoly.const(c)`` instead, which
-    drops a c that vanishes only up to its precision, and its bound with
-    it; the two agree on every other f."""
+    constant term: the reference for ``UPoly.compose``, which adds
+    ``UPoly.const(c)`` and so keeps the bound of a c that vanishes only up
+    to its precision."""
     acc = UPoly()
     for c in reversed(f.coeffs):
         acc = acc * g
@@ -645,3 +645,98 @@ def dense_split_once(g):
                 raise InternalInconsistency(
                     "split residual does not vanish to the certified order")
     return T, eigs
+
+
+# -- the series division and elimination that Z[[z]] replaced ---------------
+
+def series_divide(num, den):
+    """Reference quotient of two series (a rational stands for the exact
+    constant), exact whenever it can be certified: the division that the
+    fraction-free elimination over Series used before it ran over Z[[z]].
+    An exact multi-term divisor has no finite inverse: an exact dividend
+    is long-divided (raising unless the quotient is a Laurent
+    polynomial), a truncated one is multiplied by an inverse carried
+    just far enough to keep the dividend's relative precision."""
+    num, den = (x if isinstance(x, Series) else Series.const(x)
+                for x in (num, den))
+    if den.prec is None and len(den.terms) > 1:
+        if num.prec is None:
+            return _long_divide(num, den)
+        return num * den.inverse(order=num.prec - num.low())
+    return num * den.inverse()
+
+
+def _long_divide(num, den):
+    """Exact quotient of two exact series, highest exponent first.  A
+    true quotient q has min(q) = min(num) - min(den), so a remainder that
+    would need a lower exponent proves inexactness."""
+    if not num.terms:
+        return Series.zero()
+    top_d = max(den.terms)
+    lead = den.terms[top_d]
+    floor = min(num.terms) - min(den.terms)
+    rem = dict(num.terms)
+    quot = {}
+    while rem:
+        top = max(rem)
+        e = top - top_d
+        if e < floor:
+            raise SpecrigError(
+                "exact series division leaves a nonzero remainder")
+        c = qdiv(rem[top], lead)
+        quot[e] = c
+        for ed, cd in den.terms.items():
+            k = ed + e
+            v = rem.get(k, 0) - c * cd
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return Series(quot)
+
+
+def series_det_bareiss(rows):
+    """Reference for :func:`specrig.qpoly.det_bareiss` over truncated
+    integer series: the same fraction-free elimination on rows of Series
+    and rationals, each exact division by :func:`series_divide`.  The
+    pivot is an entry of lowest valuation among those with a certified
+    term; only provably zero entries are skipped."""
+    def order(a):
+        if isinstance(a, Series):
+            return a.valuation() if a.terms else None
+        return 0 if a else None
+
+    m = [list(r) for r in rows]
+    size = len(m)
+    if size == 0:
+        return 1
+    negate = False
+    prev = None
+    for k in range(size - 1):
+        live = [i for i in range(k, size) if order(m[i][k]) is not None]
+        if not live:
+            if not any(m[i][k] for i in range(k, size)):
+                return m[k][k] * 0
+            raise InsufficientTruncation(
+                "pivot column vanishes only to its precision")
+        p = min(live, key=lambda i: order(m[i][k]))
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            negate = not negate
+        top = m[k]
+        piv = top[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                a = row[j]
+                val = a * piv if a else a
+                if lead and top[j]:
+                    val = val - lead * top[j]
+                if prev is not None and val:
+                    val = (series_divide(val, prev)
+                           if isinstance(val, Series)
+                           or isinstance(prev, Series) else qdiv(val, prev))
+                row[j] = val
+        prev = piv
+    det = m[-1][-1]
+    return -det if negate else det

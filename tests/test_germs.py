@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (EXAMPLE_TEXTS, airy, dense_fuchs, diag_irreg,
                       fraction_series_product, gen_airy, local_at, mat,
-                      series_form)
+                      series_det_bareiss, series_form)
 from specrig import germs, qpoly
 from specrig.errors import SpecrigError
 from specrig.germs import (GermData, branch_intersection, branch_milnor,
@@ -14,8 +14,8 @@ from specrig.germs import (GermData, branch_intersection, branch_milnor,
                            germ_milnor_oracle, unbounded_branches)
 from specrig.localmod import check_assumption
 from specrig.parsing import parse_problem
-from specrig.qpoly import (det_bareiss, integer_series_product,
-                           resultant_det, sylvester_matrix)
+from specrig.qpoly import (UPoly, integer_series_product, resultant_det,
+                           sylvester_matrix)
 from specrig.series import Series
 from specrig.ratfn import INFINITY
 from specrig.tower import TowerElem
@@ -160,7 +160,7 @@ def test_integer_sylvester_matches_series_rows(name, monkeypatch):
         if f.degree < 2:
             continue
         fy = f.derivative()
-        ref = det_bareiss(sylvester_matrix(f, fy))
+        ref = series_det_bareiss(sylvester_matrix(f, fy))
         res = resultant_det(f, fy)
         assert (res.terms, res.prec) == (ref.terms, ref.prec)
         assert res.valuation() == ref.valuation()
@@ -172,12 +172,30 @@ def test_integer_sylvester_matches_series_rows(name, monkeypatch):
         assert qpoly._integer_sylvester(f, fy) is not None
 
 
+def _tower_milnor_oracle(g):
+    """germ_milnor_oracle with the germ equation kept in tower arithmetic:
+    the minimal polynomials multiplied over Series, never rationalized,
+    and the resultant eliminated over Series by the conftest reference.
+    Returns (Milnor number, whether a tower element was seen)."""
+    f = UPoly([Series.const(F(1))])
+    for c in g.branches:
+        f = f * germs._cluster_min_poly(c)
+    res_val = 0
+    if f.degree > 1:
+        res = series_det_bareiss(sylvester_matrix(f, f.derivative()))
+        res_val = res.valuation()
+    tower = any(isinstance(x, TowerElem) for c in f.coeffs
+                for x in c.terms.values())
+    return res_val + 1 - sum(c.r for c in g.branches), tower
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_dense_fuchs_germs_leave_the_tower(n, monkeypatch):
+def test_dense_fuchs_germs_leave_the_tower(n):
     """The germ equations of dense_fuchs hold no tower element, and the
     oracle's Milnor numbers equal those computed in tower arithmetic."""
     spec = parse_problem(dense_fuchs(n))
     rationalized, in_tower = [], []
+    seen_tower = False
     for pole in spec.poles:
         local = local_at(spec.matrix, pole)
         assert check_assumption(local)
@@ -186,16 +204,12 @@ def test_dense_fuchs_germs_leave_the_tower(n, monkeypatch):
         assert not any(isinstance(x, TowerElem) for c in f.coeffs
                        for x in c.terms.values())
         rationalized.append(g.mu_oracle_value)
-    monkeypatch.setattr(germs, "_rationalized", lambda s: s)
-    seen_tower = False
-    for pole in spec.poles:
-        local = local_at(spec.matrix, pole)
-        check_assumption(local)
-        g = GermData(local)
-        seen_tower |= any(isinstance(x, TowerElem)
-                          for c in germ_equation(g).coeffs
-                          for x in c.terms.values())
-        in_tower.append(g.mu_oracle_value)
+        if g.r_c:
+            mu, tower = _tower_milnor_oracle(g)
+            seen_tower |= tower
+        else:
+            mu = 0
+        in_tower.append(mu)
     assert seen_tower
     assert rationalized == in_tower
 

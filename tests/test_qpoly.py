@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import ceil
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
 from conftest import (euclid_gcd, fraction_series_product, poly_xgcd,
-                      series_form)
+                      series_det_bareiss, series_form)
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
                            integer_series_product, poly_gcd, resultant,
                            resultant_det, squarefree_part, sylvester_matrix)
@@ -25,6 +26,7 @@ from specrig.tower import FieldTower, TowerElem
 
 
 X = UPoly([Fraction(0), Fraction(1)])
+ZS = qpoly._ZSeries
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -247,9 +249,13 @@ class TestDetCofactor:
 
     @pytest.mark.parametrize("det", [det_cofactor, det_bareiss])
     def test_zero_to_precision_is_not_exact_zero(self, det):
-        # O(z) - z^2 = O(z): the valuation is undecided, never 2
-        rows = [[Series.zero(prec=1), Series({2: Fraction(1)})],
-                [Series.const(Fraction(1)), Series.const(Fraction(1))]]
+        # O(z) - z^2 = O(z): the valuation is undecided, never 2; the
+        # elimination runs over truncated Z[[z]], the cofactor sum over
+        # Series
+        series = ZS if det is det_bareiss else (
+            lambda c, prec=None: Series(dict(enumerate(c)), prec))
+        rows = [[series([], 1), series([0, 0, 1])],
+                [series([1]), series([1])]]
         d = det(rows)
         assert d.prec == 1
         with pytest.raises(InsufficientTruncation):
@@ -260,8 +266,6 @@ class TestDetCofactor:
 
 _Q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _SQRT2 = FieldTower().adjoin(P(-2, 0, 1))
-_EXPONENTS = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
-              Fraction(1)]
 
 
 def _square(entries):
@@ -270,23 +274,28 @@ def _square(entries):
                            min_size=n, max_size=n))
 
 
+def _zform(x):
+    """(coefficients, prec) of a truncated integer series; an int stands
+    for the exact constant."""
+    return (x.c, x.prec) if isinstance(x, ZS) else ([x] if x else [], None)
+
+
 _RINGS = {
     "Q": _Q,
     "Q[z]": st.lists(_Q, max_size=3).map(UPoly),
     "Q(sqrt 2)": st.tuples(_Q, _Q).map(lambda ab: ab[0] + ab[1] * _SQRT2),
-    "exact series": st.dictionaries(st.sampled_from(_EXPONENTS), _Q,
-                                    max_size=3).map(Series),
+    "exact series": st.lists(st.integers(-3, 3), max_size=3).map(ZS),
 }
 
 
-def _truncated_series():
+def _truncated_integer_series():
     def build(args):
         v, coeffs, extra = args
-        terms = {v + i: c for i, c in enumerate(coeffs)}
-        return Series(terms, v + len(coeffs) + extra)
-    lead = st.sampled_from([Fraction(k) for k in (-2, -1, 1, 2)])
-    return st.tuples(st.integers(-2, 2),
-                     st.tuples(lead, _Q, _Q).map(list),
+        return ZS([0] * v + coeffs, v + len(coeffs) + extra)
+    lead = st.sampled_from([-2, -1, 1, 2])
+    return st.tuples(st.integers(0, 4),
+                     st.tuples(lead, st.integers(-3, 3),
+                               st.integers(-3, 3)).map(list),
                      st.integers(0, 3)).map(build)
 
 
@@ -296,11 +305,14 @@ class TestDetBareiss:
         @settings(max_examples=60, deadline=None)
         @given(_square(_RINGS[ring]))
         def check(rows):
-            assert det_bareiss(rows) == det_cofactor(rows)
+            d, ref = det_bareiss(rows), det_cofactor(rows)
+            if ring == "exact series":
+                d, ref = _zform(d), _zform(ref)
+            assert d == ref
         check()
 
     @settings(max_examples=60, deadline=None)
-    @given(_square(_truncated_series()))
+    @given(_square(_truncated_integer_series()))
     def test_truncated_series_never_certifies_a_wrong_value(self, rows):
         # every entry carries a certified leading term; elimination may
         # certify less precision than the cofactor sum, never other terms
@@ -310,30 +322,28 @@ class TestDetBareiss:
         except InsufficientTruncation:
             return
         common = min(d.prec, ref.prec)
-        for e in set(d.terms) | set(ref.terms):
-            if e < common:
-                assert d.terms.get(e, 0) == ref.terms.get(e, 0)
-        if d.terms and ref.terms:
+        for e in range(ceil(common)):
+            assert (d.c[e] if e < len(d.c) else 0) == \
+                (ref.c[e] if e < len(ref.c) else 0)
+        if d.c and ref.c:
             assert d.valuation() == ref.valuation()
 
     def test_lowest_valuation_pivot(self):
-        z = Series({1: Fraction(1)}, prec=6)
-        one = Series({0: Fraction(1)}, prec=5)
+        z = ZS([0, 1], 6)
+        one = ZS([1], 5)
         rows = [[z, one, one], [one, z, one], [one, one, z]]
         d = det_bareiss(rows)
-        assert d.valuation() == 0 and d.leading() == 2
+        assert d.valuation() == 0 and d.c[0] == 2
         assert d.prec == det_cofactor(rows).prec
 
     def test_zero_pivot_column_to_precision_raises(self):
-        rows = [[Series.zero(prec=2), Series.const(Fraction(1))],
-                [Series.zero(prec=3), Series.const(Fraction(2))]]
+        rows = [[ZS([], 2), ZS([1])], [ZS([], 3), ZS([2])]]
         with pytest.raises(InsufficientTruncation):
             det_bareiss(rows)
 
     def test_exact_zero_column(self):
-        rows = [[Series.zero(), Series.const(Fraction(1))],
-                [Series.zero(), Series({1: Fraction(1)}, prec=4)]]
-        assert det_bareiss(rows).is_zero()
+        rows = [[ZS([]), ZS([1])], [ZS([]), ZS([0, 1], 4)]]
+        assert not det_bareiss(rows)
 
     def test_resultant_over_polynomials(self):
         # Res_y(y^2 - z, 2y) = 4 * (-z) over Q[z]
@@ -442,7 +452,7 @@ class TestIntegerSeriesResultant:
     @given(_series_poly(3), _series_poly(3))
     def test_certifies_what_the_series_rows_certify(self, f, g):
         try:
-            ref = det_bareiss(sylvester_matrix(f, g))
+            ref = series_det_bareiss(sylvester_matrix(f, g))
         except InsufficientTruncation:
             with pytest.raises(InsufficientTruncation):
                 resultant_det(f, g)
@@ -468,10 +478,50 @@ class TestIntegerSeriesResultant:
             if common is None or e < common:
                 assert res.terms.get(e, 0) == ref.terms.get(e, 0)
 
+    def test_fractional_exponent_raises(self):
+        f = UPoly([Series({Fraction(1, 2): 1}, 3), Series.const(1),
+                   Series.const(1)])
+        with pytest.raises(InternalInconsistency):
+            resultant_det(f, f.derivative())
+
+    def test_irrational_tower_coefficient_raises(self):
+        sqrt2 = FieldTower().adjoin(P(-2, 0, 1))
+        f = UPoly([Series({0: sqrt2, 1: 1}, 3), Series.const(1),
+                   Series.const(1)])
+        with pytest.raises(InternalInconsistency):
+            resultant_det(f, f.derivative())
+
+    def test_tower_polynomials_keep_the_generic_path(self):
+        # Res_y(y^2 - a, y - b) = b^2 - a over Q(sqrt 2), a = sqrt 2
+        a = FieldTower().adjoin(P(-2, 0, 1))
+        b = 1 + a
+        f, g = UPoly([-a, 0, 1]), UPoly([-b, 1])
+        assert qpoly._integer_sylvester(f, g) is None
+        assert resultant_det(f, g) == b * b - a
+
 
 class TestTruncatedZeroCoefficient:
     """A coefficient that vanishes only up to its precision is not an
     exact zero: the product keeps its precision bound."""
+
+    def test_constant_and_sum_keep_the_bound(self):
+        o3 = Series.zero(prec=3)
+        assert [series_form(c) for c in UPoly.const(o3).coeffs] == [({}, 3)]
+        p = UPoly([Series.const(1), Series.const(1)]) + o3
+        assert [series_form(c) for c in p.coeffs] == \
+            [({Fraction(0): 1}, 3), ({Fraction(0): 1}, None)]
+        assert UPoly.const(Series.zero()).is_zero()
+
+    def test_divmod_drops_tops_cancelled_to_precision(self):
+        # (y^2 + O(z^2) y + 1) by (y + 1): the remainder's cancelled y
+        # coefficient vanishes only up to its precision, O(z^2)
+        one = Series.const(1)
+        f = UPoly([one, Series.zero(prec=2), one])
+        q, r = f.divmod(UPoly([one, one]))
+        assert [series_form(c) for c in q.coeffs] == \
+            [({Fraction(0): -1}, 2), ({Fraction(0): 1}, None)]
+        assert r.degree == 0
+        assert series_form(r.coeffs[0]) == ({Fraction(0): 2}, 2)
 
     def test_series(self):
         f = UPoly([Series.zero(prec=3), Series.const(1)])

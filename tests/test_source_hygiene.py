@@ -114,14 +114,12 @@ def test_sympy_is_imported_only_when_a_factorization_needs_it():
 
 # the (module, function) sites allowed to use "/": series.qdiv, the one
 # division of the rational layer, where two ints give an int or a
-# Fraction; the RatFn division and the parser's use of it; the series
-# division of the fraction-free elimination; and divisions of explicit
-# Fractions or tower elements.  Anywhere else, two ints would divide to
-# a float.
+# Fraction; the RatFn division and the parser's use of it; and divisions
+# of explicit Fractions or tower elements.  Anywhere else, two ints would
+# divide to a float.
 DIVISION_SITES = {("series", "qdiv"),
                   ("ratfn", "RatFn.__rtruediv__"),
                   ("parsing", "_ExprParser._term"),
-                  ("qpoly", "_exact_quotient"),
                   ("qpoly", "_factor_quadratic"),
                   ("puiseux", "_diff_nonzero")}
 

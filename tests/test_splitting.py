@@ -27,7 +27,7 @@ from specrig.splitting import (_balance, _charpoly_squarefree, _cmat_inverse,
                                full_split, htl_from_reduction, null_vector,
                                ramified_pullback, smat_coeff, smat_mul,
                                smat_prec, smat_val, split_once)
-from specrig.tower import FieldTower
+from specrig.tower import FieldTower, rational_value
 
 from conftest import (balance_reference, dense_split_once, gen_airy, mat,
                       smat_sub)
@@ -206,6 +206,23 @@ class TestFullSplit:
         assert [e.valuation() for e in eigs] == [1, 1]
         assert leads == [-1, 1]
 
+    def test_balanced_leading_charpoly_is_formed_once(self, monkeypatch):
+        """[[0, 1], [t^2, 0]] is shifted by _balance: one charpoly for the
+        nilpotent leading matrix of g and one for the balanced one, which
+        the split then uses without forming it again."""
+        g = smat([[0, 1], [{2: 1}, 0]], prec=6)
+        calls = []
+        charpoly = splitting.cmat_charpoly
+
+        def counting_charpoly(a):
+            calls.append(a)
+            return charpoly(a)
+
+        monkeypatch.setattr(splitting, "cmat_charpoly", counting_charpoly)
+        eigs = full_split(g, FieldTower())
+        assert calls == [[[0, 1], [0, 0]], [[0, 1], [1, 0]]]
+        assert sorted(e.leading() for e in eigs) == [-1, 1]
+
 
 class TestPullback:
     def test_rescaling(self):
@@ -358,6 +375,17 @@ def _leading_charpoly(g):
     return cmat_charpoly(_leading_if_certified(g))
 
 
+def _printed(eigs):
+    """Eigenvalue series as printed, each coefficient with a rational value
+    as that rational: the two gauges may reach the same rational as a
+    Fraction or as a constant tower element."""
+    def coeff(c):
+        value = rational_value(c)
+        return repr(c) if value is None else value
+    return [(sorted((e, coeff(c)) for e, c in s.terms.items()), s.prec)
+            for s in eigs]
+
+
 class TestBalance:
     @settings(max_examples=20, deadline=None)
     @given(_series_matrix())
@@ -372,10 +400,13 @@ class TestBalance:
         assert (got is None) == (found is None)
         if got is None:
             return
+        got, lam, a0, cp = got
+        assert (smat_val(got), smat_coeff(got, lam)) == (lam, a0)
+        assert cp == cmat_charpoly(a0)
         assert _leading_charpoly(got) == _leading_charpoly(found)
         # a fresh tower each: both adjoin the same roots, which print alike
-        assert list(map(repr, full_split(got, FieldTower()))) == \
-            list(map(repr, full_split(found, FieldTower())))
+        assert _printed(full_split(got, FieldTower())) == \
+            _printed(full_split(found, FieldTower()))
 
     def test_non_integral_least_cycle_mean(self):
         # the only cycle, 0 -> 1 -> 0, has mean 1/2
@@ -388,7 +419,7 @@ class TestBalance:
 
     def test_regular_semisimple_input_needs_no_shift(self):
         g = smat([[1, {1: 1}], [{1: 1}, 2]], prec=4)
-        balanced = _balance(g)
+        balanced, _, _, _ = _balance(g)
         assert [[e.terms for e in row] for row in balanced] == \
             [[e.terms for e in row] for row in g]
 
