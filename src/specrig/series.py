@@ -27,11 +27,13 @@ INF = Fraction(10 ** 12)  # sentinel used only in internal min/max bookkeeping
 def qdiv(a, b):
     """a / b in the rational layer, where a rational that is an integer is
     an int: for two ints the exact quotient a // b when b divides a, else
-    Fraction(a, b); any other operand (a Fraction, a tower element)
-    divides by its own rule."""
+    Fraction(a, b); a series is multiplied by 1 / b; any other operand (a
+    Fraction, a tower element) divides by its own rule."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
+    if type(a) is Series:
+        return a * qdiv(1, b)
     return a / b
 
 

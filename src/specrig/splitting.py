@@ -27,7 +27,7 @@ from .errors import (InsufficientTruncation, InternalInconsistency,
                      ReductionUnavailable, SpecrigError)
 from .qpoly import UPoly, det_cofactor, resultant_det, row_reduce
 from .series import INF, Series, qdiv
-from .tower import FieldTower
+from .tower import FieldTower, rational_value
 
 # -- constant matrices over a field (Fraction / tower elements) -------------
 
@@ -118,6 +118,8 @@ def split_once(g):
     verifies that residual literally.  At order m, with s the part of
     the order-m equation already known, T_m[i][j] = s[i][j] / (l_i - l_j)
     off the diagonal and s[i][i] is the t^{r + m} coefficient of eigs[i].
+    A coefficient of eigs with a rational value is that Fraction, whether
+    the arithmetic reached it as a rational or as a tower element.
     """
     n = len(g)
     r0 = smat_val(g)
@@ -167,8 +169,9 @@ def split_once(g):
     T = [[Series({m: t_coeffs[m][i][j] for m in range(order + 1)
                   if t_coeffs[m][i][j]}, order + 1)
           for j in range(n)] for i in range(n)]
-    eigs = [Series({r0 + m: b_coeffs[m][i] for m in range(order + 1)
-                    if b_coeffs[m][i]}, r0 + order + 1) for i in range(n)]
+    eigs = [Series({r0 + m: rational_value(b[i]) or b[i]
+                    for m, b in enumerate(b_coeffs) if b[i]},
+                   r0 + order + 1) for i in range(n)]
     tg = smat_mul(T, g)
     for i in range(n):
         for j in range(n):

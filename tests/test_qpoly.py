@@ -523,6 +523,15 @@ class TestTruncatedZeroCoefficient:
         assert r.degree == 0
         assert series_form(r.coeffs[0]) == ({Fraction(0): 2}, 2)
 
+    def test_series_by_a_rational_divisor(self):
+        one = Series.const(1)
+        q, r = UPoly([one, one]).divmod(UPoly([1, 1]))
+        assert [series_form(c) for c in q.coeffs] == [({Fraction(0): 1}, None)]
+        assert r.is_zero()
+        m = UPoly([Series.const(1, prec=2), 2]).monic()
+        assert series_form(m.coeffs[0]) == ({Fraction(0): Fraction(1, 2)}, 2)
+        assert m.coeffs[1] == 1
+
     def test_series(self):
         f = UPoly([Series.zero(prec=3), Series.const(1)])
         h = f * UPoly([Series.const(1), Series.const(1)])
