@@ -16,7 +16,7 @@ from .errors import InternalInconsistency, SpecrigError
 from .localmod import HTLCell, LocalModule, delta_end, irr_end, irr_hom
 from .qpoly import UPoly, integer_series_product, resultant_det
 from .series import Series
-from .tower import rational_value
+from .tower import TowerElem, rational_value
 
 
 class GermData:
@@ -122,29 +122,33 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
     return UPoly(list(reversed(coeffs)))
 
 
-def germ_equation(g: GermData) -> UPoly:
-    """Reduced local equation F(zeta, z) of the germ: the product of the
-    minimal polynomials of the unbounded clusters, with every rational
-    tower coefficient as a Fraction.  Its coefficients are then series
-    over Q, on which resultant_det eliminates over truncated Z[[z]].
-
-    When every minimal polynomial is rational, the product runs over
-    truncated Z[[z]]; an irrational tower coefficient keeps the product
-    over Series, rationalized after."""
-    factors = [_cluster_min_poly(c).map_coeffs(_rationalized)
-               for c in g.branches]
-    f = integer_series_product(factors)
-    if f is not None:
-        return f
-    f = UPoly([Series.const(Fraction(1))])
-    for p in factors:
-        f = f * p
-    return f.map_coeffs(_rationalized)
+def germ_equation(g: GermData):
+    """Reduced local equation F(zeta, z) of the germ, the product of the
+    minimal polynomials of the unbounded clusters, over truncated Z[[z]]:
+    (P, s) with P = c z^s F for a positive rational c, from
+    :func:`integer_series_product`.  A minimal polynomial whose tower
+    coefficients all have rational values (each written as that Fraction)
+    is cleared as it is; the irrational ones are multiplied over Series
+    first, rationalized, and cleared with the rest."""
+    rational, irrational = [], []
+    for c in g.branches:
+        p = _cluster_min_poly(c).map_coeffs(_rationalized)
+        (irrational if any(isinstance(x, TowerElem) for t in p.coeffs
+                           for x in t.terms.values())
+         else rational).append(p)
+    if irrational:
+        f = irrational[0]
+        for p in irrational[1:]:
+            f = f * p
+        rational.append(f.map_coeffs(_rationalized))
+    return integer_series_product(rational)
 
 
 def _rationalized(s):
+    """s as a series whose tower coefficients with a rational value are
+    that Fraction; a rational s becomes the constant series."""
     if not isinstance(s, Series):
-        return s
+        return Series.const(s)
     values = {e: rational_value(c) for e, c in s.terms.items()}
     return Series({e: c if values[e] is None else values[e]
                    for e, c in s.terms.items()}, s.prec)
@@ -152,19 +156,25 @@ def _rationalized(s):
 
 def germ_milnor_oracle(g: GermData) -> int:
     """mu = (F, dF/dzeta) + 1 - (F, z), both intersection numbers as
-    z-valuations; (F, z) is the branch multiplicity sum."""
+    z-valuations; (F, z) is the branch multiplicity sum.  With
+    P = c z^s F of degree d from :func:`germ_equation`,
+    Res(P, P') = c^(2d-1) z^(s(2d-1)) Res(F, F'), so the resultant over
+    Z[[z]] is read as a valuation less s(2d-1)."""
     if g.r_c == 0:
         return 0
-    f = germ_equation(g)
+    f, s = germ_equation(g)
     fz = sum(c.r for c in g.branches)
     if f.degree == 1:
-        res_val = Fraction(0)
+        res_val = 0
     else:
-        res_val = resultant_det(f, f.derivative()).valuation()
+        res = resultant_det(f, f.derivative())
+        if not res:
+            raise InternalInconsistency("germ equation is not reduced")
+        res_val = res.valuation() - s * (2 * f.degree - 1)
     mu = res_val + 1 - fz
-    if Fraction(mu).denominator != 1 or mu < 0:
+    if mu < 0:
         raise InternalInconsistency(f"oracle Milnor number {mu} invalid")
-    return int(mu)
+    return mu
 
 
 def delta_invariant(g: GermData) -> int:

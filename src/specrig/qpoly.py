@@ -6,9 +6,12 @@ mixes with ints and is falsy only when provably zero.  A rational
 that is an integer is an ``int``; a ``fractions.Fraction`` comes only from
 a division that does not come out even, and every division of the
 rational layer goes through :func:`specrig.series.qdiv`.  Over Q the gcd
-(:func:`poly_gcd`), the resultant (:func:`resultant_det`) and the germ
-product (:func:`integer_series_product`) clear denominators once, work
-over Z, and rescale their result to Q once.
+(:func:`poly_gcd`) and the resultant (:func:`resultant_det`) clear
+denominators once, work over Z, and rescale their result to Q once.
+Series over Q reach truncated Z[[z]] only through
+:func:`integer_series_product`, which clears each factor once and keeps
+the product there: a series resultant is eliminated only over Z[[z]]
+and read as a valuation, never rescaled to Q.
 The zero polynomial is the empty coefficient tuple.
 """
 
@@ -417,8 +420,8 @@ class _ZSeries:
     exact).
 
     It is the integer form of a rational series with integer exponents,
-    in the Sylvester matrices of :func:`resultant_det` and the factors of
-    :func:`integer_series_product`.  Its ``+``, ``-`` and ``*`` keep the
+    made by :func:`integer_series_product`, and :func:`resultant_det`
+    eliminates over it as given.  Its ``+``, ``-`` and ``*`` keep the
     precision that Series arithmetic certifies for the same operation,
     and its exact quotient the precision of a product with the truncated
     inverse of the divisor.  It is falsy only when provably zero.
@@ -504,6 +507,8 @@ class _ZSeries:
                 for j, y in enumerate(b[:n - i], i):
                     out[j] += x * y
         return _ZSeries(out, prec)
+
+    __rmul__ = __mul__
 
     def exact_quotient(self, den):
         """self / den for a pivot den: exact by exact is polynomial
@@ -667,7 +672,7 @@ def _integer_series(s: Series, ints, shift) -> _ZSeries:
     return _ZSeries(dense, None if s.prec is None else s.prec + shift)
 
 
-def _cleared(p: UPoly, ring, shift):
+def _cleared(p: UPoly, ring, shift=0):
     """(P, den, num) with P = (den / num) z^shift p over Z, the scale of
     :func:`_primitive_integers` over every rational of p.  ring is the
     coefficient type of p: None for rationals, UPoly or Series."""
@@ -690,99 +695,74 @@ def _cleared(p: UPoly, ring, shift):
 
 def _integer_sylvester(f: UPoly, g: UPoly):
     """Integer form of the Sylvester matrix of f and g when their
-    coefficients are rationals, polynomials over Q or series over Q with
-    integer exponents (rational constants may mix with the latter two):
-    (rows, back), back mapping the integer determinant to Res(f, g).
-    None for a ring without series (tower elements); a series over any
-    other ring raises InternalInconsistency: series do not divide.
-
-    The integer operands are F = c_f z^s f and G = c_g z^s g.  One shift
-    s for both moves every entry by the same power of z, so the
-    elimination picks the same pivots as on the rational rows.
+    coefficients are rationals or polynomials over Q (rational constants
+    may mix with the latter): (rows, back), back mapping the integer
+    determinant to Res(f, g).  None for any other exact ring (tower
+    elements, truncated Z[[z]]); a series over Q raises
+    InternalInconsistency, since it reaches Z[[z]] only through
+    :func:`integer_series_product`.
     """
     coeffs = f.coeffs + g.coeffs
+    if any(isinstance(c, Series) for c in coeffs):
+        raise InternalInconsistency("resultant over series: clear them "
+                                    "to truncated Z[[z]] first")
     if all(_rational(c) for c in coeffs):
         ring = None
     elif all(_rational(c) or isinstance(c, UPoly) and _over_q(c)
              for c in coeffs):
         ring = UPoly
-    elif not any(isinstance(c, Series) for c in coeffs):
-        return None
-    elif all(_rational(c) or isinstance(c, Series)
-             and _over_q_integer_exponents(c) for c in coeffs):
-        ring = Series
+        f, g = (p.map_coeffs(lambda c: c if isinstance(c, UPoly)
+                             else UPoly.const(c)) for p in (f, g))
     else:
-        raise InternalInconsistency("resultant over series that are not "
-                                    "over Q with integer exponents")
-    shift = 0
-    if ring is not None:
-        f, g = (p.map_coeffs(lambda c: c if isinstance(c, ring)
-                             else ring.const(c)) for p in (f, g))
-    if ring is Series:
-        shift = -min((min(c.terms) for c in f.coeffs + g.coeffs
-                      if c.terms), default=0).numerator
-    (fz, df, nf), (gz, dg, ng) = (_cleared(p, ring, shift) for p in (f, g))
-    # with c_f = df / nf and c_g = dg / ng, Res(c_f z^s f, c_g z^s g)
-    # = c_f^deg g c_g^deg f z^(s (deg f + deg g)) Res(f, g)
+        return None
+    (fz, df, nf), (gz, dg, ng) = (_cleared(p, ring) for p in (f, g))
+    # with c_f = df / nf and c_g = dg / ng,
+    # Res(c_f f, c_g g) = c_f^deg g c_g^deg f Res(f, g)
     m, n = f.degree, g.degree
     num, den = nf ** n * ng ** m, df ** n * dg ** m
-    top = shift * (m + n)
-
-    def rational(a):
-        return qdiv(a * num, den)
 
     def back(x):
         if ring is None:
-            return rational(x)
-        if ring is UPoly:
-            return UPoly([rational(a) for a in x.coeffs] if x else ())
-        if not isinstance(x, _ZSeries):
-            return Series.zero()
-        return Series({i - top: rational(a) for i, a in enumerate(x.c)},
-                      None if x.prec is None else x.prec - top)
+            return qdiv(x * num, den)
+        return UPoly([qdiv(a * num, den) for a in x.coeffs] if x else ())
     return sylvester_matrix(fz, gz), back
 
 
 def integer_series_product(polys):
-    """Product of polynomials over series over Q with integer exponents,
-    taken over truncated Z[[z]]: each factor p is cleared once to
-    (den / num) z^s p with :class:`_ZSeries` coefficients (the scale of
-    :func:`_cleared`), the factors are multiplied, and the product is
-    rescaled once.  Its terms and precisions are those of the product
-    over Series.  None when some coefficient is not such a series.
+    """(P, s): the product F of polynomials over series over Q with
+    integer exponents, taken over truncated Z[[z]] as P = c z^s F for a
+    positive rational c.  Each factor is cleared once, by the scale of
+    :func:`_cleared` and the shift that lifts its least exponent to 0,
+    and the factors are multiplied; nothing is rescaled to Q.  P holds
+    the terms and precisions of the product over Series, scaled by c and
+    moved up by s.  Any other coefficient raises InternalInconsistency.
     """
     if not all(isinstance(c, Series) and _over_q_integer_exponents(c)
                for p in polys for c in p.coeffs):
-        return None
-    prod = None
-    num = den = 1
-    top = 0
+        raise InternalInconsistency("integer series product over series "
+                                    "that are not over Q with integer "
+                                    "exponents")
+    prod, top = None, 0
     for p in polys:
         shift = -min((min(c.terms) for c in p.coeffs if c.terms),
                      default=0).numerator
-        q, d, m = _cleared(p, Series, shift)
+        q = _cleared(p, Series, shift)[0]
         prod = q if prod is None else prod * q
-        num, den, top = num * m, den * d, top + shift
-
-    def back(x):
-        if not isinstance(x, _ZSeries):
-            return x
-        return Series({i - top: qdiv(a * num, den)
-                       for i, a in enumerate(x.c) if a},
-                      None if x.prec is None else x.prec - top)
-    return prod.map_coeffs(back)
+        top += shift
+    return prod, top
 
 
 def resultant_det(f: UPoly, g: UPoly):
-    """Resultant via the Sylvester determinant; valid over any integral
-    domain whose division is exact (see :func:`det_bareiss`).
+    """Resultant via the Sylvester determinant over an exact ring: Q,
+    Q[z], a field tower or truncated Z[[z]] (see :func:`det_bareiss`).
 
-    Over Q, Q[z] and series over Q with integer exponents the
-    denominators are cleared once and the elimination runs over Z, Z[z]
-    or truncated Z[[z]]; the result is rescaled once by
-    Res(c z^s f, d z^s g) = c^deg g d^deg f z^(s (deg f + deg g)) Res(f, g).
-    Tower elements are eliminated as they are; any other series raises
-    InternalInconsistency.
+    Over Q and Q[z] the denominators are cleared once, the elimination
+    runs over Z or Z[z], and the result is rescaled once by
+    Res(c f, d g) = c^deg g d^deg f Res(f, g).  Tower elements and
+    truncated integer series are eliminated as they are.  A series over
+    Q raises InternalInconsistency: series do not divide, so a series
+    resultant is eliminated only over Z[[z]], on the integer form of
+    :func:`integer_series_product`, and read there as a valuation.
     """
     if f.is_zero() and g.is_zero():
         raise SpecrigError("resultant of two zero polynomials")

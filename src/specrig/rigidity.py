@@ -50,7 +50,10 @@ def arithmetic_genus(c: CurveClass) -> int:
 
 
 def euler_char_normalization(g_a: int, germs) -> int:
-    """chi of the normalization: (2 - 2 g_a) + 2 * sum of delta."""
+    """chi = (2 - 2 g_a) + 2 * sum of delta over the poles' germs: the
+    Euler characteristic of the normalization only when the finite part
+    is smooth (the cusp y^2 = z^3 of gen_airy_3 gives 0, its
+    normalization 2)."""
     return 2 - 2 * g_a + 2 * sum(g.delta for g in germs)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from specrig import qpoly
 from specrig.errors import (InputError, InsufficientTruncation,
                             InternalInconsistency, SpecrigError)
 from specrig.localmod import build_local
@@ -535,6 +536,44 @@ def fraction_series_product(polys):
     for p in polys:
         f = f * p
     return f
+
+
+def integer_form(x):
+    """(coefficient list, prec) of a truncated integer series
+    (:class:`specrig.qpoly._ZSeries`); a plain integer stands for the
+    exact constant series."""
+    if isinstance(x, qpoly._ZSeries):
+        return x.c, x.prec
+    return ([x] if x else []), None
+
+
+def cleared_form(ref, s, c):
+    """:func:`integer_form` of each coefficient of c z^s ref, for ref a
+    polynomial over series over Q with integer exponents (or a single such
+    series): the form that clearing ref over truncated Z[[z]] must give."""
+    out = []
+    for x in (ref.coeffs if isinstance(ref, UPoly) else [ref]):
+        terms, prec = series_form(x)
+        dense = [0] * (max(terms).numerator + s + 1 if terms else 0)
+        for e, a in terms.items():
+            dense[e.numerator + s] = a * c
+        out.append(integer_form(qpoly._ZSeries(
+            dense, None if prec is None else prec + s)))
+    return out if isinstance(ref, UPoly) else out[0]
+
+
+def clearing_scale(got, ref, s):
+    """The rational c of got = c z^s ref, read off the first term of ref:
+    got over truncated Z[[z]], ref the same polynomial (or series) over
+    series over Q.  1 when ref has no term."""
+    pairs = (zip(got.coeffs, ref.coeffs) if isinstance(ref, UPoly)
+             else [(got, ref)])
+    for x, y in pairs:
+        for e, a in series_form(y)[0].items():
+            coeffs = integer_form(x)[0]
+            i = e.numerator + s
+            return Fraction(coeffs[i] if i < len(coeffs) else 0) / a
+    return 1
 
 
 def geometric_inverse(s, order=None):

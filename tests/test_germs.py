@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (EXAMPLE_TEXTS, airy, dense_fuchs, diag_irreg,
-                      fraction_series_product, gen_airy, local_at, mat,
-                      series_det_bareiss, series_form)
+from conftest import (EXAMPLE_TEXTS, airy, cleared_form, clearing_scale,
+                      dense_fuchs, diag_irreg, fraction_series_product,
+                      gen_airy, integer_form, local_at, mat,
+                      series_det_bareiss)
 from specrig import germs, qpoly
 from specrig.errors import SpecrigError
 from specrig.germs import (GermData, branch_intersection, branch_milnor,
@@ -14,8 +15,7 @@ from specrig.germs import (GermData, branch_intersection, branch_milnor,
                            germ_milnor_oracle, unbounded_branches)
 from specrig.localmod import check_assumption
 from specrig.parsing import parse_problem
-from specrig.qpoly import (UPoly, integer_series_product, resultant_det,
-                           sylvester_matrix)
+from specrig.qpoly import UPoly, resultant_det, sylvester_matrix
 from specrig.series import Series
 from specrig.ratfn import INFINITY
 from specrig.tower import TowerElem
@@ -62,11 +62,13 @@ class TestAiry:
             branch_intersection(airy_germ, 0, 0)
 
     def test_germ_equation_is_cusp(self, airy_germ):
-        f = germ_equation(airy_germ)
-        # zeta^2 - z^5 (the minimal polynomial of the conjugate orbit)
-        assert f.degree == 2
-        assert f.coeffs[2].coeff(0) == 1
-        assert f.coeffs[0].coeff(5) == -1
+        f, s = germ_equation(airy_germ)
+        # zeta^2 - z^5 (the minimal polynomial of the conjugate orbit),
+        # primitive over Z[[z]] with its least exponent at 0: c = 1, s = 0
+        assert (f.degree, s) == (2, 0)
+        assert f.coeffs[2].c == [1]
+        assert f.coeffs[0].c[:6] == [0, 0, 0, 0, 0, -1]
+        assert f.coeffs[0].prec is None or f.coeffs[0].prec > 5
         assert not f.coeffs[1]
 
 
@@ -141,13 +143,15 @@ SYLVESTER_CASES = (
 
 @pytest.mark.parametrize("name", sorted(SYLVESTER_CASES))
 def test_integer_sylvester_matches_series_rows(name, monkeypatch):
-    """Every germ-oracle resultant certifies, over Z[[z]], the terms and
-    precision that elimination on the rational Series rows certifies."""
+    """Every germ-oracle resultant, eliminated as given over Z[[z]] on the
+    germ equation P = c z^s F, certifies the terms and precision that
+    elimination on the rational Series rows of F certifies, scaled by
+    c^(2d-1) z^(s(2d-1)); no second clearing runs."""
     equations = []
 
     def record(g):
-        equations.append(germ_equation(g))
-        return equations[-1]
+        equations.append((germ_equation(g), _series_equation(g)))
+        return equations[-1][0]
 
     monkeypatch.setattr(germs, "germ_equation", record)
     spec = parse_problem(SYLVESTER_CASES[name])
@@ -156,20 +160,22 @@ def test_integer_sylvester_matches_series_rows(name, monkeypatch):
         if check_assumption(local):
             GermData(local)
     assert equations
-    for f in equations:
+    for (p, s), f in equations:
+        # every germ equation of these inputs is rational, so it holds
+        # integers only (never a float)
+        assert all(isinstance(x, int) for c in p.coeffs
+                   for x in integer_form(c)[0])
         if f.degree < 2:
             continue
-        fy = f.derivative()
-        ref = series_det_bareiss(sylvester_matrix(f, fy))
-        res = resultant_det(f, fy)
-        assert (res.terms, res.prec) == (ref.terms, ref.prec)
-        assert res.valuation() == ref.valuation()
-        # every germ equation of these inputs is rational (int or
-        # Fraction, never float), so every oracle determinant takes the
-        # integer path
-        assert all(isinstance(x, (int, Fraction)) for c in f.coeffs
-                   if isinstance(c, Series) for x in c.terms.values())
-        assert qpoly._integer_sylvester(f, fy) is not None
+        n = 2 * f.degree - 1
+        ref = series_det_bareiss(sylvester_matrix(f, f.derivative()))
+        c = clearing_scale(p, f, s)
+        assert c > 0
+        py = p.derivative()
+        assert qpoly._integer_sylvester(p, py) is None
+        res = resultant_det(p, py)
+        assert integer_form(res) == cleared_form(ref, s * n, c ** n)
+        assert res.valuation() - s * n == ref.valuation()
 
 
 def _tower_milnor_oracle(g):
@@ -185,13 +191,13 @@ def _tower_milnor_oracle(g):
         res = series_det_bareiss(sylvester_matrix(f, f.derivative()))
         res_val = res.valuation()
     tower = any(isinstance(x, TowerElem) for c in f.coeffs
-                for x in c.terms.values())
+                if isinstance(c, Series) for x in c.terms.values())
     return res_val + 1 - sum(c.r for c in g.branches), tower
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_dense_fuchs_germs_leave_the_tower(n):
-    """The germ equations of dense_fuchs hold no tower element, and the
+    """The germ equations of dense_fuchs hold integers only, and the
     oracle's Milnor numbers equal those computed in tower arithmetic."""
     spec = parse_problem(dense_fuchs(n))
     rationalized, in_tower = [], []
@@ -200,9 +206,9 @@ def test_dense_fuchs_germs_leave_the_tower(n):
         local = local_at(spec.matrix, pole)
         assert check_assumption(local)
         g = GermData(local)
-        f = germ_equation(g)
-        assert not any(isinstance(x, TowerElem) for c in f.coeffs
-                       for x in c.terms.values())
+        f, _ = germ_equation(g)
+        assert all(isinstance(c, qpoly._ZSeries) for c in f.coeffs)
+        assert all(isinstance(x, int) for c in f.coeffs for x in c.c)
         rationalized.append(g.mu_oracle_value)
         if g.r_c:
             mu, tower = _tower_milnor_oracle(g)
@@ -239,34 +245,93 @@ def _rational_factors(g):
             for c in g.branches]
 
 
+def _series_equation(g):
+    """Reference germ equation F over Series: every minimal polynomial
+    multiplied over Series, rationalized after."""
+    return fraction_series_product(_rational_factors(g)).map_coeffs(
+        germs._rationalized)
+
+
+def _irrational(p):
+    return any(isinstance(x, TowerElem) for c in p.coeffs
+               for x in c.terms.values())
+
+
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
-def test_integer_germ_product_matches_series_product(name, monkeypatch):
-    """The germ equation multiplied over Z[[z]] has the terms and the
-    precisions of the product over Fraction series, and the oracle reads
-    the same Milnor numbers off either."""
+def test_integer_germ_product_matches_series_product(name):
+    """The germ equation over Z[[z]], P = c z^s F, has the terms and the
+    precisions of the product F over Fraction series, scaled by c and
+    moved up by s, also where some minimal polynomial is irrational; the
+    oracle reads the Milnor numbers of the in-tower reference."""
     found = _germs_of(PRODUCT_CASES[name])
-    series_path = 0
+    mixed = 0
     for g in found:
         if not g.r_c:
             continue
-        factors = _rational_factors(g)
-        got = integer_series_product(factors)
+        got, s = germ_equation(g)
+        ref = _series_equation(g)
+        c = clearing_scale(got, ref, s)
+        assert c > 0
+        assert [integer_form(x) for x in got.coeffs] == \
+            cleared_form(ref, s, c)
+        irrational = any(map(_irrational, _rational_factors(g)))
         if name.startswith("diag_irreg"):
-            # the irregular ladder takes the integer path at every pole
-            assert got is not None
-        if got is None:
-            series_path += 1
-            continue
-        ref = fraction_series_product(factors)
-        assert [series_form(c) for c in got.coeffs] == \
-            [series_form(c) for c in ref.coeffs]
-        assert [series_form(c) for c in germ_equation(g).coeffs] == \
-            [series_form(c) for c in got.coeffs]
+            # the irregular ladder has rational minimal polynomials only
+            assert not irrational
+        mixed += irrational
     if name.startswith("dense_fuchs"):
-        # conjugate branches carry irrational minimal polynomials, so some
-        # germ keeps the product over Series
-        assert series_path
-    oracle = [g.mu_oracle_value for g in found]
-    monkeypatch.setattr(germs, "integer_series_product", lambda polys: None)
-    assert [germ_milnor_oracle(g) for g in found] == oracle
+        # conjugate branches carry irrational minimal polynomials
+        assert mixed
+    assert [g.mu_oracle_value for g in found] == \
+        [_tower_milnor_oracle(g)[0] if g.r_c else 0 for g in found]
 
+
+def test_mixed_germ_clears_each_factor_once(monkeypatch):
+    """At pole 1 of dense_fuchs_rank3 the germ has two minimal polynomials
+    with irrational tower coefficients and one rational one.  One oracle
+    call multiplies only the irrational two over Series, clears the
+    rational one and that product once each, hands the integer product
+    to resultant_det as it is (no rational Series rebuilt from it), and
+    runs no clearing in _integer_sylvester."""
+    spec = parse_problem(dense_fuchs(3))
+    local = local_at(spec.matrix, F(1))
+    assert check_assumption(local)
+    g = GermData(local)
+    factors = _rational_factors(g)
+    assert sorted(map(_irrational, factors)) == [False, True, True]
+    product = fraction_series_product(
+        [p for p in factors if _irrational(p)]).map_coeffs(
+            germs._rationalized)
+    expected = [sorted(x for c in p.coeffs for x in c.terms.values())
+                for p in [p for p in factors if not _irrational(p)]
+                + [product]]
+    cleared, series_operands, sylvester, resultants = [], [], [], []
+
+    def count(record, fn):
+        def spy(*args):
+            out = fn(*args)
+            record.append((args, out))
+            return out
+        return spy
+
+    def series_product(a, b):
+        if any(isinstance(c, Series) for c in a.coeffs + b.coeffs):
+            series_operands.extend([a, b])
+        return mul(a, b)
+
+    mul = UPoly.__mul__
+    monkeypatch.setattr(UPoly, "__mul__", series_product)
+    monkeypatch.setattr(qpoly, "_primitive_integers",
+                        count(cleared, qpoly._primitive_integers))
+    monkeypatch.setattr(qpoly, "_integer_sylvester",
+                        count(sylvester, qpoly._integer_sylvester))
+    monkeypatch.setattr(germs, "resultant_det",
+                        count(resultants, resultant_det))
+    assert germ_milnor_oracle(g) == g.mu == 4
+    assert [sorted(args[0]) for args, _ in cleared] == expected
+    assert len(series_operands) == 2
+    assert all(map(_irrational, series_operands))
+    assert [out for _, out in sylvester] == [None]
+    [((p, py), res)] = resultants
+    assert all(isinstance(c, qpoly._ZSeries) for c in p.coeffs + py.coeffs
+               + (res,))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (CORPUS, GENERATED, conjugate_by, no_sympy,
                       unimodular)
-from specrig import germs, localmod, pipeline, rigidity
+from specrig import germs, localmod, pipeline, qpoly, rigidity
 from specrig.errors import InputError, InsufficientTruncation
 from specrig.matrf import (CharpolyDiscriminant, charpoly,
                            default_truncation, pole_order)
@@ -183,7 +183,8 @@ class TestPrecisionPolicy:
 
 def _numbers(x):
     """Every coefficient and exponent inside x, through polynomials,
-    rational functions, series and tower elements."""
+    rational functions, series, truncated integer series and tower
+    elements."""
     if isinstance(x, UPoly):
         for c in x.coeffs:
             yield from _numbers(c)
@@ -194,6 +195,10 @@ def _numbers(x):
         for e, c in x.terms.items():
             yield e
             yield from _numbers(c)
+        if x.prec is not None:
+            yield x.prec
+    elif isinstance(x, qpoly._ZSeries):
+        yield from x.c
         if x.prec is not None:
             yield x.prec
     elif isinstance(x, TowerElem):
@@ -218,8 +223,9 @@ def test_exact_data_holds_no_float(name, monkeypatch):
         return local
 
     def equation_spy(g):
-        data.append(equation(g))
-        return data[-1]
+        f, s = equation(g)
+        data.extend([f, s])
+        return f, s
 
     monkeypatch.setattr(pipeline, "build_local", build_spy)
     monkeypatch.setattr(germs, "germ_equation", equation_spy)

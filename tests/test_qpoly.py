@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
-from conftest import (euclid_gcd, fraction_series_product, poly_xgcd,
+from conftest import (cleared_form, clearing_scale, euclid_gcd,
+                      fraction_series_product, integer_form, poly_xgcd,
                       series_det_bareiss, series_form)
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
                            integer_series_product, poly_gcd, resultant,
@@ -447,36 +448,69 @@ def _series_poly(max_degree):
             isinstance(c, Series) for c in p.coeffs))
 
 
+def _as_series(p):
+    return p.map_coeffs(lambda c: c if isinstance(c, Series)
+                        else Series.const(c))
+
+
+def _cleared_pair(f, g):
+    """f and g over series cleared to truncated Z[[z]] by
+    integer_series_product and moved to one shift s, as a germ equation
+    and its derivative are: (F, G, s, c) with F = c_f z^s f,
+    G = c_g z^s g and c = c_f^deg g c_g^deg f, the scale of Res(F, G)
+    over Res(f, g), each c read off the operands."""
+    (fz, sf), (gz, sg) = (integer_series_product([p]) for p in (f, g))
+    s = max(sf, sg)
+    fz, gz = (p * ZS([0] * (s - t) + [1]) for p, t in ((fz, sf), (gz, sg)))
+    cf, cg = clearing_scale(fz, f, s), clearing_scale(gz, g, s)
+    assert cf > 0 and cg > 0
+    return fz, gz, s, cf ** g.degree * cg ** f.degree
+
+
 class TestIntegerSeriesResultant:
+    """Series resultants are eliminated over Z[[z]] only: on the operands
+    cleared by integer_series_product, resultant_det certifies the terms
+    and the precision that elimination on the rational Series rows
+    certifies, scaled by c z^(s (deg f + deg g))."""
+
     @settings(max_examples=150, deadline=None)
     @given(_series_poly(3), _series_poly(3))
     def test_certifies_what_the_series_rows_certify(self, f, g):
+        f, g = _as_series(f), _as_series(g)
+        fz, gz, s, c = _cleared_pair(f, g)
         try:
             ref = series_det_bareiss(sylvester_matrix(f, g))
         except InsufficientTruncation:
             with pytest.raises(InsufficientTruncation):
-                resultant_det(f, g)
+                resultant_det(fz, gz)
             return
-        if not isinstance(ref, Series):  # rational entries only
-            ref = Series.const(ref)
-        res = resultant_det(f, g)
-        assert (res.terms, res.prec) == (ref.terms, ref.prec)
+        res = resultant_det(fz, gz)
+        assert integer_form(res) == \
+            cleared_form(ref, s * (f.degree + g.degree), c)
 
     @settings(max_examples=60, deadline=None)
     @given(_series_poly(3), _series_poly(2))
     def test_never_a_wrong_term(self, f, g):
-        ref = det_cofactor(sylvester_matrix(f, g))
-        if not isinstance(ref, Series):  # rational entries only
-            ref = Series.const(ref)
+        f, g = _as_series(f), _as_series(g)
+        fz, gz, s, c = _cleared_pair(f, g)
+        ref = cleared_form(det_cofactor(sylvester_matrix(f, g)),
+                           s * (f.degree + g.degree), c)
         try:
-            res = resultant_det(f, g)
+            res = integer_form(resultant_det(fz, gz))
         except InsufficientTruncation:
             return
-        common = ref.prec if res.prec is None else (
-            res.prec if ref.prec is None else min(res.prec, ref.prec))
-        for e in set(res.terms) | set(ref.terms):
+        common = ref[1] if res[1] is None else (
+            res[1] if ref[1] is None else min(res[1], ref[1]))
+        for e in range(max(len(res[0]), len(ref[0]))):
             if common is None or e < common:
-                assert res.terms.get(e, 0) == ref.terms.get(e, 0)
+                assert (res[0][e] if e < len(res[0]) else 0) == \
+                    (ref[0][e] if e < len(ref[0]) else 0)
+
+    def test_rational_series_raises(self):
+        f = UPoly([Series({0: 1, 1: Fraction(1, 2)}, 3), Series.const(1),
+                   Series.const(1)])
+        with pytest.raises(InternalInconsistency):
+            resultant_det(f, f.derivative())
 
     def test_fractional_exponent_raises(self):
         f = UPoly([Series({Fraction(1, 2): 1}, 3), Series.const(1),
@@ -553,26 +587,39 @@ class TestTruncatedZeroCoefficient:
             {Fraction(0): 1}, None)
 
 
+def test_int_times_integer_series():
+    # an int multiplies a truncated integer series from either side, so
+    # that a polynomial over Z[[z]] has a derivative
+    x = ZS([1, 1], 3)
+    assert integer_form(2 * x) == integer_form(x * 2) == ([2, 2], 3)
+    p = UPoly([ZS([0, 1]), ZS([3], 4), ZS([1])])
+    assert [integer_form(c) for c in p.derivative().coeffs] == \
+        [([3], 4), ([2], None)]
+
+
 class TestIntegerSeriesProduct:
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_series_poly(3), min_size=1, max_size=3))
     def test_matches_the_series_product(self, polys):
-        polys = [p.map_coeffs(lambda c: c if isinstance(c, Series)
-                              else Series.const(c)) for p in polys]
-        got = integer_series_product(polys)
+        # (P, s) with P = c z^s F for the product F over Series: the same
+        # terms, scaled by one positive rational c, and the same
+        # precisions, each moved up by s
+        polys = [_as_series(p) for p in polys]
+        got, s = integer_series_product(polys)
         ref = fraction_series_product(polys)
-        assert [series_form(c) for c in got.coeffs] == \
-            [series_form(c) for c in ref.coeffs]
+        c = clearing_scale(got, ref, s)
+        assert c > 0
+        assert [integer_form(x) for x in got.coeffs] == cleared_form(ref, s, c)
 
     def test_refuses_other_rings(self):
         tower = FieldTower()
         a = tower.adjoin(P(-2, 0, 1))
-        assert integer_series_product(
-            [UPoly([Series.const(a), Series.const(1)])]) is None
-        assert integer_series_product(
-            [UPoly([Series.monomial(1, Fraction(1, 2)),
-                    Series.const(1)])]) is None
-        assert integer_series_product([P(1, 1)]) is None
+        for polys in ([UPoly([Series.const(a), Series.const(1)])],
+                      [UPoly([Series.monomial(1, Fraction(1, 2)),
+                              Series.const(1)])],
+                      [P(1, 1)]):
+            with pytest.raises(InternalInconsistency):
+                integer_series_product(polys)
 
 
 class TestRationalFactorization:
