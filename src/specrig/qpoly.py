@@ -799,7 +799,10 @@ def factor_rational(f: UPoly):
     All coefficients of f must be Fraction/int.  Linear and quadratic f
     never reach sympy: a quadratic splits exactly when its discriminant
     is the square of a rational, and its factors come in sympy's order.
-    Degrees 3 and up go to sympy's ``factor_list``.
+    From degree 3 on the rational roots are split off exactly first
+    (:func:`_split_rational_roots`); an f that they do not reduce to
+    linear factors and at most one quadratic goes to sympy's
+    ``factor_list`` whole.
     """
     if f.degree < 1:
         return []
@@ -807,8 +810,71 @@ def factor_rational(f: UPoly):
         return [(f.monic(), 1)]
     if f.degree == 2:
         return _factor_quadratic(*(Fraction(c) for c in f.coeffs))
+    split = _split_rational_roots(f)
+    if split is not None:
+        return split
     _, factors = _to_sympy(f).factor_list()
     return [(_from_sympy(p).monic(), int(k)) for p, k in factors]
+
+
+# the largest |a_0 a_n| whose divisors are enumerated for rational roots
+_ROOT_SEARCH_BOUND = 10 ** 7
+
+
+def _split_rational_roots(f: UPoly):
+    """factor_rational of f, of degree 3 or more, when its rational roots
+    leave at most one quadratic; None otherwise, or when the leading and
+    constant coefficients are too large to search.
+
+    A root p/q in lowest terms of the primitive integer form
+    a_0 + ... + a_n x^n (a_0 != 0 once the roots 0 are split off) has
+    p | a_0 and q | a_n.  Each root found is divided out over Z to its
+    multiplicity, and the search stops once at most a linear factor is
+    left, so a quadratic left after every candidate has no rational root
+    and is irreducible.  The factors come in sympy's order: by degree,
+    then multiplicity, then the primitive integer coefficients from the
+    top.
+    """
+    ints = _primitive_integers(f.coeffs)[0]
+    zeros = next(i for i, a in enumerate(ints) if a)
+    g = ints[zeros:]
+    if abs(g[0] * g[-1]) > _ROOT_SEARCH_BOUND:
+        return None
+    found = [(UPoly([0, 1]), zeros)] if zeros else []
+    candidates = ((sign * p, q) for q in _divisors(abs(g[-1]))
+                  for p in _divisors(abs(g[0])) if gcd(p, q) == 1
+                  for sign in (1, -1))
+    for p, q in candidates:
+        if len(g) <= 2:
+            break
+        k = 0
+        while _is_root(g, p, q):
+            g = _int_exact_quotient(g, [-p, q])
+            k += 1
+        if k:
+            found.append((UPoly([-p, q]).monic(), k))
+    if len(g) > 3:
+        return None
+    if len(g) > 1:
+        found.append((UPoly(g).monic(), 1))
+    return sorted(found, key=lambda pk: (
+        pk[0].degree, pk[1], _primitive_integers(pk[0].coeffs)[0][::-1]))
+
+
+def _divisors(n: int):
+    """The positive divisors of n > 0, by trial division."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _is_root(g, p: int, q: int) -> bool:
+    """Whether p/q is a root of the integer polynomial g (lowest degree
+    first): q^n g(p/q) = sum a_i p^i q^(n-i), by Horner's rule."""
+    acc, scale = g[-1], 1
+    for a in reversed(g[:-1]):
+        scale *= q
+        acc = acc * p + a * scale
+    return acc == 0
 
 
 def _factor_quadratic(c, b, a):

@@ -11,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from specrig import qpoly
+from specrig import germs, qpoly
 from specrig.errors import (InputError, InsufficientTruncation,
                             InternalInconsistency, SpecrigError)
 from specrig.localmod import build_local
 from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
                            default_truncation, pole_order)
 from specrig.parsing import parse_expression, parse_problem
-from specrig.qpoly import UPoly, row_reduce
+from specrig.qpoly import UPoly, resultant_det, row_reduce
 from specrig.ratfn import INFINITY, RatFn
 from specrig.rigidity import _bipoly_to_sympy
 from specrig.series import INF, Series, qdiv
@@ -779,3 +779,22 @@ def series_det_bareiss(rows):
         prev = piv
     det = m[-1][-1]
     return -det if negate else det
+
+
+def full_product_milnor_oracle(g):
+    """Reference for :func:`specrig.germs.germ_milnor_oracle`: the factors
+    (P_i, s_i) of :func:`specrig.germs.germ_equation` multiplied out over
+    truncated Z[[z]] into P = c z^s F with s = sum s_i, and one Sylvester
+    resultant Res(P, P') = c^(2d-1) z^(s(2d-1)) Res(F, F') read as a
+    valuation less s(2d - 1)."""
+    if g.r_c == 0:
+        return 0
+    factors = germs.germ_equation(g)
+    p, s = factors[0]
+    for q, t in factors[1:]:
+        p, s = p * q, s + t
+    res_val = 0
+    if p.degree > 1:
+        res = resultant_det(p, p.derivative())
+        res_val = res.valuation() - s * (2 * p.degree - 1)
+    return res_val + 1 - sum(c.r for c in g.branches)

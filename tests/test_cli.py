@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from conftest import CORPUS, dense_fuchs, fuchs, gen_airy, irreg, parse_report
+from conftest import (CORPUS, dense_fuchs, diag_irreg, fuchs, gen_airy, irreg,
+                      parse_report)
 from specrig import localmod, pipeline, tower
 from specrig.cli import main
 from specrig.errors import InsufficientTruncation
@@ -273,21 +274,37 @@ import contextlib, io, sys
 from specrig.cli import main
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
-    main(["analyze", sys.argv[1]])
+    for path in sys.argv[1:]:
+        main(["analyze", path])
 print("sympy" in sys.modules)
 """
+EXAMPLE_FILES = sorted((ROOT / "examples_input").glob("*.txt"))
 
 
-@pytest.mark.parametrize("example", sorted(
-    p.name for p in (ROOT / "examples_input").glob("*.txt")))
-def test_examples_run_without_importing_sympy(example):
-    """No example needs a factorization by sympy, so a fresh interpreter
-    analyzes each one without importing it."""
+def _imports_sympy(paths):
+    """Whether a fresh interpreter imports sympy while it analyzes the
+    problem files at paths, one after another."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
                                if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_RUN,
-         str(ROOT / "examples_input" / example)],
+        [sys.executable, "-c", COLD_RUN, *map(str, paths)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    return {"True": True, "False": False}[proc.stdout.strip()]
+
+
+@pytest.mark.parametrize("example", [p.name for p in EXAMPLE_FILES])
+def test_examples_run_without_importing_sympy(example):
+    """No example needs a factorization by sympy, so a fresh interpreter
+    analyzes each one without importing it."""
+    assert not _imports_sympy([ROOT / "examples_input" / example])
+
+
+def test_irregular_ladder_runs_without_importing_sympy(tmp_path):
+    """The polynomials that diag_irreg ranks 2-5 factor over Q split into
+    rational linear factors, which are found before sympy is asked, so
+    one interpreter analyzes those four and the example inputs without
+    importing it."""
+    paths = [write_problem(tmp_path, diag_irreg(n), f"diag_{n}.txt")
+             for n in range(2, 6)]
+    assert not _imports_sympy(paths + EXAMPLE_FILES)

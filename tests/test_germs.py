@@ -1,19 +1,24 @@
 """Plane-curve germs at infinity: Milnor numbers two ways, delta."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (EXAMPLE_TEXTS, airy, cleared_form, clearing_scale,
                       dense_fuchs, diag_irreg, fraction_series_product,
-                      gen_airy, integer_form, local_at, mat,
+                      fuchs, full_product_milnor_oracle, gen_airy,
+                      integer_form, irreg, local_at, mat, problem_text,
                       series_det_bareiss)
 from specrig import germs, qpoly
-from specrig.errors import SpecrigError
+from specrig.errors import InsufficientTruncation, SpecrigError
 from specrig.germs import (GermData, branch_intersection, branch_milnor,
                            delta_identity_holds, germ_equation,
                            germ_milnor_oracle, unbounded_branches)
-from specrig.localmod import check_assumption
+from specrig.localmod import build_local, check_assumption
+from specrig.matrf import (CharpolyDiscriminant, charpoly, default_truncation,
+                           pole_order)
 from specrig.parsing import parse_problem
 from specrig.qpoly import UPoly, resultant_det, sylvester_matrix
 from specrig.series import Series
@@ -62,7 +67,7 @@ class TestAiry:
             branch_intersection(airy_germ, 0, 0)
 
     def test_germ_equation_is_cusp(self, airy_germ):
-        f, s = germ_equation(airy_germ)
+        [(f, s)] = germ_equation(airy_germ)
         # zeta^2 - z^5 (the minimal polynomial of the conjugate orbit),
         # primitive over Z[[z]] with its least exponent at 0: c = 1, s = 0
         assert (f.degree, s) == (2, 0)
@@ -144,13 +149,15 @@ SYLVESTER_CASES = (
 @pytest.mark.parametrize("name", sorted(SYLVESTER_CASES))
 def test_integer_sylvester_matches_series_rows(name, monkeypatch):
     """Every germ-oracle resultant, eliminated as given over Z[[z]] on the
-    germ equation P = c z^s F, certifies the terms and precision that
-    elimination on the rational Series rows of F certifies, scaled by
-    c^(2d-1) z^(s(2d-1)); no second clearing runs."""
+    cleared factors P_i = c_i z^(s_i) F_i, certifies the terms and
+    precision that elimination on the rational Series rows certifies:
+    Res(P_i, P_i') is Res(F_i, F_i') scaled by c_i^(2d_i-1)
+    z^(s_i(2d_i-1)), and Res(P_i, P_j) is Res(F_i, F_j) scaled by
+    c_i^(d_j) c_j^(d_i) z^(s_i d_j + s_j d_i); no second clearing runs."""
     equations = []
 
     def record(g):
-        equations.append((germ_equation(g), _series_equation(g)))
+        equations.append((germ_equation(g), _series_factors(g)))
         return equations[-1][0]
 
     monkeypatch.setattr(germs, "germ_equation", record)
@@ -160,22 +167,40 @@ def test_integer_sylvester_matches_series_rows(name, monkeypatch):
         if check_assumption(local):
             GermData(local)
     assert equations
-    for (p, s), f in equations:
-        # every germ equation of these inputs is rational, so it holds
-        # integers only (never a float)
-        assert all(isinstance(x, int) for c in p.coeffs
-                   for x in integer_form(c)[0])
-        if f.degree < 2:
-            continue
-        n = 2 * f.degree - 1
-        ref = series_det_bareiss(sylvester_matrix(f, f.derivative()))
-        c = clearing_scale(p, f, s)
-        assert c > 0
-        py = p.derivative()
-        assert qpoly._integer_sylvester(p, py) is None
-        res = resultant_det(p, py)
-        assert integer_form(res) == cleared_form(ref, s * n, c ** n)
-        assert res.valuation() - s * n == ref.valuation()
+    pairs = 0
+    for factors, refs in equations:
+        assert len(factors) == len(refs)
+        # every germ equation of these inputs is rational, so its factors
+        # hold integers only (never a float)
+        assert all(isinstance(x, int) for p, _ in factors
+                   for c in p.coeffs for x in integer_form(c)[0])
+        cleared = [(p, s, f, clearing_scale(p, f, s))
+                   for (p, s), f in zip(factors, refs)]
+        assert all(c > 0 for *_, c in cleared)
+        for i, (p, s, f, c) in enumerate(cleared):
+            if f.degree > 1:
+                n = 2 * f.degree - 1
+                _check_cleared_resultant(p, p.derivative(), f,
+                                         f.derivative(), s * n, c ** n)
+            for q, t, h, b in cleared[i + 1:]:
+                _check_cleared_resultant(
+                    p, q, f, h, s * h.degree + t * f.degree,
+                    c ** h.degree * b ** f.degree)
+                pairs += 1
+    if name.startswith("diag_irreg"):
+        # the branches over pole 0 are rational and separate factors
+        assert pairs
+
+
+def _check_cleared_resultant(p, q, f, h, shift, scale):
+    """resultant_det(p, q) over Z[[z]], for p = a z^u f and q = b z^w h,
+    against the elimination of Res(f, h) on the Series rows, scaled by
+    a^(deg h) b^(deg f) z^(u deg h + w deg f) = scale z^shift."""
+    ref = series_det_bareiss(sylvester_matrix(f, h))
+    assert qpoly._integer_sylvester(p, q) is None
+    res = resultant_det(p, q)
+    assert integer_form(res) == cleared_form(ref, shift, scale)
+    assert res.valuation() - shift == ref.valuation()
 
 
 def _tower_milnor_oracle(g):
@@ -206,9 +231,9 @@ def test_dense_fuchs_germs_leave_the_tower(n):
         local = local_at(spec.matrix, pole)
         assert check_assumption(local)
         g = GermData(local)
-        f, _ = germ_equation(g)
-        assert all(isinstance(c, qpoly._ZSeries) for c in f.coeffs)
-        assert all(isinstance(x, int) for c in f.coeffs for x in c.c)
+        for f, _ in germ_equation(g):
+            assert all(isinstance(c, qpoly._ZSeries) for c in f.coeffs)
+            assert all(isinstance(x, int) for c in f.coeffs for x in c.c)
         rationalized.append(g.mu_oracle_value)
         if g.r_c:
             mu, tower = _tower_milnor_oracle(g)
@@ -257,18 +282,44 @@ def _irrational(p):
                for x in c.terms.values())
 
 
+def _series_factors(g):
+    """Reference factors F_i over Series, in the order of germ_equation:
+    each rational minimal polynomial, then the irrational ones multiplied
+    over Series and rationalized after."""
+    factors = _rational_factors(g)
+    out = [p for p in factors if not _irrational(p)]
+    irrational = [p for p in factors if _irrational(p)]
+    if irrational:
+        out.append(fraction_series_product(irrational).map_coeffs(
+            germs._rationalized))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
 def test_integer_germ_product_matches_series_product(name):
-    """The germ equation over Z[[z]], P = c z^s F, has the terms and the
-    precisions of the product F over Fraction series, scaled by c and
-    moved up by s, also where some minimal polynomial is irrational; the
-    oracle reads the Milnor numbers of the in-tower reference."""
+    """Each factor of the germ equation over Z[[z]], P_i = c_i z^(s_i) F_i,
+    has the terms and the precisions of its F_i over Fraction series,
+    scaled by c_i and moved up by s_i, also where some minimal
+    polynomial is irrational; the factors multiply out over Z[[z]] to
+    the product F over Fraction series, scaled by prod c_i and moved up
+    by sum s_i; the oracle reads the Milnor numbers of the in-tower
+    reference."""
     found = _germs_of(PRODUCT_CASES[name])
     mixed = 0
     for g in found:
         if not g.r_c:
             continue
-        got, s = germ_equation(g)
+        factors = germ_equation(g)
+        refs = _series_factors(g)
+        assert len(factors) == len(refs)
+        for (got, s), ref in zip(factors, refs):
+            c = clearing_scale(got, ref, s)
+            assert c > 0
+            assert [integer_form(x) for x in got.coeffs] == \
+                cleared_form(ref, s, c)
+        got, s = factors[0]
+        for p, t in factors[1:]:
+            got, s = got * p, s + t
         ref = _series_equation(g)
         c = clearing_scale(got, ref, s)
         assert c > 0
@@ -290,9 +341,10 @@ def test_mixed_germ_clears_each_factor_once(monkeypatch):
     """At pole 1 of dense_fuchs_rank3 the germ has two minimal polynomials
     with irrational tower coefficients and one rational one.  One oracle
     call multiplies only the irrational two over Series, clears the
-    rational one and that product once each, hands the integer product
-    to resultant_det as it is (no rational Series rebuilt from it), and
-    runs no clearing in _integer_sylvester."""
+    rational one and that product once each, hands each cleared factor
+    to resultant_det as it is (no rational Series rebuilt from it), for
+    its own discriminant and for the one pair, never multiplies the
+    factors, and runs no clearing in _integer_sylvester."""
     spec = parse_problem(dense_fuchs(3))
     local = local_at(spec.matrix, F(1))
     assert check_assumption(local)
@@ -305,7 +357,10 @@ def test_mixed_germ_clears_each_factor_once(monkeypatch):
     expected = [sorted(x for c in p.coeffs for x in c.terms.values())
                 for p in [p for p in factors if not _irrational(p)]
                 + [product]]
+    degrees = [p.degree for p, _ in germ_equation(g)]
+    assert len(degrees) == 2
     cleared, series_operands, sylvester, resultants = [], [], [], []
+    integer_products = []
 
     def count(record, fn):
         def spy(*args):
@@ -314,13 +369,16 @@ def test_mixed_germ_clears_each_factor_once(monkeypatch):
             return out
         return spy
 
-    def series_product(a, b):
-        if any(isinstance(c, Series) for c in a.coeffs + b.coeffs):
+    def product_spy(a, b):
+        coeffs = a.coeffs + b.coeffs
+        if any(isinstance(c, Series) for c in coeffs):
             series_operands.extend([a, b])
+        if any(isinstance(c, qpoly._ZSeries) for c in coeffs):
+            integer_products.append((a, b))
         return mul(a, b)
 
     mul = UPoly.__mul__
-    monkeypatch.setattr(UPoly, "__mul__", series_product)
+    monkeypatch.setattr(UPoly, "__mul__", product_spy)
     monkeypatch.setattr(qpoly, "_primitive_integers",
                         count(cleared, qpoly._primitive_integers))
     monkeypatch.setattr(qpoly, "_integer_sylvester",
@@ -331,7 +389,142 @@ def test_mixed_germ_clears_each_factor_once(monkeypatch):
     assert [sorted(args[0]) for args, _ in cleared] == expected
     assert len(series_operands) == 2
     assert all(map(_irrational, series_operands))
-    assert [out for _, out in sylvester] == [None]
-    [((p, py), res)] = resultants
-    assert all(isinstance(c, qpoly._ZSeries) for c in p.coeffs + py.coeffs
-               + (res,))
+    assert not integer_products
+    # each factor's own discriminant where its degree exceeds 1, and the
+    # one pair
+    assert len(resultants) == sum(d > 1 for d in degrees) + 1
+    assert [out for _, out in sylvester] == [None] * len(resultants)
+    assert all(isinstance(c, qpoly._ZSeries) for (p, q), res in resultants
+               for c in p.coeffs + q.coeffs + (res,))
+
+
+# -- the factor-wise oracle against the full product -------------------------
+
+EQUIVALENCE_CASES = (
+    PRODUCT_CASES
+    | {f"fuchs_rank3_seed{k}": fuchs(3, k) for k in (1, 2, 3)}
+    | {f"irreg_rank3_seed{k}": irreg(3, k) for k in (1, 2, 3)})
+
+
+def _oracle_routes(text):
+    """(germ_milnor_oracle, germ_milnor, full_product_milnor_oracle,
+    _tower_milnor_oracle) on the germ at each pole of text.  Each pole is
+    built at the default truncation order, and then at twice the order,
+    until the two references decide too; the first refused pole ends the
+    list.  The full product may need more precision than any order
+    gives: an exact cluster representative yields a minimal polynomial
+    of fixed precision, and where the branches' contacts run deep the
+    discriminant of their product lies past it.  Then the references
+    read None."""
+    spec = parse_problem(text)
+    a_mat = spec.matrix
+    cp = charpoly(a_mat)
+    disc = CharpolyDiscriminant(cp)
+    seen = []
+    for pole in spec.poles:
+        nterms = default_truncation(a_mat.n, pole_order(a_mat, pole))
+        found = None
+        for _ in range(4):
+            try:
+                local = build_local(a_mat, pole, nterms, cp, disc)
+                if not check_assumption(local):
+                    return seen
+                g = GermData(local)
+                found = (g.mu_oracle_value, g.mu, None, None)
+                found = found[:2] + (
+                    full_product_milnor_oracle(g),
+                    _tower_milnor_oracle(g)[0] if g.r_c else 0)
+                break
+            except InsufficientTruncation:
+                nterms *= 2
+        assert found is not None
+        seen.append(found)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+def test_factor_wise_oracle_equals_the_full_product(name):
+    """Summed over the factors and their pairs, the oracle gives the
+    valuation of the one Sylvester resultant of the multiplied-out germ
+    equation, the Milnor number computed in tower arithmetic, and the
+    formula route's."""
+    seen = _oracle_routes(EQUIVALENCE_CASES[name])
+    assert seen or name == "example_bessel"
+    for routes in seen:
+        assert len(set(routes)) == 1, routes
+
+
+@st.composite
+def _shared_lead_sum(draw):
+    """A direct sum of irregular blocks at pole 0 whose branches share
+    leading terms: 1 x 1 blocks E(z) and companion blocks
+    [[0, 1], [E(z), 0]] (y^2 = E, ramified for an odd pole order), each
+    E(z) = sum c_k / z^k taking its top coefficients from one common
+    list, so that the branches' pairwise contacts run deep."""
+    order = draw(st.integers(2, 4))
+    common = [draw(st.integers(1, 3))] + draw(
+        st.lists(st.integers(-3, 3), min_size=order - 1,
+                 max_size=order - 1))
+    blocks, size = [], 0
+    while size < 2 or (size < 5 and draw(st.booleans())):
+        companion = size < 4 and draw(st.integers(0, 3)) == 0
+        shared = draw(st.integers(1, order))
+        coeffs = common[:shared] + draw(
+            st.lists(st.integers(-3, 3), min_size=order - shared,
+                     max_size=order - shared))
+        if (companion, coeffs) not in blocks:
+            blocks.append((companion, coeffs))
+            size += 2 if companion else 1
+    rows = [["0"] * size for _ in range(size)]
+    at = 0
+    for companion, coeffs in blocks:
+        entry = " + ".join(f"{c}/z^{order - k}"
+                           for k, c in enumerate(coeffs) if c)
+        if companion:
+            rows[at][at + 1] = "1"
+            rows[at + 1][at] = entry
+            at += 2
+        else:
+            rows[at][at] = entry
+            at += 1
+    return problem_text(["0", "inf"], rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shared_lead_sum())
+def test_factor_wise_oracle_on_deep_contacts(text):
+    """The oracle equals the formula route on every germ, and the full
+    product and the tower reference wherever they decide."""
+    for mu, formula, full, tower in _oracle_routes(text):
+        assert mu == formula
+        assert full in (None, mu) and tower in (None, mu)
+        assert (full is None) == (tower is None)
+
+
+SHIFT_CASES = {"diag_irreg_rank3": (diag_irreg(3), F(0)),
+               "dense_fuchs_rank3": (dense_fuchs(3), F(1)),
+               "airy_rank3": (airy(3), INFINITY)}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_oracle_undoes_each_factors_clearing(name, data):
+    """The cluster minimal polynomials are monic with a constant leading
+    coefficient, so every shift s_i of a real germ is 0.  Rescaling each
+    cleared factor by m_i z^(t_i), and its shift by t_i, leaves the
+    oracle's Milnor number unchanged, equal to the full product's."""
+    text, pole = SHIFT_CASES[name]
+    local = local_at(parse_problem(text).matrix, pole)
+    assert check_assumption(local)
+    g = GermData(local)
+    factors = germ_equation(g)
+    assert all(s == 0 for _, s in factors)
+    moved = []
+    for p, s in factors:
+        t = data.draw(st.integers(0, 3))
+        m = data.draw(st.integers(1, 5))
+        moved.append((p.scale(qpoly._ZSeries([0] * t + [m])), s + t))
+    with mock.patch.object(germs, "germ_equation", lambda _: moved):
+        assert germ_milnor_oracle(g) == full_product_milnor_oracle(g) \
+            == g.mu_oracle_value == g.mu

@@ -223,9 +223,10 @@ def test_exact_data_holds_no_float(name, monkeypatch):
         return local
 
     def equation_spy(g):
-        f, s = equation(g)
-        data.extend([f, s])
-        return f, s
+        factors = equation(g)
+        for f, s in factors:
+            data.extend([f, s])
+        return factors
 
     monkeypatch.setattr(pipeline, "build_local", build_spy)
     monkeypatch.setattr(germs, "germ_equation", equation_spy)

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
@@ -700,3 +700,76 @@ class TestQuadraticFactorization:
             got = factor_rational(f)
         assert got == expected
         assert all(type(c) is Fraction for p, _ in got for c in p.coeffs)
+
+
+# irreducible over Q: a cubic with no rational root
+_IRREDUCIBLE_CUBICS = [P(-2, 0, 0, 1), P(1, 1, 0, 1), P(1, -3, 0, 1),
+                       P(-9, 6, 0, 4)]
+
+
+@st.composite
+def _rational_root_product(draw):
+    """(f, cubic): c times a product of rational linear factors q x - p
+    (the root 0 included) with multiplicities, times at most one
+    quadratic of :func:`_quadratic`, and, when cubic, times an
+    irreducible cubic, which must still reach sympy; f has degree 3 or
+    more."""
+    f = UPoly([draw(_NONZERO_RATIONAL)])
+    for p, q, k in draw(st.lists(
+            st.tuples(st.integers(-12, 12), st.integers(1, 6),
+                      st.integers(1, 3)), max_size=4)):
+        f = f * UPoly([-p, q]) ** k
+    if draw(st.booleans()):
+        f = f * draw(_quadratic())
+    cubic = draw(st.booleans())
+    if cubic:
+        f = f * draw(st.sampled_from(_IRREDUCIBLE_CUBICS))
+    assume(f.degree >= 3)
+    return f, cubic
+
+
+def _searchable(f):
+    """Whether the rational-root search runs on f: |a_0 a_n| of its
+    primitive integer form, the roots 0 split off, within the bound."""
+    ints = qpoly._primitive_integers(f.coeffs)[0]
+    ints = ints[next(i for i, a in enumerate(ints) if a):]
+    return abs(ints[0] * ints[-1]) <= qpoly._ROOT_SEARCH_BOUND
+
+
+class TestRationalRootSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(_rational_root_product())
+    @example((P(-6, 11, -6, 1), False))             # (x - 1)(x - 2)(x - 3)
+    @example((P(0, -33, 125, -156, 64), False))     # x(x - 1)(4x - 3)(16x - 11)
+    @example((P(3, -3, -5, 1), False))              # (x + 1)(x^2 - 6x + 3)
+    @example((P(0, 0, 0, 4, -4, 1), False))         # x^3 (x - 2)^2
+    @example((P(-1, 0, 0, 0, 0, 0, 1), False))      # x^6 - 1: two quadratics
+    @example((P(-2, 0, 0, 1), True))                # x^3 - 2
+    def test_equals_sympy(self, case):
+        """The factors of sympy's factor_list, in its order and with the
+        coefficient types of the sympy route.  f goes to sympy, whole,
+        exactly when the rational roots leave more than one quadratic
+        (an irreducible cubic, two quadratics) or the search is out of
+        bounds."""
+        f, cubic = case
+        expected = _sympy_factors(f)
+        _, factors = qpoly._to_sympy(f).factor_list()
+        sympy_route = [(qpoly._from_sympy(p).monic(), int(k))
+                       for p, k in factors]
+        assert sympy_route == expected
+        left = sum(p.degree * k for p, k in expected if p.degree > 1)
+        assert left > 2 or not cubic
+        sent, to_sympy = [], qpoly._to_sympy
+        with mock.patch.object(qpoly, "_to_sympy",
+                               side_effect=lambda g: sent.append(g)
+                               or to_sympy(g)):
+            got = factor_rational(f)
+        assert got == expected
+        assert repr(got) == repr(sympy_route)
+        assert sent == ([f] if left > 2 or not _searchable(f) else [])
+
+    def test_large_coefficients_skip_the_search(self):
+        f = P(-(10 ** 7 + 1), 0, 0, 1)  # x^3 - 10000001
+        with mock.patch.object(qpoly, "_is_root",
+                               side_effect=AssertionError("searched")):
+            assert factor_rational(f) == [(f, 1)]
