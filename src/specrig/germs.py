@@ -7,8 +7,8 @@ two ways: from the irregularity formulas, and from the z-valuation of the
 zeta-resultant of the germ equation with its zeta-derivative.  Both must
 agree.  The oracle never multiplies the factors F_i out: for monic F_i,
 v Res(F, F') = sum_i v Res(F_i, F_i') + 2 sum_(i<j) v Res(F_i, F_j),
-each resultant taken over Z[[z]] on the factor cleared to c_i z^(s_i) F_i
-and corrected by the shift s_i (see :func:`germ_milnor_oracle`).
+each resultant taken over Z[[z]] on a positive rational multiple of the
+factor, which has the same valuation (see :func:`germ_milnor_oracle`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, SpecrigError
 from .localmod import HTLCell, LocalModule, delta_end, irr_end, irr_hom
-from .qpoly import UPoly, integer_series_product, resultant_det
+from .qpoly import UPoly, integer_series, resultant_det
 from .series import Series
 from .tower import TowerElem, rational_value
 
@@ -128,13 +128,12 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
 def germ_equation(g: GermData):
     """The factors of the reduced local equation F(zeta, z) of the germ,
     the product of the minimal polynomials of the unbounded clusters,
-    each over truncated Z[[z]]: a list of (P_i, s_i) with
-    P_i = c_i z^(s_i) F_i for a positive rational c_i, each from
-    :func:`integer_series_product` on the one factor.  A minimal
-    polynomial whose tower coefficients all have rational values (each
-    written as that Fraction) is a factor as it is; the irrational ones
-    are multiplied over Series, rationalized, and form one factor.  The
-    factors are never multiplied together."""
+    each over truncated Z[[z]]: a list of P_i = c_i F_i for positive
+    rationals c_i, each from :func:`integer_series` on the one factor.
+    A minimal polynomial whose tower coefficients all have rational
+    values (each written as that Fraction) is a factor as it is; the
+    irrational ones are multiplied over Series, rationalized, and form
+    one factor.  The factors are never multiplied together."""
     rational, irrational = [], []
     for c in g.branches:
         p = _cluster_min_poly(c).map_coeffs(_rationalized)
@@ -146,7 +145,7 @@ def germ_equation(g: GermData):
         for p in irrational[1:]:
             f = f * p
         rational.append(f.map_coeffs(_rationalized))
-    return [integer_series_product([p]) for p in rational]
+    return [integer_series(p) for p in rational]
 
 
 def _rationalized(s):
@@ -163,34 +162,35 @@ def germ_milnor_oracle(g: GermData) -> int:
     """mu = (F, dF/dzeta) + 1 - (F, z), both intersection numbers as
     z-valuations; (F, z) is the branch multiplicity sum.
 
-    (F, F') is read factor by factor, on the factors (P_i, s_i) of
-    :func:`germ_equation`, P_i = c_i z^(s_i) F_i of degree d_i.  Each F_i
-    is monic in zeta, so Res(F_i, G) is the product of G over the roots
-    of F_i, and F = prod F_i gives F'(a) = F_i'(a) prod_(j != i) F_j(a)
-    at a root a of F_i.  Hence Res(F, F') is prod_i Res(F_i, F_i') times
+    (F, F') is read factor by factor, on the factors P_i = c_i F_i of
+    :func:`germ_equation`, F_i of degree d_i.  Each F_i is monic in zeta,
+    so Res(F_i, G) is the product of G over the roots of F_i, and
+    F = prod F_i gives F'(a) = F_i'(a) prod_(j != i) F_j(a) at a root a
+    of F_i.  Hence Res(F, F') is prod_i Res(F_i, F_i') times
     Res(F_i, F_j) over the ordered pairs i != j, and since
     Res(F_j, F_i) = +-Res(F_i, F_j),
 
         v Res(F, F') = sum_i v Res(F_i, F_i') + 2 sum_(i<j) v Res(F_i, F_j).
 
     A linear F_i has Res(F_i, F_i') = 1 and adds no term of its own.
-    Each resultant is eliminated over Z[[z]] on the cleared factors, and
-    Res(a f, b h) = a^(deg h) b^(deg f) Res(f, h) undoes the clearing:
-    v Res(P_i, P_i') = v Res(F_i, F_i') + s_i (2 d_i - 1) and
-    v Res(P_i, P_j) = v Res(F_i, F_j) + s_i d_j + s_j d_i."""
+    Each resultant is eliminated over Z[[z]] on the cleared factors and
+    read as it is: the Sylvester determinant is homogeneous of degree
+    deg h in the coefficients of f and deg f in those of h, so
+    Res(a f, b h) = a^(deg h) b^(deg f) Res(f, h) has the valuation of
+    Res(f, h) for positive rationals a, b.  No factor needs a power of z
+    to reach Z[[z]]: F_i has the constant leading coefficient 1, and its
+    other coefficients, symmetric functions of the conjugates of
+    zeta = 1/y, have positive order, since y is unbounded on the branch."""
     if g.r_c == 0:
         return 0
     factors = germ_equation(g)
     fz = sum(c.r for c in g.branches)
     res_val = 0
-    for i, (p, s) in enumerate(factors):
-        d = p.degree
-        if d > 1:
-            res_val += (_resultant_valuation(p, p.derivative())
-                        - s * (2 * d - 1))
-        for q, t in factors[i + 1:]:
-            res_val += 2 * (_resultant_valuation(p, q)
-                            - s * q.degree - t * d)
+    for i, p in enumerate(factors):
+        if p.degree > 1:
+            res_val += _resultant_valuation(p, p.derivative())
+        for q in factors[i + 1:]:
+            res_val += 2 * _resultant_valuation(p, q)
     mu = res_val + 1 - fz
     if mu < 0:
         raise InternalInconsistency(f"oracle Milnor number {mu} invalid")

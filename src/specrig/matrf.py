@@ -43,11 +43,7 @@ def charpoly(m: MatRF) -> UPoly:
     """
     n = m.n
     one = UPoly([1])
-    d = one
-    for row in m.entries:
-        for f in row:
-            if f.den.degree >= 1:
-                d = d * (f.den // poly_gcd(d, f.den))
+    d = _denominator_lcm(f for row in m.entries for f in row)
     x = UPoly([UPoly(), one])
     rows = []
     for i, row in enumerate(m.entries):
@@ -64,15 +60,21 @@ def charpoly(m: MatRF) -> UPoly:
                   for k in range(n + 1)])
 
 
+def _denominator_lcm(fs):
+    """The monic lcm of the denominators of the rational functions fs;
+    a constant denominator is 1 and changes nothing."""
+    d = UPoly([1])
+    for f in fs:
+        if f.den.degree >= 1:
+            d = d * (f.den // poly_gcd(d, f.den))
+    return d
+
+
 def cleared_charpoly(cp: UPoly):
     """Multiply through by the denominator lcm: returns (F, D) with F a
     polynomial in y whose coefficients are polynomials in z, and D(z) the
     clearing factor (vanishing only at poles)."""
-    den = UPoly([1])
-    for c in cp.coeffs:
-        if isinstance(c, RatFn) and not c.is_zero():
-            g = poly_gcd(den, c.den)
-            den = den * (c.den // g)
+    den = _denominator_lcm(cp.coeffs)
     out = []
     for c in cp.coeffs:
         if not c or (isinstance(c, RatFn) and c.is_zero()):

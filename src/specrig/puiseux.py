@@ -16,7 +16,7 @@ from math import comb, lcm
 
 from .errors import (AmbiguousComparison, InputError, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
-from .qpoly import UPoly, integer_series_product, resultant_det
+from .qpoly import UPoly, integer_series, resultant_det
 from .series import INF, Series, qdiv
 from .tower import FieldTower, TowerElem
 
@@ -167,13 +167,14 @@ def _all_roots(tower: FieldTower, p: UPoly):
 def discriminant_valuation(F: UPoly):
     """ord_z of disc_y(F) for monic F over series over Q with integer
     exponents; raises on a zero or precision-hidden discriminant.  F is
-    cleared to P = c z^s F over truncated Z[[z]] as the germ oracle clears
-    its equation, and Res(P, P') is read as a valuation less
-    s (2 deg F - 1).  Kept as the test reference for
+    moved by the z^s that lifts its least exponent to 0 and cleared to
+    P = c z^s F over truncated Z[[z]], so Res(P, P') is read as a
+    valuation less s (2 deg F - 1).  Kept as the test reference for
     :meth:`CharpolyDiscriminant.valuation`, which the pipeline reads."""
     if F.degree < 2:
         return Fraction(0)
-    P, s = integer_series_product([F])
+    s = -min((min(c.terms) for c in F.coeffs if c.terms), default=0)
+    P = integer_series(F.map_coeffs(lambda c: c.shift(s)))
     res = resultant_det(P, P.derivative())
     if not res:
         raise SpecrigError("polynomial is not squarefree in y")

@@ -6,12 +6,12 @@ mixes with ints and is falsy only when provably zero.  A rational
 that is an integer is an ``int``; a ``fractions.Fraction`` comes only from
 a division that does not come out even, and every division of the
 rational layer goes through :func:`specrig.series.qdiv`.  Over Q the gcd
-(:func:`poly_gcd`) and the resultant (:func:`resultant_det`) clear
-denominators once, work over Z, and rescale their result to Q once.
-Series over Q reach truncated Z[[z]] only through
-:func:`integer_series_product`, which clears each factor once and keeps
-the product there: a series resultant is eliminated only over Z[[z]]
-and read as a valuation, never rescaled to Q.
+(:func:`poly_gcd`) clears denominators once and works over Z; over Q[z]
+the resultant (:func:`resultant_det`) clears them once, works over Z[z],
+and rescales its result to Q once.  Series over Q reach truncated Z[[z]]
+only through :func:`integer_series`, which clears one polynomial to a
+positive rational multiple of itself: a series resultant is eliminated
+only over Z[[z]] and read as a valuation, never rescaled to Q.
 The zero polynomial is the empty coefficient tuple.
 """
 
@@ -419,8 +419,8 @@ class _ZSeries:
     prec bounds the certified exponents as in :class:`Series` (None:
     exact).
 
-    It is the integer form of a rational series with integer exponents,
-    made by :func:`integer_series_product`, and :func:`resultant_det`
+    It is the integer form of a rational series with nonnegative integer
+    exponents, made by :func:`integer_series`, and :func:`resultant_det`
     eliminates over it as given.  Its ``+``, ``-`` and ``*`` keep the
     precision that Series arithmetic certifies for the same operation,
     and its exact quotient the precision of a product with the truncated
@@ -630,12 +630,18 @@ def row_reduce(rows):
     return m, pivots
 
 
+def lcm_integers(values):
+    """(the integers den * v, den) for rationals v, den the lcm of their
+    denominators."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _primitive_integers(values):
     """The coprime integers c * v for rational values v, with the one
     positive rational c = den / num that makes them so; returns
     (integers, den, num).  At least one value must be nonzero."""
-    den = lcm(*[v.denominator for v in values])
-    scaled = [v.numerator * (den // v.denominator) for v in values]
+    scaled, den = lcm_integers(values)
     num = gcd(*scaled)
     return [x // num for x in scaled], den, num
 
@@ -659,26 +665,18 @@ def _over_q(p: UPoly) -> bool:
     return all(_rational(x) for x in p.coeffs)
 
 
-def _over_q_integer_exponents(s: Series) -> bool:
-    return all(_rational(x) and e.denominator == 1
-               for e, x in s.terms.items())
-
-
-def _integer_series(s: Series, ints, shift) -> _ZSeries:
-    """z^shift s over Z, from the integer multiples of its coefficients."""
-    dense = [0] * (max(s.terms).numerator + shift + 1 if s.terms else 0)
+def _integer_series(s: Series, ints) -> _ZSeries:
+    """s over Z, from the integer multiples of its coefficients."""
+    dense = [0] * (max(s.terms).numerator + 1 if s.terms else 0)
     for e, x in zip(s.terms, ints):
-        dense[e.numerator + shift] = x
-    return _ZSeries(dense, None if s.prec is None else s.prec + shift)
+        dense[e.numerator] = x
+    return _ZSeries(dense, s.prec)
 
 
-def _cleared(p: UPoly, ring, shift=0):
-    """(P, den, num) with P = (den / num) z^shift p over Z, the scale of
+def _cleared(p: UPoly, ring):
+    """(P, den, num) with P = (den / num) p over Z, the scale of
     :func:`_primitive_integers` over every rational of p.  ring is the
-    coefficient type of p: None for rationals, UPoly or Series."""
-    if ring is None:
-        ints, den, num = _primitive_integers(p.coeffs)
-        return UPoly(ints), den, num
+    coefficient type of p: UPoly or Series."""
     if ring is UPoly:
         parts = [c.coeffs for c in p.coeffs]
     else:
@@ -689,80 +687,69 @@ def _cleared(p: UPoly, ring, shift=0):
         chunk = ints[i:i + len(xs)]
         i += len(xs)
         out.append(UPoly(chunk) if ring is UPoly
-                   else _integer_series(c, chunk, shift))
+                   else _integer_series(c, chunk))
     return UPoly(out), den, num
 
 
 def _integer_sylvester(f: UPoly, g: UPoly):
-    """Integer form of the Sylvester matrix of f and g when their
-    coefficients are rationals or polynomials over Q (rational constants
-    may mix with the latter): (rows, back), back mapping the integer
-    determinant to Res(f, g).  None for any other exact ring (tower
-    elements, truncated Z[[z]]); a series over Q raises
-    InternalInconsistency, since it reaches Z[[z]] only through
-    :func:`integer_series_product`.
+    """Integer form of the Sylvester matrix of f and g over Q[z]
+    (rational constants may mix with the polynomials): (rows, back), back
+    mapping the determinant over Z[z] to Res(f, g).  None for any other
+    exact ring (rationals alone, tower elements, truncated Z[[z]]); a
+    series over Q raises InternalInconsistency, since it reaches Z[[z]]
+    only through :func:`integer_series`.
     """
     coeffs = f.coeffs + g.coeffs
     if any(isinstance(c, Series) for c in coeffs):
         raise InternalInconsistency("resultant over series: clear them "
                                     "to truncated Z[[z]] first")
-    if all(_rational(c) for c in coeffs):
-        ring = None
-    elif all(_rational(c) or isinstance(c, UPoly) and _over_q(c)
-             for c in coeffs):
-        ring = UPoly
-        f, g = (p.map_coeffs(lambda c: c if isinstance(c, UPoly)
-                             else UPoly.const(c)) for p in (f, g))
-    else:
+    if all(_rational(c) for c in coeffs) or not all(
+            _rational(c) or isinstance(c, UPoly) and _over_q(c)
+            for c in coeffs):
         return None
-    (fz, df, nf), (gz, dg, ng) = (_cleared(p, ring) for p in (f, g))
+    f, g = (p.map_coeffs(lambda c: c if isinstance(c, UPoly)
+                         else UPoly.const(c)) for p in (f, g))
+    (fz, df, nf), (gz, dg, ng) = (_cleared(p, UPoly) for p in (f, g))
     # with c_f = df / nf and c_g = dg / ng,
     # Res(c_f f, c_g g) = c_f^deg g c_g^deg f Res(f, g)
     m, n = f.degree, g.degree
     num, den = nf ** n * ng ** m, df ** n * dg ** m
 
     def back(x):
-        if ring is None:
-            return qdiv(x * num, den)
         return UPoly([qdiv(a * num, den) for a in x.coeffs] if x else ())
     return sylvester_matrix(fz, gz), back
 
 
-def integer_series_product(polys):
-    """(P, s): the product F of polynomials over series over Q with
-    integer exponents, taken over truncated Z[[z]] as P = c z^s F for a
-    positive rational c.  Each factor is cleared once, by the scale of
-    :func:`_cleared` and the shift that lifts its least exponent to 0,
-    and the factors are multiplied; nothing is rescaled to Q.  P holds
-    the terms and precisions of the product over Series, scaled by c and
-    moved up by s.  Any other coefficient raises InternalInconsistency.
+def integer_series(p: UPoly) -> UPoly:
+    """c p over truncated Z[[z]] for one positive rational c, p a
+    polynomial over series over Q with nonnegative integer exponents: the
+    terms and precisions of p, scaled by the c of :func:`_cleared`.  c is
+    not returned; its callers read resultants of such polynomials as
+    z-valuations, which no positive scale moves.  Any other coefficient
+    (a negative or fractional exponent, an irrational tower element, a
+    coefficient that is not a series) raises InternalInconsistency.
     """
-    if not all(isinstance(c, Series) and _over_q_integer_exponents(c)
-               for p in polys for c in p.coeffs):
-        raise InternalInconsistency("integer series product over series "
-                                    "that are not over Q with integer "
+    if not all(isinstance(c, Series)
+               and all(_rational(x) and e.denominator == 1 and e >= 0
+                       for e, x in c.terms.items())
+               for c in p.coeffs):
+        raise InternalInconsistency("integer series over series that are "
+                                    "not over Q with nonnegative integer "
                                     "exponents")
-    prod, top = None, 0
-    for p in polys:
-        shift = -min((min(c.terms) for c in p.coeffs if c.terms),
-                     default=0).numerator
-        q = _cleared(p, Series, shift)[0]
-        prod = q if prod is None else prod * q
-        top += shift
-    return prod, top
+    return _cleared(p, Series)[0]
 
 
 def resultant_det(f: UPoly, g: UPoly):
     """Resultant via the Sylvester determinant over an exact ring: Q,
     Q[z], a field tower or truncated Z[[z]] (see :func:`det_bareiss`).
 
-    Over Q and Q[z] the denominators are cleared once, the elimination
-    runs over Z or Z[z], and the result is rescaled once by
-    Res(c f, d g) = c^deg g d^deg f Res(f, g).  Tower elements and
-    truncated integer series are eliminated as they are.  A series over
-    Q raises InternalInconsistency: series do not divide, so a series
-    resultant is eliminated only over Z[[z]], on the integer form of
-    :func:`integer_series_product`, and read there as a valuation.
+    Over Q[z] the denominators are cleared once, the elimination runs
+    over Z[z], and the result is rescaled once by
+    Res(c f, d g) = c^deg g d^deg f Res(f, g).  Rationals, tower elements
+    and truncated integer series are eliminated as they are.  A series
+    over Q raises InternalInconsistency: series do not divide, so a
+    series resultant is eliminated only over Z[[z]], on the integer form
+    of :func:`integer_series`, and read there as a valuation.
     """
     if f.is_zero() and g.is_zero():
         raise SpecrigError("resultant of two zero polynomials")

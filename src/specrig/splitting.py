@@ -25,7 +25,7 @@ from math import ceil, floor
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
                      ReductionUnavailable, SpecrigError)
-from .qpoly import UPoly, det_cofactor, resultant_det, row_reduce
+from .qpoly import UPoly, det_cofactor, poly_gcd, row_reduce
 from .series import INF, Series, qdiv
 from .tower import FieldTower, rational_value
 
@@ -195,10 +195,10 @@ def _is_scalar(a):
 
 
 def _charpoly_squarefree(cp: UPoly) -> bool:
-    der = cp.derivative()
-    if der.is_zero():
-        return False
-    return bool(resultant_det(cp, der))
+    """Whether cp, of degree at least 1 over Q or a field tower, has
+    distinct roots: whether cp and cp' are coprime.  That is
+    Res(cp, cp') != 0, decided by one gcd instead of a determinant."""
+    return poly_gcd(cp, cp.derivative()).degree == 0
 
 
 def full_split(g, tower: FieldTower):
@@ -281,6 +281,13 @@ def _balance(g):
     characteristic polynomial, because det(y t^lambda - D g D^-1) =
     det(y t^lambda - g) for every diagonal D.  So one charpoly decides,
     and full_split splits the balanced matrix by it.
+
+    The gauge also moves each precision prec_ij to prec_ij + k_i - k_j,
+    and full_split certifies the eigenvalue series only to the least of
+    them, up to its cut max(0, lambda + 1).  So where some gauge that
+    reaches lambda also lifts every truncated entry to the cut, with
+    k_j - k_i <= floor(prec_ij - cut), that gauge is taken; otherwise
+    the constraints above decide alone.
     """
     n = len(g)
     edges, caps = [], []
@@ -294,8 +301,14 @@ def _balance(g):
     if lam is None or lam != int(lam):
         return None
     lam = int(lam)
-    k = _potentials(n, [(i, j, floor(v) - lam) for i, j, v in edges]
-                    + [(i, j, ceil(p) - 1 - lam) for i, j, p in caps])
+    leading = ([(i, j, floor(v) - lam) for i, j, v in edges]
+               + [(i, j, ceil(p) - 1 - lam) for i, j, p in caps])
+    cut = max(0, lam + 1)
+    lifts = [(i, j, floor(e.prec - cut)) for i, row in enumerate(g)
+             for j, e in enumerate(row) if e.prec is not None]
+    k = _potentials(n, leading + lifts)
+    if k is None:
+        k = _potentials(n, leading)
     if k is None:
         return None
     balanced = [[g[i][j].shift(k[i] - k[j]) for j in range(n)]

@@ -14,11 +14,10 @@ to Q where sympy does the rational factorization.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import SpecrigError, UnsupportedExtension, InternalInconsistency
-from .qpoly import (UPoly, det_cofactor, factor_rational, poly_gcd,
-                    resultant_det, squarefree_part)
+from .qpoly import (UPoly, det_cofactor, factor_rational, lcm_integers,
+                    poly_gcd, resultant_det, squarefree_part)
 from .series import qdiv
 
 # largest degree of a minimal polynomial adjoin accepts
@@ -113,7 +112,7 @@ class TowerElem:
         tower, level = self.tower, self.level
         a, b = self.coeffs, other.coeffs
         if level == 1:
-            (a, da), (b, db) = _integers(a), _integers(b)
+            (a, da), (b, db) = lcm_integers(a), lcm_integers(b)
         out = [tower.zero(level - 1)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -138,7 +137,7 @@ class TowerElem:
             return TowerElem(tower, level, (_inverse(c[0]),))
         den = 1
         if level == 1:
-            c, den = _integers(c)
+            c, den = lcm_integers(c)
         m, lead = tower.reducers[level - 1]
         zero = tower.zero(level - 1)
         # column j is lead^j (self x^j mod m)
@@ -199,13 +198,6 @@ def _inverse(x):
     return x.inverse() if isinstance(x, TowerElem) else qdiv(1, x)
 
 
-def _integers(values):
-    """(the integers den * v, den) for rationals v, den the lcm of their
-    denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _reduce(c, m, lead):
     """The coordinate list c reduced by the polynomial with coefficients m
     and leading coefficient lead, times lead per reduction step."""
@@ -238,7 +230,6 @@ class FieldTower:
         self.levels = []  # (name, minpoly UPoly over previous level)
         # per level, m_j as (coefficients, leading coefficient); Z at level 1
         self.reducers = []
-        self._gen_counter = 0
 
     @property
     def height(self):
@@ -294,10 +285,8 @@ class FieldTower:
         factors = self.factor(minpoly)
         if len(factors) != 1 or factors[0][1] != 1:
             raise SpecrigError("adjoin requires an irreducible polynomial")
-        name = f"a{self._gen_counter}"
-        self._gen_counter += 1
-        self.levels.append((name, minpoly))
-        self.reducers.append(_integers(minpoly.coeffs) if top == 0
+        self.levels.append((f"a{top}", minpoly))
+        self.reducers.append(lcm_integers(minpoly.coeffs) if top == 0
                              else (minpoly.coeffs, 1))
         return self.gen(self.height)
 

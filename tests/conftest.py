@@ -530,8 +530,9 @@ def series_form(c):
 
 
 def fraction_series_product(polys):
-    """Reference for :func:`specrig.qpoly.integer_series_product`: the
-    product of polynomials over series, multiplied as Series."""
+    """The product of polynomials over series, multiplied as Series: the
+    reference germ equation that the factors of
+    :func:`specrig.germs.germ_equation` multiply out to."""
     f = UPoly([Series.const(Fraction(1))])
     for p in polys:
         f = f * p
@@ -547,31 +548,31 @@ def integer_form(x):
     return ([x] if x else []), None
 
 
-def cleared_form(ref, s, c):
-    """:func:`integer_form` of each coefficient of c z^s ref, for ref a
-    polynomial over series over Q with integer exponents (or a single such
-    series): the form that clearing ref over truncated Z[[z]] must give."""
+def cleared_form(ref, c):
+    """:func:`integer_form` of each coefficient of c ref, for ref a
+    polynomial over series over Q with nonnegative integer exponents (or
+    a single such series): the form that clearing ref over truncated
+    Z[[z]] must give."""
     out = []
     for x in (ref.coeffs if isinstance(ref, UPoly) else [ref]):
         terms, prec = series_form(x)
-        dense = [0] * (max(terms).numerator + s + 1 if terms else 0)
+        dense = [0] * (max(terms).numerator + 1 if terms else 0)
         for e, a in terms.items():
-            dense[e.numerator + s] = a * c
-        out.append(integer_form(qpoly._ZSeries(
-            dense, None if prec is None else prec + s)))
+            dense[e.numerator] = a * c
+        out.append(integer_form(qpoly._ZSeries(dense, prec)))
     return out if isinstance(ref, UPoly) else out[0]
 
 
-def clearing_scale(got, ref, s):
-    """The rational c of got = c z^s ref, read off the first term of ref:
-    got over truncated Z[[z]], ref the same polynomial (or series) over
+def clearing_scale(got, ref):
+    """The rational c of got = c ref, read off the first term of ref: got
+    over truncated Z[[z]], ref the same polynomial (or series) over
     series over Q.  1 when ref has no term."""
     pairs = (zip(got.coeffs, ref.coeffs) if isinstance(ref, UPoly)
              else [(got, ref)])
     for x, y in pairs:
         for e, a in series_form(y)[0].items():
             coeffs = integer_form(x)[0]
-            i = e.numerator + s
+            i = e.numerator
             return Fraction(coeffs[i] if i < len(coeffs) else 0) / a
     return 1
 
@@ -783,18 +784,16 @@ def series_det_bareiss(rows):
 
 def full_product_milnor_oracle(g):
     """Reference for :func:`specrig.germs.germ_milnor_oracle`: the factors
-    (P_i, s_i) of :func:`specrig.germs.germ_equation` multiplied out over
-    truncated Z[[z]] into P = c z^s F with s = sum s_i, and one Sylvester
-    resultant Res(P, P') = c^(2d-1) z^(s(2d-1)) Res(F, F') read as a
-    valuation less s(2d - 1)."""
+    P_i = c_i F_i of :func:`specrig.germs.germ_equation` multiplied out
+    over truncated Z[[z]] into P = c F, and one Sylvester resultant
+    Res(P, P') = c^(2d-1) Res(F, F') read as a valuation."""
     if g.r_c == 0:
         return 0
     factors = germs.germ_equation(g)
-    p, s = factors[0]
-    for q, t in factors[1:]:
-        p, s = p * q, s + t
+    p = factors[0]
+    for q in factors[1:]:
+        p = p * q
     res_val = 0
     if p.degree > 1:
-        res = resultant_det(p, p.derivative())
-        res_val = res.valuation() - s * (2 * p.degree - 1)
+        res_val = resultant_det(p, p.derivative()).valuation()
     return res_val + 1 - sum(c.r for c in g.branches)

@@ -67,10 +67,10 @@ class TestAiry:
             branch_intersection(airy_germ, 0, 0)
 
     def test_germ_equation_is_cusp(self, airy_germ):
-        [(f, s)] = germ_equation(airy_germ)
+        [f] = germ_equation(airy_germ)
         # zeta^2 - z^5 (the minimal polynomial of the conjugate orbit),
-        # primitive over Z[[z]] with its least exponent at 0: c = 1, s = 0
-        assert (f.degree, s) == (2, 0)
+        # primitive over Z[[z]]: c = 1
+        assert f.degree == 2
         assert f.coeffs[2].c == [1]
         assert f.coeffs[0].c[:6] == [0, 0, 0, 0, 0, -1]
         assert f.coeffs[0].prec is None or f.coeffs[0].prec > 5
@@ -149,11 +149,11 @@ SYLVESTER_CASES = (
 @pytest.mark.parametrize("name", sorted(SYLVESTER_CASES))
 def test_integer_sylvester_matches_series_rows(name, monkeypatch):
     """Every germ-oracle resultant, eliminated as given over Z[[z]] on the
-    cleared factors P_i = c_i z^(s_i) F_i, certifies the terms and
-    precision that elimination on the rational Series rows certifies:
-    Res(P_i, P_i') is Res(F_i, F_i') scaled by c_i^(2d_i-1)
-    z^(s_i(2d_i-1)), and Res(P_i, P_j) is Res(F_i, F_j) scaled by
-    c_i^(d_j) c_j^(d_i) z^(s_i d_j + s_j d_i); no second clearing runs."""
+    cleared factors P_i = c_i F_i, certifies the terms and precision that
+    elimination on the rational Series rows certifies: Res(P_i, P_i') is
+    Res(F_i, F_i') scaled by c_i^(2d_i-1), and Res(P_i, P_j) is
+    Res(F_i, F_j) scaled by c_i^(d_j) c_j^(d_i); no second clearing
+    runs."""
     equations = []
 
     def record(g):
@@ -172,35 +172,34 @@ def test_integer_sylvester_matches_series_rows(name, monkeypatch):
         assert len(factors) == len(refs)
         # every germ equation of these inputs is rational, so its factors
         # hold integers only (never a float)
-        assert all(isinstance(x, int) for p, _ in factors
+        assert all(isinstance(x, int) for p in factors
                    for c in p.coeffs for x in integer_form(c)[0])
-        cleared = [(p, s, f, clearing_scale(p, f, s))
-                   for (p, s), f in zip(factors, refs)]
+        cleared = [(p, f, clearing_scale(p, f))
+                   for p, f in zip(factors, refs)]
         assert all(c > 0 for *_, c in cleared)
-        for i, (p, s, f, c) in enumerate(cleared):
+        for i, (p, f, c) in enumerate(cleared):
             if f.degree > 1:
-                n = 2 * f.degree - 1
                 _check_cleared_resultant(p, p.derivative(), f,
-                                         f.derivative(), s * n, c ** n)
-            for q, t, h, b in cleared[i + 1:]:
-                _check_cleared_resultant(
-                    p, q, f, h, s * h.degree + t * f.degree,
-                    c ** h.degree * b ** f.degree)
+                                         f.derivative(),
+                                         c ** (2 * f.degree - 1))
+            for q, h, b in cleared[i + 1:]:
+                _check_cleared_resultant(p, q, f, h,
+                                         c ** h.degree * b ** f.degree)
                 pairs += 1
     if name.startswith("diag_irreg"):
         # the branches over pole 0 are rational and separate factors
         assert pairs
 
 
-def _check_cleared_resultant(p, q, f, h, shift, scale):
-    """resultant_det(p, q) over Z[[z]], for p = a z^u f and q = b z^w h,
-    against the elimination of Res(f, h) on the Series rows, scaled by
-    a^(deg h) b^(deg f) z^(u deg h + w deg f) = scale z^shift."""
+def _check_cleared_resultant(p, q, f, h, scale):
+    """resultant_det(p, q) over Z[[z]], for p = a f and q = b h, against
+    the elimination of Res(f, h) on the Series rows, scaled by
+    a^(deg h) b^(deg f) = scale."""
     ref = series_det_bareiss(sylvester_matrix(f, h))
     assert qpoly._integer_sylvester(p, q) is None
     res = resultant_det(p, q)
-    assert integer_form(res) == cleared_form(ref, shift, scale)
-    assert res.valuation() - shift == ref.valuation()
+    assert integer_form(res) == cleared_form(ref, scale)
+    assert res.valuation() == ref.valuation()
 
 
 def _tower_milnor_oracle(g):
@@ -231,7 +230,7 @@ def test_dense_fuchs_germs_leave_the_tower(n):
         local = local_at(spec.matrix, pole)
         assert check_assumption(local)
         g = GermData(local)
-        for f, _ in germ_equation(g):
+        for f in germ_equation(g):
             assert all(isinstance(c, qpoly._ZSeries) for c in f.coeffs)
             assert all(isinstance(x, int) for c in f.coeffs for x in c.c)
         rationalized.append(g.mu_oracle_value)
@@ -297,13 +296,12 @@ def _series_factors(g):
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
 def test_integer_germ_product_matches_series_product(name):
-    """Each factor of the germ equation over Z[[z]], P_i = c_i z^(s_i) F_i,
-    has the terms and the precisions of its F_i over Fraction series,
-    scaled by c_i and moved up by s_i, also where some minimal
-    polynomial is irrational; the factors multiply out over Z[[z]] to
-    the product F over Fraction series, scaled by prod c_i and moved up
-    by sum s_i; the oracle reads the Milnor numbers of the in-tower
-    reference."""
+    """Each factor of the germ equation over Z[[z]], P_i = c_i F_i, has
+    the terms and the precisions of its F_i over Fraction series, scaled
+    by c_i, also where some minimal polynomial is irrational; the
+    factors multiply out over Z[[z]] to the product F over Fraction
+    series, scaled by prod c_i; the oracle reads the Milnor numbers of
+    the in-tower reference."""
     found = _germs_of(PRODUCT_CASES[name])
     mixed = 0
     for g in found:
@@ -312,19 +310,18 @@ def test_integer_germ_product_matches_series_product(name):
         factors = germ_equation(g)
         refs = _series_factors(g)
         assert len(factors) == len(refs)
-        for (got, s), ref in zip(factors, refs):
-            c = clearing_scale(got, ref, s)
+        for got, ref in zip(factors, refs):
+            c = clearing_scale(got, ref)
             assert c > 0
             assert [integer_form(x) for x in got.coeffs] == \
-                cleared_form(ref, s, c)
-        got, s = factors[0]
-        for p, t in factors[1:]:
-            got, s = got * p, s + t
+                cleared_form(ref, c)
+        got = factors[0]
+        for p in factors[1:]:
+            got = got * p
         ref = _series_equation(g)
-        c = clearing_scale(got, ref, s)
+        c = clearing_scale(got, ref)
         assert c > 0
-        assert [integer_form(x) for x in got.coeffs] == \
-            cleared_form(ref, s, c)
+        assert [integer_form(x) for x in got.coeffs] == cleared_form(ref, c)
         irrational = any(map(_irrational, _rational_factors(g)))
         if name.startswith("diag_irreg"):
             # the irregular ladder has rational minimal polynomials only
@@ -357,7 +354,7 @@ def test_mixed_germ_clears_each_factor_once(monkeypatch):
     expected = [sorted(x for c in p.coeffs for x in c.terms.values())
                 for p in [p for p in factors if not _irrational(p)]
                 + [product]]
-    degrees = [p.degree for p, _ in germ_equation(g)]
+    degrees = [p.degree for p in germ_equation(g)]
     assert len(degrees) == 2
     cleared, series_operands, sylvester, resultants = [], [], [], []
     integer_products = []
@@ -501,30 +498,29 @@ def test_factor_wise_oracle_on_deep_contacts(text):
         assert (full is None) == (tower is None)
 
 
-SHIFT_CASES = {"diag_irreg_rank3": (diag_irreg(3), F(0)),
+SCALE_CASES = {"diag_irreg_rank3": (diag_irreg(3), F(0)),
                "dense_fuchs_rank3": (dense_fuchs(3), F(1)),
                "airy_rank3": (airy(3), INFINITY)}
 
 
-@pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+@pytest.mark.parametrize("name", sorted(SCALE_CASES))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_oracle_undoes_each_factors_clearing(name, data):
     """The cluster minimal polynomials are monic with a constant leading
-    coefficient, so every shift s_i of a real germ is 0.  Rescaling each
-    cleared factor by m_i z^(t_i), and its shift by t_i, leaves the
-    oracle's Milnor number unchanged, equal to the full product's."""
-    text, pole = SHIFT_CASES[name]
+    coefficient and lower coefficients of positive order, so every
+    factor of a real germ has the least certified exponent 0.
+    Multiplying each cleared factor by a positive integer leaves the
+    oracle's Milnor number unchanged, equal to the full product's and
+    to the formula's."""
+    text, pole = SCALE_CASES[name]
     local = local_at(parse_problem(text).matrix, pole)
     assert check_assumption(local)
     g = GermData(local)
     factors = germ_equation(g)
-    assert all(s == 0 for _, s in factors)
-    moved = []
-    for p, s in factors:
-        t = data.draw(st.integers(0, 3))
-        m = data.draw(st.integers(1, 5))
-        moved.append((p.scale(qpoly._ZSeries([0] * t + [m])), s + t))
-    with mock.patch.object(germs, "germ_equation", lambda _: moved):
+    assert all(min(c._first() for c in p.coeffs if c._first() is not None)
+               == 0 for p in factors)
+    scaled = [p.scale(data.draw(st.integers(1, 5))) for p in factors]
+    with mock.patch.object(germs, "germ_equation", lambda _: scaled):
         assert germ_milnor_oracle(g) == full_product_milnor_oracle(g) \
             == g.mu_oracle_value == g.mu

@@ -224,8 +224,7 @@ def test_exact_data_holds_no_float(name, monkeypatch):
 
     def equation_spy(g):
         factors = equation(g)
-        for f, s in factors:
-            data.extend([f, s])
+        data.extend(factors)
         return factors
 
     monkeypatch.setattr(pipeline, "build_local", build_spy)

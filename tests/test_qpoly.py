@@ -16,10 +16,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
 from conftest import (cleared_form, clearing_scale, euclid_gcd,
-                      fraction_series_product, integer_form, poly_xgcd,
+                      integer_form, poly_xgcd,
                       series_det_bareiss, series_form)
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
-                           integer_series_product, poly_gcd, resultant,
+                           integer_series, poly_gcd, resultant,
                            resultant_det, squarefree_part, sylvester_matrix)
 from specrig.ratfn import RatFn
 from specrig.series import Series
@@ -453,25 +453,37 @@ def _as_series(p):
                         else Series.const(c))
 
 
+def _lifted(*polys):
+    """(the polynomials over series times z^s, s) for the least s that
+    leaves no negative exponent in any of them."""
+    s = -min((min(c.terms) for p in polys for c in p.coeffs if c.terms),
+             default=0)
+    return [p.map_coeffs(lambda c: c.shift(s)) for p in polys], s
+
+
+def _moved(x, s):
+    """z^s x for a series x; a plain number is the exact constant."""
+    return (x if isinstance(x, Series) else Series.const(x)).shift(s)
+
+
 def _cleared_pair(f, g):
-    """f and g over series cleared to truncated Z[[z]] by
-    integer_series_product and moved to one shift s, as a germ equation
-    and its derivative are: (F, G, s, c) with F = c_f z^s f,
-    G = c_g z^s g and c = c_f^deg g c_g^deg f, the scale of Res(F, G)
-    over Res(f, g), each c read off the operands."""
-    (fz, sf), (gz, sg) = (integer_series_product([p]) for p in (f, g))
-    s = max(sf, sg)
-    fz, gz = (p * ZS([0] * (s - t) + [1]) for p, t in ((fz, sf), (gz, sg)))
-    cf, cg = clearing_scale(fz, f, s), clearing_scale(gz, g, s)
+    """f and g over series moved to one shift s and cleared to truncated
+    Z[[z]] by integer_series, as a germ equation and its derivative are:
+    (F, G, s, c) with F = c_f z^s f, G = c_g z^s g and
+    c = c_f^deg g c_g^deg f, the scale of Res(F, G) over
+    Res(z^s f, z^s g), each c read off the operands."""
+    (fs, gs), s = _lifted(f, g)
+    fz, gz = integer_series(fs), integer_series(gs)
+    cf, cg = clearing_scale(fz, fs), clearing_scale(gz, gs)
     assert cf > 0 and cg > 0
     return fz, gz, s, cf ** g.degree * cg ** f.degree
 
 
 class TestIntegerSeriesResultant:
     """Series resultants are eliminated over Z[[z]] only: on the operands
-    cleared by integer_series_product, resultant_det certifies the terms
-    and the precision that elimination on the rational Series rows
-    certifies, scaled by c z^(s (deg f + deg g))."""
+    cleared by integer_series, resultant_det certifies the terms and the
+    precision that elimination on the rational Series rows certifies,
+    scaled by c z^(s (deg f + deg g))."""
 
     @settings(max_examples=150, deadline=None)
     @given(_series_poly(3), _series_poly(3))
@@ -486,15 +498,15 @@ class TestIntegerSeriesResultant:
             return
         res = resultant_det(fz, gz)
         assert integer_form(res) == \
-            cleared_form(ref, s * (f.degree + g.degree), c)
+            cleared_form(_moved(ref, s * (f.degree + g.degree)), c)
 
     @settings(max_examples=60, deadline=None)
     @given(_series_poly(3), _series_poly(2))
     def test_never_a_wrong_term(self, f, g):
         f, g = _as_series(f), _as_series(g)
         fz, gz, s, c = _cleared_pair(f, g)
-        ref = cleared_form(det_cofactor(sylvester_matrix(f, g)),
-                           s * (f.degree + g.degree), c)
+        ref = cleared_form(_moved(det_cofactor(sylvester_matrix(f, g)),
+                                  s * (f.degree + g.degree)), c)
         try:
             res = integer_form(resultant_det(fz, gz))
         except InsufficientTruncation:
@@ -597,29 +609,28 @@ def test_int_times_integer_series():
         [([3], 4), ([2], None)]
 
 
-class TestIntegerSeriesProduct:
+class TestIntegerSeries:
     @settings(max_examples=120, deadline=None)
-    @given(st.lists(_series_poly(3), min_size=1, max_size=3))
-    def test_matches_the_series_product(self, polys):
-        # (P, s) with P = c z^s F for the product F over Series: the same
-        # terms, scaled by one positive rational c, and the same
-        # precisions, each moved up by s
-        polys = [_as_series(p) for p in polys]
-        got, s = integer_series_product(polys)
-        ref = fraction_series_product(polys)
-        c = clearing_scale(got, ref, s)
+    @given(_series_poly(3))
+    def test_matches_the_series_terms(self, p):
+        # c p over Z[[z]] for p moved to nonnegative exponents: the same
+        # terms, scaled by one positive rational c, and the same precisions
+        (p,), _ = _lifted(_as_series(p))
+        got = integer_series(p)
+        c = clearing_scale(got, p)
         assert c > 0
-        assert [integer_form(x) for x in got.coeffs] == cleared_form(ref, s, c)
+        assert [integer_form(x) for x in got.coeffs] == cleared_form(p, c)
 
     def test_refuses_other_rings(self):
         tower = FieldTower()
         a = tower.adjoin(P(-2, 0, 1))
-        for polys in ([UPoly([Series.const(a), Series.const(1)])],
-                      [UPoly([Series.monomial(1, Fraction(1, 2)),
-                              Series.const(1)])],
-                      [P(1, 1)]):
+        for p in (UPoly([Series.const(a), Series.const(1)]),
+                  UPoly([Series.monomial(1, Fraction(1, 2)),
+                         Series.const(1)]),
+                  UPoly([Series.monomial(1, -1), Series.const(1)]),
+                  P(1, 1)):
             with pytest.raises(InternalInconsistency):
-                integer_series_product(polys)
+                integer_series(p)
 
 
 class TestRationalFactorization:

@@ -1,13 +1,15 @@
 """Static guards on the package source: no unused import, no
 module-level function or class that only the tests reach, no
-module-level import of sympy, and true division only where it cannot
-make a float."""
+module-level import of sympy, true division only where it cannot
+make a float, and every specrig name the benchmark's tracer reads."""
 
 import ast
+import importlib
 from pathlib import Path
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specrig"
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 MODULES = {p.stem: ast.parse(p.read_text(), str(p))
            for p in sorted(SRC.glob("*.py"))}
 
@@ -144,3 +146,37 @@ def test_true_division_only_at_named_sites():
     found = set().union(*(_division_sites(module, tree)
                           for module, tree in MODULES.items()))
     assert found == DIVISION_SITES
+
+
+def _traced_names():
+    """(module, qualified name) of every specrig name perfbench/tracing.py
+    reads: the entries of its TARGETS list, taken from the source with
+    ast (the benchmark is neither imported nor changed), and the names
+    it imports from specrig modules."""
+    tree = ast.parse(TRACING.read_text(), str(TRACING))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                           for t in node.targets))
+    names = [(module, qual) for module, qual, _ in
+             ast.literal_eval(targets)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("specrig."):
+            names += [(node.module.split(".", 1)[1], alias.name)
+                      for alias in node.names]
+    return names
+
+
+def test_traced_names_resolve():
+    names = _traced_names()
+    assert {("germs", "germ_equation"), ("matrf", "default_truncation"),
+            ("matrf", "pole_order")} <= set(names)
+    missing = []
+    for module, qual in names:
+        obj = importlib.import_module(f"specrig.{module}")
+        for part in qual.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{qual}")
+    assert not missing, f"traced names missing from specrig: {missing}"
