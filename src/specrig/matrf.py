@@ -1,8 +1,7 @@
 """Square matrices of rational functions: the global connection data.
 
-Conventions: the equation is dw = A w with A a matrix of 1-forms A(z) dz.
-Local charts: z_a = z - a at a finite point, w = 1/z at infinity, where the
-1-form picks up the Jacobian A(z) dz = -A(1/w) w^{-2} dw.
+Conventions: the equation is dw = A w with A a matrix of 1-forms A(z) dz,
+read at a pole in the local chart of :class:`specrig.ratfn.Chart`.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from fractions import Fraction
 
 from .errors import InputError, UnsupportedPoleLocation, SpecrigError
 from .qpoly import UPoly, det_cofactor, poly_gcd, resultant_det
-from .ratfn import RatFn, INFINITY, expand_at
+from .ratfn import INFINITY, Chart, RatFn
 from .series import Series
 
 
@@ -104,33 +103,21 @@ class CharpolyDiscriminant:
 
     def valuation(self, a):
         """ord of Res_y(f, f_y) for the local charpoly f of
-        :func:`localize_charpoly` at a.  At infinity the chart scales every
-        root by -w^-2, which multiplies the discriminant by w^(-2n(n-1))."""
+        :func:`localize_charpoly` at a: the discriminant has weight
+        n(n-1) in the chart."""
         if self.res.is_zero():
             raise SpecrigError("polynomial is not squarefree in y")
         n = self.n
-        v = (RatFn(self.res).valuation(a)
-             - (2 * n - 1) * RatFn(self.den).valuation(a))
-        return Fraction(v - 2 * n * (n - 1) if a == INFINITY else v)
-
-
-def entry_form_valuation(f: RatFn, a):
-    """Valuation at a of the 1-form f dz in the local coordinate
-    (accounts for the w = 1/z Jacobian at infinity). None for f = 0."""
-    v = f.valuation(a)
-    if v is None:
-        return None
-    return v - 2 if a == INFINITY else v
+        chart = Chart(a)
+        return Fraction(chart.valuation(RatFn(self.res), n * (n - 1))
+                        - (2 * n - 1) * chart.valuation(RatFn(self.den)))
 
 
 def pole_order(m: MatRF, a) -> int:
     """nu = max(0, -min entry valuation) in the local chart at a."""
-    worst = None
-    for row in m.entries:
-        for f in row:
-            v = entry_form_valuation(f, a)
-            if v is not None and (worst is None or v < worst):
-                worst = v
+    chart = Chart(a)
+    worst = min((chart.valuation(f, 1) for row in m.entries for f in row
+                 if f), default=None)
     if worst is None:
         raise InputError("zero matrix has no local data")
     return max(0, -worst)
@@ -140,37 +127,18 @@ def localize(m: MatRF, a, nterms: int):
     """Laurent expansion of the connection matrix in the local coordinate
     at a to nterms orders, as a matrix of Series; an entry that is a
     Laurent polynomial there comes out exact."""
-    if a != INFINITY:
-        a = Fraction(a)
-    out = []
-    for row in m.entries:
-        srow = []
-        for f in row:
-            s = expand_at(f, a, nterms)
-            if a == INFINITY:
-                s = (-s).shift(-2)
-            srow.append(s)
-        out.append(srow)
-    return out
+    chart = Chart(a)
+    return [[chart.expand(f, nterms, 1) for f in row] for row in m.entries]
 
 
 def localize_charpoly(cp: UPoly, a, nterms: int):
     """Local expansion of the global characteristic polynomial's
-    coefficients at a; returns a list of Series indexed by the power of y."""
+    coefficients at a, the coefficient of y^j with weight n - j in the
+    chart; returns a list of Series indexed by the power of y."""
+    chart = Chart(a)
     n = cp.degree
-    out = []
-    for j, c in enumerate(cp.coeffs):
-        if not c:
-            out.append(Series.zero())
-            continue
-        if a == INFINITY:
-            s = expand_at(c, INFINITY, nterms).shift(-2 * (n - j))
-            if (n - j) % 2:
-                s = -s
-        else:
-            s = expand_at(c, a, nterms)
-        out.append(s)
-    return out
+    return [chart.expand(c, nterms, n - j) if c else Series.zero()
+            for j, c in enumerate(cp.coeffs)]
 
 
 def validate_poles(m: MatRF, declared):
@@ -199,8 +167,8 @@ def validate_poles(m: MatRF, declared):
     for pt in sorted(actual):
         if pt not in declared_set:
             raise InputError(f"undeclared pole at z = {pt}")
-    v_inf = min((entry_form_valuation(f, INFINITY)
-                 for row in m.entries for f in row
+    at_inf = Chart(INFINITY)
+    v_inf = min((at_inf.valuation(f, 1) for row in m.entries for f in row
                  if not f.is_zero()), default=None)
     if v_inf is not None and v_inf < 0 and INFINITY not in declared_set:
         raise InputError("undeclared pole at infinity")

@@ -15,7 +15,7 @@ from .matrf import (CharpolyDiscriminant, charpoly, default_truncation,
                     pole_order, validate_poles)
 from .parsing import ProblemSpec
 from .puiseux import separation_depth
-from .ratfn import INFINITY, is_laurent_at
+from .ratfn import INFINITY, Chart
 from .rigidity import (CurveClass, arithmetic_genus, cohomology_dims,
                        euler_char_normalization, irreducibility_status,
                        rigidity_index, smoothness_check_finite_part,
@@ -50,7 +50,7 @@ def first_truncation(cp, disc, a, ceiling) -> int:
     route, so that the two routes stay independent; at most ceiling.
 
     Let F = sum F_i y^i be the local charpoly at a, v_i = ord F_i (read
-    off the RatFn coefficients, with the chart shift at infinity),
+    off the RatFn coefficients in the :class:`Chart` at a),
     vdisc = ord disc_y F, minord = min(0, least root order) (the least
     root order is min v_i / (n - i), the slope of the Newton polygon's
     last edge into (n, 0)) and T = :func:`separation_depth`, past which
@@ -67,15 +67,13 @@ def first_truncation(cp, disc, a, ceiling) -> int:
     order.
     """
     n = cp.degree
+    chart = Chart(a)
     truncated = [i for i, c in enumerate(cp.coeffs)
-                 if c and not is_laurent_at(c, a)]
+                 if c and not chart.is_laurent(c)]
     if not truncated:
         return 1
-    v = {}
-    for i, c in enumerate(cp.coeffs[:n]):
-        if c:
-            v[i] = (c.valuation(a) - 2 * (n - i) if a == INFINITY
-                    else c.valuation(a))
+    v = {i: chart.valuation(c, n - i)
+         for i, c in enumerate(cp.coeffs[:n]) if c}
     minord = min([Fraction(0)] + [Fraction(vi, n - i) for i, vi in v.items()])
     vdisc = disc.valuation(a)
     reach = separation_depth(n, vdisc, minord) + vdisc \

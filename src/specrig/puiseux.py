@@ -181,20 +181,6 @@ def discriminant_valuation(F: UPoly):
     return Fraction(res.valuation() - s * (2 * F.degree - 1))
 
 
-def min_root_order(F: UPoly):
-    poly = newton_polygon(F)
-    if not poly.edges:
-        return Fraction(0)
-    return min(e.rho for e in poly.edges)
-
-
-def default_target_depth(F: UPoly, vdisc):
-    """:func:`separation_depth` of F, with vdisc = ord_z disc_y(F)."""
-    if F.degree < 2:
-        return Fraction(1)
-    return separation_depth(F.degree, vdisc, min_root_order(F))
-
-
 def separation_depth(n, vdisc, minord):
     """Separation depth: strictly exceeds every pairwise root contact.
 
@@ -214,32 +200,33 @@ def puiseux_clusters(F: UPoly, vdisc):
     """All Puiseux root clusters of monic squarefree F over Series.
 
     Returns (clusters, tower); sum of r over clusters = deg_y F.
-    Expansions are carried past :func:`default_target_depth` so that
-    every pairwise contact valuation is decided.  vdisc is the valuation
-    of disc_y(F), read off the exact global discriminant by the pipeline;
-    computing it is also what refuses an F that is not squarefree.
+    Expansions are carried past :func:`separation_depth` so that every
+    pairwise contact valuation is decided; its least root order is read
+    off the Newton polygon of F, the first one the descent builds.  vdisc
+    is the valuation of disc_y(F), read off the exact global discriminant
+    by the pipeline; computing it is also what refuses an F that is not
+    squarefree.
     """
     n = F.degree
     if n < 1:
         raise SpecrigError("need deg_y >= 1")
+    poly = newton_polygon(F)
+    minord = min((e.rho for e in poly.edges), default=Fraction(0))
     tower = FieldTower()
     clusters = []
-    _descend(F, {}, None, 1, n, tower, default_target_depth(F, vdisc),
-             clusters, 0)
+    _descend(F, poly, {}, None, 1, n, tower,
+             separation_depth(n, vdisc, minord), clusters, 0)
     if sum(c.r for c in clusters) != n:
         raise InternalInconsistency("cluster sizes do not sum to the degree")
     return clusters, tower
 
 
-def _descend(F, prev_terms, last_exp, lattice, mult, tower, target, out,
-             depth_guard):
+def _descend(F, poly, prev_terms, last_exp, lattice, mult, tower, target,
+             out, depth_guard):
+    """Continue the mult roots of F past last_exp, poly the Newton polygon
+    of F; a root that is alone and reaches target is a cluster."""
     if depth_guard > 10000:  # pragma: no cover
         raise InternalInconsistency("Puiseux recursion did not terminate")
-    if mult == 1 and last_exp is not None and last_exp >= target:
-        rep = Series(prev_terms, last_exp + Fraction(1, lattice))
-        out.append(PuiseuxCluster(rep, lattice, tower))
-        return
-    poly = newton_polygon(F)
     live = [e for e in poly.edges if last_exp is None or e.rho > last_exp]
     zero_roots = poly.zero_roots
     if sum(e.length for e in live) + zero_roots != mult:
@@ -262,11 +249,15 @@ def _descend(F, prev_terms, last_exp, lattice, mult, tower, target, out,
             else:
                 xq = UPoly([-t] + [0] * (q - 1) + [tower.one(tower.height)])
                 c = _any_root(tower, xq)
-            F_next = taylor_shift(F, c, rho)
             nt = dict(prev_terms)
             nt[rho] = c
-            _descend(F_next, nt, rho, new_lattice, m, tower, target, out,
-                     depth_guard + 1)
+            if m == 1 and rho >= target:
+                rep = Series(nt, rho + Fraction(1, new_lattice))
+                out.append(PuiseuxCluster(rep, new_lattice, tower))
+                continue
+            F_next = taylor_shift(F, c, rho)
+            _descend(F_next, newton_polygon(F_next), nt, rho, new_lattice, m,
+                     tower, target, out, depth_guard + 1)
 
 
 def taylor_shift(F: UPoly, c, rho) -> UPoly:

@@ -128,9 +128,6 @@ class UPoly:
             n >>= 1
         return result
 
-    def scale(self, c):
-        return UPoly([a * c for a in self.coeffs])
-
     def shift_up(self, k):
         """Multiply by x^k."""
         if not self.coeffs:

@@ -242,18 +242,81 @@ def ratfn_pole_points(f: RatFn):
     return out, irrational
 
 
-def is_laurent_at(f: RatFn, a) -> bool:
-    """Whether f is a Laurent polynomial in the local coordinate at a
-    (z - a, or w = 1/z at INFINITY), so that :func:`expand_at` is exact.
-    At infinity that holds when den is a power of z: the chart reverses
-    den, and a reversal is a power of w only for a monomial."""
-    point = 0 if a == INFINITY else Fraction(a)
-    return _root_order(f.den, point) == f.den.degree
-
-
 def expand_at(f: RatFn, a, nterms: int) -> Series:
     """Laurent expansion of f in the local coordinate at a (or w = 1/z at
     INFINITY). No 1-form twist here; plain function expansion."""
     if a == INFINITY:
         return f.at_infinity().expand_local(nterms)
     return f.shifted(a).expand_local(nterms)
+
+
+class Chart:
+    """The local chart of P^1 at a rational point a or at INFINITY.
+
+    Its coordinate t is z = a + t at a rational point and z = 1/t at
+    infinity, and its Jacobian is dz/dt = sign t^order: (1, 0) at a
+    rational point, (-1, -2) at infinity.  Every local invariant reads a
+    rational function f of z as f(z(t)) (dz/dt)^w, for a weight w:
+
+    * w = 1 for an entry of A: the equation dw = A(z) w dz is
+      dw = A(z(t)) (dz/dt) w dt, so the 1-form A(z) dz has the matrix
+      A(z(t)) dz/dt in the chart;
+    * w = n - j for the coefficient c_j of y^j in cp(y) = det(y - A):
+      the spectral curve lies in the cotangent line, where y dz = Y dt
+      gives the fibre coordinate Y = y dz/dt, and the local charpoly
+      det(Y - A dz/dt) = (dz/dt)^n cp(Y / (dz/dt))
+      = sum_j c_j (dz/dt)^(n-j) Y^j;
+    * w = n(n-1) for the discriminant of cp: it is a product of n(n-1)
+      root differences over ordered pairs, each scaled by dz/dt.
+
+    A root Y(t) of the local charpoly maps back to y = Y / (dz/dt).
+    """
+
+    __slots__ = ("point", "sign", "order")
+
+    def __init__(self, a):
+        if a == INFINITY:
+            self.point, self.sign, self.order = INFINITY, -1, -2
+        else:
+            self.point, self.sign, self.order = Fraction(a), 1, 0
+
+    def valuation(self, f: RatFn, weight: int = 0):
+        """ord_t of f(z(t)) (dz/dt)^weight; None for f = 0."""
+        v = f.valuation(self.point)
+        return None if v is None else v + weight * self.order
+
+    def expand(self, f: RatFn, nterms: int, weight: int) -> Series:
+        """Laurent expansion of f(z(t)) (dz/dt)^weight in t, certified to
+        nterms orders past its leading one, and exact when
+        :meth:`is_laurent` holds."""
+        s = expand_at(f, self.point, nterms)
+        if weight * self.order:
+            s = s.shift(weight * self.order)
+        if self.sign < 0 and weight % 2:
+            s = -s
+        return s
+
+    def is_laurent(self, f: RatFn) -> bool:
+        """Whether f(z(t)) is a Laurent polynomial in t, so that
+        :meth:`expand` is exact.  At infinity that holds when den is a
+        power of z: the chart reverses den, and a reversal is a power of
+        t only for a monomial."""
+        point = 0 if self.point == INFINITY else self.point
+        return _root_order(f.den, point) == f.den.degree
+
+    def root_in_z(self, terms):
+        """y = Y / (dz/dt) over Q[z] for a root Y(t) = sum terms[e] t^e
+        with integer exponents e: returns (num, den) with y = num / den.
+
+        y = sign sum terms[e] t^(e - order) is a Laurent polynomial in
+        u = t = z - a at a rational point and in u = 1/t = z at infinity,
+        cleared by den = u^k."""
+        inf = self.point == INFINITY
+        terms = {(self.order - e if inf else e - self.order):
+                 self.sign * Fraction(v) for e, v in terms.items()}
+        u = UPoly([Fraction(0) if inf else -self.point, Fraction(1)])
+        k = max(0, -min(terms, default=0))
+        dense = [Fraction(0)] * (max(terms, default=0) + k + 1)
+        for e, v in terms.items():
+            dense[e + k] = v
+        return UPoly(dense).compose(u), u ** k

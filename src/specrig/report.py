@@ -38,8 +38,7 @@ def render_text(doc: dict) -> str:
     lines.append("")
     lines.append(f"n = {g['n']}   b = {g['b']}   g_a = {g['g_a']}   "
                  f"sum delta = {g['delta_sum']}")
-    chi = g["chi"] if g["chi"] is not None else "-"
-    lines.append(f"chi = {chi}   rig = {g['rig']}")
+    lines.append(f"chi = {g['chi']}   rig = {g['rig']}")
     if "h_dims" in g:
         h = g["h_dims"]
         lines.append(f"h^0 = {h[0]}   h^1 = {h[1]}   h^2 = {h[2]}")

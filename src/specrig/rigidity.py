@@ -17,7 +17,7 @@ from .germs import GermData
 from .localmod import LocalModule, delta_end
 from .matrf import CharpolyDiscriminant
 from .qpoly import UPoly, factor_rational, poly_gcd, squarefree_part
-from .ratfn import INFINITY
+from .ratfn import Chart
 from .series import qdiv
 from .tower import FieldTower
 
@@ -122,27 +122,17 @@ def _exact_rational_roots(locals_):
     """Candidate roots (N, D) of the charpoly, y = N(z) / D(z), one per
     exact unramified cluster whose coefficients are rational.
 
-    A cluster's representative Y(t) is a Laurent polynomial in the local
-    coordinate: t = z - a at a finite pole a, and at infinity t = 1/z in
-    the chart of :func:`localize_charpoly`, where y = -z^-2 Y(1/z)."""
+    A cluster's representative Y(t) is a Laurent polynomial in the
+    coordinate t of the pole's :class:`Chart`, which maps it back to y."""
     for L in locals_:
+        chart = Chart(L.pole)
         for c in L.clusters:
             terms = c.rep.terms
             if c.r != 1 or c.rep.prec is not None or not all(
                     e.denominator == 1 and isinstance(v, (int, Fraction))
                     for e, v in terms.items()):
                 continue
-            terms = {int(e): Fraction(v) for e, v in terms.items()}
-            if L.pole == INFINITY:
-                terms = {-e - 2: -v for e, v in terms.items()}
-                t = UPoly([Fraction(0), Fraction(1)])
-            else:
-                t = UPoly([-Fraction(L.pole), Fraction(1)])
-            k = max(0, -min(terms, default=0))
-            dense = [Fraction(0)] * (max(terms, default=0) + k + 1)
-            for e, v in terms.items():
-                dense[e + k] = v
-            yield UPoly(dense).compose(t), t ** k
+            yield chart.root_in_z({int(e): v for e, v in terms.items()})
 
 
 def _is_root(f: UPoly, num: UPoly, den: UPoly) -> bool:
@@ -169,7 +159,7 @@ def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles):
     fz = f.map_coeffs(lambda c: c.derivative())
     if s.is_zero():
         return "indeterminate", "discriminant vanishes identically"
-    declared = {p for p in declared_poles if p != "inf"}
+    declared = set(declared_poles)  # z0 is rational: never INFINITY
     for pi, _k in factor_rational(squarefree_part(s)):
         if pi.degree == 1:
             z0 = qdiv(-pi.coeffs[0], pi.coeffs[1])

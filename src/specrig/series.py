@@ -187,18 +187,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Series.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, e):
         """Multiply by z^e."""
         e = _fr(e)

@@ -132,6 +132,10 @@ EXAMPLE_TEXTS = {f"example_{p.stem}": p.read_text()
                  for p in sorted(EXAMPLES.glob("*.txt"))}
 
 
+# y^2 = 2 z^2: the lines y = +-sqrt(2) z, irreducible over Q(z) but not
+# over Q(sqrt 2)(z); its irreducibility is undecided
+SQRT2_LINES = "poles inf\nmatrix\n0, 1\n2*z^2, 0\nend\n"
+
 # the generator families at the sizes the property tests run, and the
 # examples
 GENERATED = dict(
@@ -325,7 +329,7 @@ def poly_xgcd(f: UPoly, g: UPoly):
     if r0.is_zero():
         return r0, s0, t0
     inv = qdiv(1, r0.lc())
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 class UPolyTowerElem:

@@ -520,7 +520,7 @@ def test_oracle_undoes_each_factors_clearing(name, data):
     factors = germ_equation(g)
     assert all(min(c._first() for c in p.coeffs if c._first() is not None)
                == 0 for p in factors)
-    scaled = [p.scale(data.draw(st.integers(1, 5))) for p in factors]
+    scaled = [p * data.draw(st.integers(1, 5)) for p in factors]
     with mock.patch.object(germs, "germ_equation", lambda _: scaled):
         assert germ_milnor_oracle(g) == full_product_milnor_oracle(g) \
             == g.mu_oracle_value == g.mu

@@ -10,13 +10,12 @@ from conftest import (EXAMPLE_TEXTS, airy, conjugate_by, dense_fuchs,
                       diag_irreg, gen_airy, local_at, mat)
 from specrig.errors import InputError, SpecrigError, UnsupportedPoleLocation
 from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
-                           default_truncation, entry_form_valuation,
-                           localize, localize_charpoly, pole_order,
-                           validate_poles)
+                           default_truncation, localize,
+                           localize_charpoly, pole_order, validate_poles)
 from specrig.parsing import parse_problem
 from specrig.puiseux import discriminant_valuation
 from specrig.qpoly import UPoly, det_cofactor, resultant
-from specrig.ratfn import INFINITY, RatFn
+from specrig.ratfn import INFINITY, Chart, RatFn
 
 
 F = Fraction
@@ -135,11 +134,12 @@ class TestCharpoly:
 
 class TestLocalData:
     def test_form_valuation_at_infinity(self):
-        assert entry_form_valuation(RatFn.const(1), INFINITY) == -2
+        at_inf = Chart(INFINITY)
+        assert at_inf.valuation(RatFn.const(1), 1) == -2
         z = RatFn.var()
-        assert entry_form_valuation(1 / z ** 2, INFINITY) == 0
-        assert entry_form_valuation(z, INFINITY) == -3
-        assert entry_form_valuation(RatFn.const(0), INFINITY) is None
+        assert at_inf.valuation(1 / z ** 2, 1) == 0
+        assert at_inf.valuation(z, 1) == -3
+        assert at_inf.valuation(RatFn.const(0), 1) is None
 
     def test_pole_order_airy(self):
         a = mat([["0", "1"], ["z", "0"]])

@@ -13,23 +13,31 @@ the reported invariants unchanged.
   of smaller order than every root.
 * A constant unimodular conjugation leaves the charpoly, and with it the
   whole global block and every per-pole invariant, unchanged.
+* A Moebius move of P^1, the translation z -> w - c or the inversion
+  z -> 1/w, carries each pole to its image with all of its local data,
+  and leaves the curve class and the global invariants unchanged.  The
+  finite part is not preserved by the inversion, which swaps 0 and
+  infinity: the smoothness and main-theorem verdicts are compared under
+  it only when both 0 and infinity are declared poles.
 
 An input refused before a move must be refused after it, with the same
 error class.
 """
 
+from fractions import Fraction
 from math import ceil
 
 import pytest
 
-from conftest import (EXAMPLE_TEXTS, GENERATED, conjugate_by, local_at,
-                      problem_text, unimodular)
+from conftest import (EXAMPLE_TEXTS, GENERATED, SQRT2_LINES, conjugate_by,
+                      fuchs, irreg, local_at, problem_text, unimodular)
 from specrig import rigidity
 from specrig.errors import SpecrigError
-from specrig.matrf import MatRF, entry_form_valuation, pole_order
+from specrig.matrf import MatRF, pole_order
 from specrig.parsing import ProblemSpec, parse_expression, parse_problem
 from specrig.pipeline import run_analysis
-from specrig.ratfn import INFINITY
+from specrig.qpoly import UPoly
+from specrig.ratfn import INFINITY, Chart, RatFn
 
 
 INPUTS = dict(GENERATED)
@@ -103,7 +111,7 @@ def _admissible(spec, f):
     if INFINITY not in points:
         points.append(INFINITY)
     for point in points:
-        v = entry_form_valuation(f, point)
+        v = Chart(point).valuation(f, 1)
         nu = pole_order(spec.matrix, point) if point in spec.poles else 0
         if v is not None and -v > nu:
             return False
@@ -116,7 +124,7 @@ def _subleading(spec, f):
     for pole in spec.poles:
         if not pole_order(spec.matrix, pole):
             continue
-        v = entry_form_valuation(f, pole)
+        v = Chart(pole).valuation(f, 1)
         if v is None or v >= 0:
             continue
         if v <= max(c.order for c in local_at(spec.matrix, pole).clusters):
@@ -202,3 +210,112 @@ def test_direct_sum_of_airy_systems_is_reducible_through_sympy(monkeypatch):
     assert code == 0
     assert doc["global"]["irreducibility"] == "reducible"
     assert len(calls) == 1
+
+
+# -- Moebius moves -------------------------------------------------------
+
+MOBIUS_INPUTS = dict(INPUTS, sqrt2_lines=SQRT2_LINES,
+                     **{f"{family.__name__}_3_{seed}": family(3, seed)
+                        for family in (fuchs, irreg) for seed in (1, 2)})
+
+GLOBAL_KEYS = ("n", "b", "g_a", "delta_sum", "chi", "rig",
+               "irreducibility")
+
+
+class Translation:
+    """z -> w - c: an entry e becomes e(w - c), a pole a becomes a + c."""
+
+    finite_part = True
+
+    def __init__(self, c):
+        self.c = Fraction(c)
+
+    def entry(self, e):
+        return e.shifted(-self.c)
+
+    def pole(self, a):
+        return a if a == INFINITY else a + self.c
+
+
+class Inversion:
+    """z -> 1/w: an entry e becomes -e(1/w) w^-2, a pole a becomes 1/a,
+    with 0 and infinity swapped."""
+
+    finite_part = False
+    _jacobian = RatFn(UPoly([-1]), UPoly([0, 0, 1]))
+
+    def entry(self, e):
+        return e.at_infinity() * self._jacobian
+
+    def pole(self, a):
+        if a == INFINITY:
+            return Fraction(0)
+        return INFINITY if a == 0 else 1 / a
+
+
+MOVES = {"inversion": Inversion(), "translation_2": Translation(2),
+         "translation_-1/3": Translation(Fraction(-1, 3))}
+
+
+def moved(spec, move):
+    rows = [[move.entry(e) for e in row] for row in spec.matrix.entries]
+    return ProblemSpec("z", [], MatRF(rows),
+                       [move.pole(a) for a in spec.poles], spec.genus)
+
+
+def _point(label):
+    return INFINITY if label == "inf" else Fraction(label)
+
+
+def _label(point):
+    return "inf" if point == INFINITY else str(point)
+
+
+def mobius_outcome(spec):
+    try:
+        doc, code = run_analysis(spec)
+    except SpecrigError as exc:
+        return type(exc).__name__
+    return doc, code
+
+
+@pytest.mark.parametrize("move", sorted(MOVES))
+@pytest.mark.parametrize("name", sorted(MOBIUS_INPUTS))
+def test_mobius_move(name, move):
+    spec = parse_problem(MOBIUS_INPUTS[name])
+    before = mobius_outcome(spec)
+    after = mobius_outcome(moved(spec, MOVES[move]))
+    if isinstance(before, str) or isinstance(after, str):
+        assert before == after
+        return
+    (doc0, code0), (doc1, code1) = before, after
+    g0, g1 = doc0["global"], doc1["global"]
+    assert {k: g1[k] for k in GLOBAL_KEYS} == {k: g0[k] for k in GLOBAL_KEYS}
+    relabelled = {_label(MOVES[move].pole(_point(p["point"]))):
+                  dict(p, point=None) for p in doc0["poles"]}
+    assert {p["point"]: dict(p, point=None) for p in doc1["poles"]} == \
+        relabelled
+    if MOVES[move].finite_part or {0, INFINITY} <= set(spec.poles):
+        # without the details, which name the point
+        assert g1["smoothness"].split(":")[0] == \
+            g0["smoothness"].split(":")[0]
+        assert g1["main_theorem"].split(" (")[0] == \
+            g0["main_theorem"].split(" (")[0]
+        assert code1 == code0
+
+
+def test_inversion_moves_a_finite_singular_point_off_the_finite_part():
+    """gen_airy_2: y^2 = z^2 is singular over z = 0, which the inversion
+    sends to infinity, outside the finite part."""
+    spec = parse_problem(GENERATED["gen_airy_2"])
+    (doc0, _), (doc1, _) = (mobius_outcome(spec),
+                            mobius_outcome(moved(spec, Inversion())))
+    assert doc0["global"]["smoothness"].startswith("singular")
+    assert doc1["global"]["smoothness"] == "ok"
+    assert [p["point"] for p in doc1["poles"]] == ["0"]
+
+
+def test_inversion_compares_the_finite_part_on_several_inputs():
+    both = [name for name, text in MOBIUS_INPUTS.items()
+            if {0, INFINITY} <= set(parse_problem(text).poles)]
+    assert len(both) >= 5

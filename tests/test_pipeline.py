@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (CORPUS, GENERATED, conjugate_by, no_sympy,
-                      unimodular)
+from conftest import (CORPUS, GENERATED, SQRT2_LINES, conjugate_by,
+                      no_sympy, unimodular)
 from specrig import germs, localmod, pipeline, qpoly, rigidity
 from specrig.errors import InputError, InsufficientTruncation
 from specrig.matrf import (CharpolyDiscriminant, charpoly,
@@ -54,6 +54,24 @@ class TestVerdicts:
         assert doc["global"]["irreducibility"] == "assumed-irreducible"
         assert doc["global"]["main_theorem"] == "true"
         assert doc["global"]["chi"] == doc["global"]["rig"] == 2
+
+    def test_lines_over_a_quadratic_field_are_undecided(self):
+        doc, _ = run(SQRT2_LINES)
+        assert doc["global"]["irreducibility"] == "unknown"
+
+    def test_lines_over_a_quadratic_field_can_only_be_assumed(self):
+        doc, _ = run(SQRT2_LINES, assume_irreducible_curve=True)
+        assert doc["global"]["irreducibility"] == "assumed-irreducible"
+
+    @pytest.mark.parametrize("kw", [{}, {"truncation": 1},
+                                    {"truncation": 40},
+                                    {"check_reduction": True}])
+    def test_lines_over_a_quadratic_field_are_never_irreducible(self, kw):
+        """Over Q-bar the curve splits, so no certificate may claim it
+        irreducible, at any truncation order or with the reduction
+        route."""
+        doc, _ = run(SQRT2_LINES, **kw)
+        assert doc["global"]["irreducibility"] != "irreducible"
 
     def test_finite_singularity_not_applicable(self):
         doc, code = run("poles inf\nmatrix\n0, 1\nz^3, 0\nend\n")

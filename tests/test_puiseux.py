@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import horner_compose, residual_full, series_form
 from specrig.errors import (AmbiguousComparison, InsufficientTruncation,
                             SpecrigError)
+from specrig import puiseux
 from specrig.puiseux import (_diff_nonzero, _phase_denominator,
                              cluster_contact, contact_pair_sum,
-                             default_target_depth, discriminant_valuation,
-                             min_root_order, newton_polygon,
+                             discriminant_valuation, newton_polygon,
                              principal_contact_negative, puiseux_clusters,
-                             taylor_shift)
+                             separation_depth, taylor_shift)
 from specrig.qpoly import UPoly
 from specrig.series import Series
 from specrig.tower import FieldTower
@@ -253,10 +253,39 @@ class TestDiscriminantIdentity:
 
 
 class TestDepth:
-    def test_min_root_order(self):
-        assert min_root_order(spoly({-5: -1}, 0, 1)) == F(-5, 2)
+    def test_least_root_order_is_read_off_the_first_polygon(
+            self, monkeypatch):
+        # roots z, z + z^3 and 1/z: contacts 3, -1, -1, so ord disc = 2,
+        # and the least root order -1 lifts the depth from 2 to 4
+        f = (UPoly([Series({1: -1}), Series.const(F(1))])
+             * UPoly([Series({1: -1, 3: -1}), Series.const(F(1))])
+             * UPoly([Series({-1: -1}), Series.const(F(1))]))
+        vdisc = discriminant_valuation(f)
+        polygons, targets = [], []
+        build, descend = puiseux.newton_polygon, puiseux._descend
+
+        def spy_polygon(g):
+            polygons.append(g)
+            return build(g)
+
+        def spy_descend(g, poly, prev_terms, last_exp, lattice, mult,
+                        tower, target, out, depth_guard):
+            targets.append(target)
+            descend(g, poly, prev_terms, last_exp, lattice, mult, tower,
+                    target, out, depth_guard)
+        monkeypatch.setattr(puiseux, "newton_polygon", spy_polygon)
+        monkeypatch.setattr(puiseux, "_descend", spy_descend)
+        clusters, _ = puiseux_clusters(f, vdisc)
+        assert vdisc == 2
+        assert targets[0] == separation_depth(3, vdisc, F(-1)) == 4
+        assert set(targets) == {4}
+        assert sum(g is f for g in polygons) == 1
+        assert sorted(c.order for c in clusters) == [-1, 1, 1]
 
     def test_target_exceeds_contacts(self):
         f = (UPoly([Series({1: -1}), Series.const(F(1))])
              * UPoly([Series({1: -1, 3: -1}), Series.const(F(1))]))
-        assert default_target_depth(f, discriminant_valuation(f)) > 3
+        minord = min(e.rho for e in newton_polygon(f).edges)
+        assert separation_depth(2, discriminant_valuation(f), minord) > 3
+        assert min(e.rho for e in newton_polygon(spoly({-5: -1}, 0, 1))
+                   .edges) == F(-5, 2)

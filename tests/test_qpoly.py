@@ -75,9 +75,9 @@ class TestArithmetic:
         assert calls == [lead]
         assert g * q + rem == f and rem.degree < g.degree
         calls.clear()
-        m = f.scale(lead).monic()
+        m = (f * lead).monic()
         assert calls == [7 * lead]
-        assert m == f.scale(Fraction(1, 7))
+        assert m == f * Fraction(1, 7)
 
     def test_eval_compose(self):
         f = P(1, 2, 3)
@@ -350,7 +350,7 @@ class TestDetBareiss:
         # Res_y(y^2 - z, 2y) = 4 * (-z) over Q[z]
         z = UPoly([Fraction(0), Fraction(1)])
         f = UPoly([-z, UPoly(), UPoly.const(Fraction(1))])
-        assert resultant_det(f, f.derivative()) == z.scale(-4)
+        assert resultant_det(f, f.derivative()) == z * -4
 
 
 # -- the integer kernels of resultant_det over Q, Q[z] and Z[[z]] ----------
@@ -408,8 +408,8 @@ class TestIntegerResultant:
         # Res(c z^s f, d g) = c^deg g d^deg f z^(s deg g) Res(f, g)
         zs = UPoly([Fraction(0)] * s + [c])
         lhs = resultant_det(UPoly([a * zs for a in f.coeffs]),
-                            UPoly([a.scale(d) for a in g.coeffs]))
-        rhs = (resultant_det(f, g).scale(d ** f.degree)
+                            UPoly([a * d for a in g.coeffs]))
+        rhs = (resultant_det(f, g) * d ** f.degree
                * zs ** g.degree)
         assert lhs == rhs
 

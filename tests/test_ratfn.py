@@ -10,7 +10,7 @@ from conftest import diag_irreg, no_sympy
 from specrig import pipeline, rigidity
 from specrig.parsing import parse_problem
 from specrig.qpoly import UPoly, poly_gcd
-from specrig.ratfn import (INFINITY, RatFn, expand_at, is_laurent_at,
+from specrig.ratfn import (INFINITY, Chart, RatFn, expand_at,
                            ratfn_pole_points)
 
 
@@ -92,7 +92,7 @@ def _reference_normal(num, den):
     g = poly_gcd(num, den)
     num, den = num // g, den // g
     lead = den.lc()
-    return num.scale(1 / lead).coeffs, den.scale(1 / lead).coeffs
+    return (num * (1 / lead)).coeffs, (den * (1 / lead)).coeffs
 
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -225,7 +225,7 @@ class TestExpansion:
         (1 / (Z - 1), INFINITY, False), (Z ** 5 + 1 / Z ** 2, INFINITY, True),
         (1 / (Z * (Z - 1)), 0, False)])
     def test_is_laurent_at(self, f, a, laurent):
-        assert is_laurent_at(f, a) is laurent
+        assert Chart(a).is_laurent(f) is laurent
         assert (expand_at(f, a, 2).prec is None) is laurent
 
     def test_inverse_pairs_to_one(self):
@@ -237,6 +237,39 @@ class TestExpansion:
             t = expand_at(1 / f, 0, 8)
             prod = s * t - 1
             assert prod.known_zero_to_prec()
+
+
+class TestChart:
+    def test_jacobian(self):
+        assert (Chart(INFINITY).sign, Chart(INFINITY).order) == (-1, -2)
+        assert (Chart(F(1, 2)).sign, Chart(F(1, 2)).order) == (1, 0)
+
+    @pytest.mark.parametrize("weight", [0, 1, 2, 3])
+    def test_weighted_expansion_at_infinity(self, weight):
+        # z (dz/dt)^w = (-1)^w t^(-1 - 2w)
+        s = Chart(INFINITY).expand(Z, 4, weight)
+        assert s.terms == {F(-1 - 2 * weight): (-1) ** weight}
+        assert Chart(INFINITY).valuation(Z, weight) == -1 - 2 * weight
+
+    def test_weight_is_trivial_at_a_rational_point(self):
+        f = 1 / (Z - 1) ** 2 + Z
+        for weight in (0, 1, 5):
+            assert Chart(1).expand(f, 3, weight).terms == \
+                expand_at(f, 1, 3).terms
+            assert Chart(1).valuation(f, weight) == -2
+
+    @pytest.mark.parametrize("a", [0, F(-2, 3), 5, INFINITY])
+    def test_root_in_z_inverts_the_chart(self, a):
+        """A Laurent polynomial y in the local coordinate, read as the
+        root Y = y dz/dt, maps back to y."""
+        u = Z if a == INFINITY else Z - a  # 1/t or t
+        chart = Chart(a)
+        for y in (3 * u ** 2 - u + F(1, 2), 1 / u ** 3 + 7, RatFn.const(0)):
+            Y = chart.expand(y, 1, 1)
+            assert Y.prec is None
+            num, den = chart.root_in_z({int(e): v
+                                        for e, v in Y.terms.items()})
+            assert RatFn(num, den) == y
 
 
 class TestPolePoints:

@@ -76,10 +76,6 @@ class TestArithmetic:
         assert (a * a).terms == {F(0): 1, F(1): -2, F(2): 1}
         assert (a * a).prec is None
 
-    def test_pow(self):
-        s = Series({0: 1, 1: 1})
-        assert (s ** 3).terms == {F(0): 1, F(1): 3, F(2): 3, F(3): 1}
-
     def test_shift_and_scale(self):
         s = Series({1: 2}, prec=4)
         assert s.shift(-3).terms == {F(-2): 2}

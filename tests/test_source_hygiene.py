@@ -1,7 +1,8 @@
 """Static guards on the package source: no unused import, no
 module-level function or class that only the tests reach, no
 module-level import of sympy, true division only where it cannot
-make a float, and every specrig name the benchmark's tracer reads."""
+make a float, the point at infinity read only at named sites, and every
+specrig name the benchmark's tracer reads."""
 
 import ast
 import importlib
@@ -146,6 +147,58 @@ def test_true_division_only_at_named_sites():
     found = set().union(*(_division_sites(module, tree)
                           for module, tree in MODULES.items()))
     assert found == DIVISION_SITES
+
+
+# the (module, definition) sites allowed to read INFINITY or the literal
+# "inf": the local chart, which owns z = 1/t and its Jacobian; the
+# valuation and the plain expansion at a point; the parser and the
+# report's pole names; and the declared-set checks of validate_poles.
+# A site covers every definition nested in it.
+INFINITY_SITES = {("ratfn", "Chart"),
+                  ("ratfn", "RatFn.valuation"),
+                  ("ratfn", "expand_at"),
+                  ("parsing", "parse_pole"),
+                  ("pipeline", "_pole_str"),
+                  ("matrf", "validate_poles")}
+
+
+def _infinity_sites(module, tree):
+    """(module, dotted enclosing definition) of every read of INFINITY
+    or of the constant "inf"; the definition of INFINITY itself is not
+    a read."""
+    out = set()
+    stack = [(node, "") for node in tree.body
+             if not (isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets]
+                     == ["INFINITY"])]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Name) and node.id == "INFINITY" and \
+                isinstance(node.ctx, ast.Load) or \
+                isinstance(node, ast.Constant) and node.value == "inf":
+            out.add((module, scope))
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def _covers(site, found):
+    (module, scope), (found_module, found_scope) = site, found
+    return module == found_module and (found_scope == scope or
+                                       found_scope.startswith(scope + "."))
+
+
+def test_infinity_read_only_at_named_sites():
+    found = set().union(*(_infinity_sites(module, tree)
+                          for module, tree in MODULES.items()))
+    stray = [f for f in found
+             if not any(_covers(site, f) for site in INFINITY_SITES)]
+    assert not stray, f"INFINITY or 'inf' read outside the chart: {stray}"
+    unused = [site for site in INFINITY_SITES
+              if not any(_covers(site, f) for f in found)]
+    assert not unused, f"named sites that read no INFINITY: {unused}"
 
 
 def _traced_names():
