@@ -18,7 +18,7 @@ The zero polynomial is the empty coefficient tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, count, zip_longest
 from math import ceil, gcd, isqrt, lcm
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
@@ -385,24 +385,30 @@ def _exact_quotient(num, den):
 def _int_exact_quotient(a, b):
     """Quotient of two integer coefficient lists (lowest degree first)
     when b divides a over Z; any remainder raises."""
+    quot = _int_quotient(a, b)
+    if quot is None:
+        raise InternalInconsistency(
+            "fraction-free elimination: inexact polynomial division")
+    return quot
+
+
+def _int_quotient(a, b):
+    """Quotient of two integer coefficient lists (lowest degree first)
+    when b divides a over Z; None when it does not."""
     a = list(a)
     db = len(b) - 1
     lead = b[-1]
     quot = [0] * max(0, len(a) - db)
-    rem = 0
     for k in range(len(a) - 1 - db, -1, -1):
         c, rem = divmod(a[k + db], lead)
         if rem:
-            break
+            return None
         quot[k] = c
         if c:
             for j, y in enumerate(b[:db], k):
                 if y:
                     a[j] -= c * y
-    if rem or any(a[:db]):
-        raise InternalInconsistency(
-            "fraction-free elimination: inexact polynomial division")
-    return quot
+    return None if any(a[:db]) else quot
 
 
 def _cap(prec):
@@ -763,30 +769,20 @@ def resultant_det(f: UPoly, g: UPoly):
     return back(det_bareiss(rows))
 
 
-# -- rational-coefficient helpers (sympy-backed factorization) --------------
-
-def _to_sympy(f: UPoly):
-    """f as a sympy polynomial in x over QQ.  sympy is imported here, at
-    the first factorization that needs it, not with the package."""
-    import sympy
-    return sympy.Poly(list(reversed([sympy.Rational(c) for c in f.coeffs])),
-                      sympy.Symbol("x"), domain="QQ")
-
-
-def _from_sympy(p) -> UPoly:
-    return UPoly([qdiv(c.p, c.q) for c in reversed(p.all_coeffs())])
-
+# -- factorization over Q: Zassenhaus's method over Z ----------------------
 
 def factor_rational(f: UPoly):
-    """Irreducible factorization over Q: list of (monic UPoly, multiplicity).
+    """Irreducible factorization over Q: list of (monic UPoly, multiplicity)
+    in sympy's order, by degree, then multiplicity, then the primitive
+    integer coefficients from the top.
 
-    All coefficients of f must be Fraction/int.  Linear and quadratic f
-    never reach sympy: a quadratic splits exactly when its discriminant
-    is the square of a rational, and its factors come in sympy's order.
-    From degree 3 on the rational roots are split off exactly first
-    (:func:`_split_rational_roots`); an f that they do not reduce to
-    linear factors and at most one quadratic goes to sympy's
-    ``factor_list`` whole.
+    All coefficients of f must be Fraction/int.  A quadratic splits
+    exactly when its discriminant is the square of a rational
+    (:func:`_factor_quadratic`).  From degree 3 on, the primitive integer
+    form of f with a positive leading coefficient loses its rational roots
+    (:func:`_split_rational_roots`), what they leave splits into
+    squarefree parts (:func:`_squarefree_parts`), and each part is
+    factored over Z (:func:`_zassenhaus`).
     """
     if f.degree < 1:
         return []
@@ -794,38 +790,45 @@ def factor_rational(f: UPoly):
         return [(f.monic(), 1)]
     if f.degree == 2:
         return _factor_quadratic(*(Fraction(c) for c in f.coeffs))
-    split = _split_rational_roots(f)
-    if split is not None:
-        return split
-    _, factors = _to_sympy(f).factor_list()
-    return [(_from_sympy(p).monic(), int(k)) for p, k in factors]
+    ints = _primitive_integers(f.coeffs)[0]
+    if ints[-1] < 0:
+        ints = [-a for a in ints]
+    zeros = next(i for i, a in enumerate(ints) if a)
+    found = [([0, 1], zeros)] if zeros else []
+    rest = _split_rational_roots(ints[zeros:], found)
+    if rest is not None:
+        found += [(g, k) for part, k in _squarefree_parts(rest)
+                  for g in _zassenhaus(part)]
+    found.sort(key=lambda gk: (len(gk[0]), gk[1], gk[0][::-1]))
+    return [(UPoly(g).monic(), k) for g, k in found]
+
+
+def factor_order(p: UPoly):
+    """Sort key of sympy's order on irreducible factors over Q of one
+    multiplicity: the degree, then the primitive integer coefficients
+    from the top."""
+    return p.degree, _primitive_integers(p.coeffs)[0][::-1]
 
 
 # the largest |a_0 a_n| whose divisors are enumerated for rational roots
 _ROOT_SEARCH_BOUND = 10 ** 7
 
 
-def _split_rational_roots(f: UPoly):
-    """factor_rational of f, of degree 3 or more, when its rational roots
-    leave at most one quadratic; None otherwise, or when the leading and
-    constant coefficients are too large to search.
+def _split_rational_roots(g, found):
+    """Divide the rational roots out of g, primitive integers (lowest
+    degree first) with g(0) != 0 and a positive leading coefficient.  Each root p/q in lowest terms goes to found as
+    (q x - p as integers, multiplicity), and so does the rest once it is
+    linear, or of degree 2 or 3 with no rational root left, which makes it
+    irreducible; then the result is None.  Otherwise it is the rest.
 
-    A root p/q in lowest terms of the primitive integer form
-    a_0 + ... + a_n x^n (a_0 != 0 once the roots 0 are split off) has
-    p | a_0 and q | a_n.  Each root found is divided out over Z to its
-    multiplicity, and the search stops once at most a linear factor is
-    left, so a quadratic left after every candidate has no rational root
-    and is irreducible.  The factors come in sympy's order: by degree,
-    then multiplicity, then the primitive integer coefficients from the
-    top.
+    A root has p | g(0) and q | lc(g).  The search stops once at most a
+    linear factor is left, and does not run when |g(0) lc(g)| exceeds
+    _ROOT_SEARCH_BOUND.  It costs less than Hensel lifting linear
+    factors, and most polynomials of the analysis split into them.
     """
-    ints = _primitive_integers(f.coeffs)[0]
-    zeros = next(i for i, a in enumerate(ints) if a)
-    g = ints[zeros:]
     if abs(g[0] * g[-1]) > _ROOT_SEARCH_BOUND:
-        return None
-    found = [(UPoly([0, 1]), zeros)] if zeros else []
-    candidates = ((sign * p, q) for q in _divisors(abs(g[-1]))
+        return g
+    candidates = ((sign * p, q) for q in _divisors(g[-1])
                   for p in _divisors(abs(g[0])) if gcd(p, q) == 1
                   for sign in (1, -1))
     for p, q in candidates:
@@ -836,13 +839,12 @@ def _split_rational_roots(f: UPoly):
             g = _int_exact_quotient(g, [-p, q])
             k += 1
         if k:
-            found.append((UPoly([-p, q]).monic(), k))
-    if len(g) > 3:
-        return None
+            found.append(([-p, q], k))
+    if len(g) > 4:
+        return g
     if len(g) > 1:
-        found.append((UPoly(g).monic(), 1))
-    return sorted(found, key=lambda pk: (
-        pk[0].degree, pk[1], _primitive_integers(pk[0].coeffs)[0][::-1]))
+        found.append((g, 1))
+    return None
 
 
 def _divisors(n: int):
@@ -859,6 +861,293 @@ def _is_root(g, p: int, q: int) -> bool:
         scale *= q
         acc = acc * p + a * scale
     return acc == 0
+
+
+def _squarefree_parts(f):
+    """Yun's squarefree decomposition of an integer polynomial f (lowest
+    degree first) with a positive leading coefficient: (a_i, i) for each
+    nonconstant a_i in f = c a_1 a_2^2 a_3^3 ..., a_i as its primitive
+    integers with a positive leading one.  An f coprime to f' modulo a
+    prime is its own one part."""
+    df = [i * a for i, a in enumerate(f)][1:]
+    if _coprime_modulo_prime(f, df):
+        return [(f, 1)]
+    a = poly_gcd(UPoly(f), UPoly(df))
+    b, c = UPoly(f) // a, UPoly(df) // a
+    out, i = [], 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        a = poly_gcd(b, d)
+        if a.degree > 0:
+            out.append((_primitive_integers(a.coeffs)[0], i))
+        b, c = b // a, d // a
+        i += 1
+    return out
+
+
+def _zassenhaus(f):
+    """The irreducible factors over Z of a squarefree primitive integer
+    polynomial f (lowest degree first) of degree n, with f(0) != 0 and a
+    positive leading coefficient b (Zassenhaus, J. Number Theory 1,
+    1969): f is factored modulo a prime p (:func:`_modular_factors`),
+    the factors are lifted modulo p^k > 2 b 2^n |f|_2, twice b times
+    Mignotte's bound on the coefficients of a factor of f
+    (:func:`_hensel_lift`), and recombined by trial division
+    (:func:`_recombine`)."""
+    if len(f) == 2:
+        return [f]
+    p, parts, degrees = _modular_factors(f)
+    if degrees == 1 | 1 << len(f) - 1:
+        return [f]
+    factors = [u for h, d in parts for u in _equal_degree(h, d, p, p)]
+    bound = 4 * f[-1] ** 2 * 4 ** (len(f) - 1) * sum(a * a for a in f)
+    pk = p
+    while pk * pk <= bound:
+        pk *= p
+    return _recombine(f, _hensel_lift(f, factors, p, pk), pk, degrees)
+
+
+# _modular_factors compares the first _PRIMES_TRIED admissible primes, and
+# more, up to _PRIMES_MAX, while each gives more than _FEW_FACTORS factors:
+# recombining r lifts may test up to 2^(r-1) subsets, which costs far more
+# than further distinct-degree factorizations
+_PRIMES_TRIED, _PRIMES_MAX, _FEW_FACTORS = 3, 20, 20
+
+
+def _modular_factors(f):
+    """(p, the distinct-degree factorization of f modulo p, degrees) for
+    the prime p with the fewest factors among the odd primes tried, in
+    increasing order, that divide neither the leading coefficient nor the
+    discriminant of f (:func:`_distinct_degree`).  degrees has bit d set
+    when d is a sum of the degrees of some modular factors modulo each
+    prime tried, as the degree of a factor of f over Z must be; once only
+    0 and deg f are left, f is irreducible and the search ends."""
+    best, tried, degrees = None, 0, -1
+    for p in _odd_primes():
+        if not f[-1] % p:
+            continue
+        g = _mod_monic(f, p)
+        if len(_mod_gcd(g, _mod_derivative(g, p), p)) > 1:
+            continue
+        parts = _distinct_degree(g, p)
+        sums, n = 1, 0
+        for h, d in parts:
+            for _ in range((len(h) - 1) // d):
+                sums |= sums << d
+                n += 1
+        degrees &= sums
+        if best is None or n < best[0]:
+            best = n, p, parts
+        tried += 1
+        if degrees == 1 | 1 << len(f) - 1 or tried == _PRIMES_MAX or \
+                tried >= _PRIMES_TRIED and best[0] <= _FEW_FACTORS:
+            break
+    return best[1], best[2], degrees
+
+
+def _odd_primes():
+    for p in count(3, 2):
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+
+
+def _distinct_degree(g, p):
+    """[(h, d)]: h the product of the irreducible factors of degree d of
+    g, monic and squarefree modulo p, for each d that has one; the x^(p^d)
+    mod g are computed one from the other."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(g):
+        d += 1
+        h = _mod_powmod(h, p, g, p)
+        u = _mod_gcd(g, _mod_sub(h, [0, 1], p), p)
+        if len(u) > 1:
+            out.append((u, d))
+            g = _mod_divmod(g, u, p)[0]
+            h = _mod_divmod(h, g, p)[1]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
+    return out
+
+
+def _equal_degree(h, d, p, m):
+    """The monic irreducible factors of h, all of degree d, modulo the odd
+    prime p (Cantor and Zassenhaus): h splits at gcd(h, t^((p^d-1)/2) - 1)
+    for the first test polynomial t that gives a proper factor, t running
+    through the polynomials whose coefficients are the base-p digits of
+    m, m + 1, ... (m = p is x)."""
+    if len(h) - 1 == d:
+        return [h]
+    e = (p ** d - 1) // 2
+    while True:
+        t, k = [], m
+        while k:
+            k, c = divmod(k, p)
+            t.append(c)
+        m += 1
+        u = _mod_gcd(h, _mod_sub(_mod_powmod(t, e, h, p), [1], p), p)
+        if 1 < len(u) < len(h):
+            return (_equal_degree(u, d, p, m)
+                    + _equal_degree(_mod_divmod(h, u, p)[0], d, p, m))
+
+
+def _hensel_lift(f, factors, p, pk):
+    """Monic lifts modulo pk, a power of p, of the pairwise coprime monic
+    factors of f modulo p, f = lc(f) prod factors mod p.  The factors are
+    split in halves g = lc(f) prod of the first and h = prod of the rest;
+    g, h and s, t with s g + t h = 1 are lifted by quadratic Hensel steps
+    (von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm 15.10),
+    the modulus squared each step and capped at pk, and each half is
+    lifted on from its lifted product."""
+    if len(factors) == 1:
+        return [_mod_monic(f, pk)]
+    half = len(factors) // 2
+    g, h = [f[-1] % p], [1]
+    for u in factors[:half]:
+        g = _mod_mul(g, u, p)
+    for u in factors[half:]:
+        h = _mod_mul(h, u, p)
+    s, t = _mod_xgcd(g, h, p)
+    m = p
+    while m < pk:
+        m = min(m * m, pk)
+        e = _mod_sub(f, _mod_mul(g, h, m), m)
+        q, r = _mod_divmod(_mod_mul(s, e, m), h, m)
+        g = _mod_add(g, _mod_add(_mod_mul(t, e, m), _mod_mul(q, g, m), m), m)
+        h = _mod_add(h, r, m)
+        if m < pk:
+            b = _mod_sub(_mod_add(_mod_mul(s, g, m), _mod_mul(t, h, m), m),
+                         [1], m)
+            c, d = _mod_divmod(_mod_mul(s, b, m), h, m)
+            s = _mod_sub(s, d, m)
+            t = _mod_sub(t, _mod_add(_mod_mul(t, b, m), _mod_mul(c, g, m),
+                                     m), m)
+    return (_hensel_lift(g, factors[:half], p, pk)
+            + _hensel_lift(h, factors[half:], p, pk))
+
+
+def _recombine(f, lifted, pk, degrees):
+    """The irreducible factors of f over Z from the monic lifts of its
+    modular factors modulo pk.  For subsets of s = 1, 2, ... lifts, the
+    primitive part of lc(f) times their product, in symmetric residues,
+    is a factor exactly when it divides f; a factor found is divided out
+    and its subset dropped.  What is left once 2 s exceeds the number of
+    lifts left is irreducible.
+
+    A subset is tested only when its degree has its bit set in degrees
+    (see :func:`_modular_factors`), and then first on constant terms
+    alone: for a factor h the product's constant term is
+    (lc(f) / lc(h)) h(0), which divides lc(f) f(0).
+    """
+    out, s = [], 1
+    while 2 * s <= len(lifted):
+        b = f[-1]
+        for subset in combinations(range(len(lifted)), s):
+            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                continue
+            c = b
+            for i in subset:
+                c = c * lifted[i][0] % pk
+            if 2 * c > pk:
+                c -= pk
+            if not c or b * f[0] % c:
+                continue
+            g = [b]
+            for i in subset:
+                g = _mod_mul(g, lifted[i], pk)
+            g = [c - pk if 2 * c > pk else c for c in g]
+            g = [c // gcd(*g) for c in g]
+            q = _int_quotient(f, g)
+            if q is not None:
+                out.append(g)
+                f = q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            s += 1
+    return out + [f]
+
+
+# -- polynomials modulo m (integer lists, lowest degree first, entries in
+# [0, m), no trailing zero); a divisor's leading coefficient is a unit
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mod_monic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [x * inv % m for x in a]
+
+
+def _mod_derivative(a, m):
+    return _trim([i * x % m for i, x in enumerate(a)][1:])
+
+
+def _mod_add(a, b, m):
+    return _trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mod_sub(a, b, m):
+    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mod_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _trim([x % m for x in out])
+
+
+def _mod_divmod(a, b, m):
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    quot = [0] * max(0, len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        q = quot[k] = a[k + db] * inv % m
+        if q:
+            for j, y in enumerate(b[:db], k):
+                a[j] -= q * y
+    return _trim(quot), _trim([x % m for x in a[:db]])
+
+
+def _mod_gcd(a, b, p):
+    """Monic gcd modulo a prime; a is nonzero."""
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return _mod_monic(a, p)
+
+
+def _mod_xgcd(a, b, p):
+    """(s, t) with s a + t b = 1 modulo a prime, for coprime a and b;
+    deg s < deg b and deg t < deg a."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod_sub(s0, _mod_mul(q, s1, p), p)
+        t0, t1 = t1, _mod_sub(t0, _mod_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [x * inv % p for x in s0], [x * inv % p for x in t0]
+
+
+def _mod_powmod(a, e, g, m):
+    """a^e mod g, modulo m, for e >= 1."""
+    out = [1]
+    while True:
+        if e & 1:
+            out = _mod_divmod(_mod_mul(out, a, m), g, m)[1]
+        e >>= 1
+        if not e:
+            return out
+        a = _mod_divmod(_mod_mul(a, a, m), g, m)[1]
 
 
 def _factor_quadratic(c, b, a):

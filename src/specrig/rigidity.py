@@ -89,20 +89,31 @@ def _bipoly_to_sympy(f: UPoly):
     return sympy.Poly.from_dict(terms, *sympy.symbols("y z"), domain="QQ")
 
 
+# the integers z0 at which irreducibility_status specializes F(z, y), in
+# order; 0 and 1 are left out, where fibres such as y^n - z^k split
+_SPECIALIZATIONS = range(2, 6)
+
+
 def irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
-    """Tri-state verdict on the spectral curve F = 0, F = ``disc.cleared``,
-    by three certificates tried in order:
+    """Tri-state verdict on the spectral curve F = 0, F = ``disc.cleared``
+    of y-degree n, by the certificates tried in order:
 
     1. a totally ramified place (one cell with r = n) certifies
        "irreducible";
     2. an exact rational root y = N/D of F over Q(z), read off an exact
        unramified Puiseux cluster with rational coefficients and proved
        by substitution, certifies "reducible" when n >= 2;
-    3. a factorization over Q(z) by sympy with two or more factors of
+    3. an irreducible F(z0, y) over Q, for an integer z0 in
+       _SPECIALIZATIONS with D(z0) != 0, D = lc_y F, certifies that F has
+       no two factors of positive y-degree: F = G H would give
+       F(z0, y) = G(z0, y) H(z0, y) with deg_y kept on both sides, since
+       lc_y G lc_y H = D does not vanish at z0.  The verdict stays
+       "unknown", the one the fourth certificate would give;
+    4. a factorization over Q(z) by sympy with two or more factors of
        positive y-degree certifies "reducible".
 
-    Otherwise the verdict is "unknown".  The second certificate only
-    skips the third: a root of F in Q(z) splits off a linear factor.
+    Otherwise the verdict is "unknown".  The second and third
+    certificates only skip the fourth.
     """
     for L in locals_:
         if len(L.cells) == 1 and L.cells[0].r == L.n:
@@ -111,6 +122,11 @@ def irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
     if f.degree >= 2 and any(_is_root(f, num, den)
                              for num, den in _exact_rational_roots(locals_)):
         return "reducible"
+    for z0 in _SPECIALIZATIONS:
+        if f.lc().eval(z0):
+            fiber = UPoly([c.eval(z0) for c in f.coeffs])
+            if [k for _, k in factor_rational(fiber)] == [1]:
+                return "unknown"
     _, factors = _bipoly_to_sympy(f).factor_list()
     ydeg_factors = sum(k for p, k in factors if p.degree(0) >= 1)
     if ydeg_factors > 1:

@@ -8,7 +8,7 @@ operand scales the coordinates, a product is reduced by m_j (over Z at
 level 1), and an inverse costs one inverse a level down, of the norm.
 
 Factorization over a level is done by Trager's norm method, recursing down
-to Q where sympy does the rational factorization.
+to Q, where :func:`specrig.qpoly.factor_rational` factors over Z.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SpecrigError, UnsupportedExtension, InternalInconsistency
-from .qpoly import (UPoly, det_cofactor, factor_rational, lcm_integers,
-                    poly_gcd, resultant_det, squarefree_part)
+from .qpoly import (UPoly, det_cofactor, factor_order, factor_rational,
+                    lcm_integers, poly_gcd, resultant_det, squarefree_part)
 from .series import qdiv
 
 # largest degree of a minimal polynomial adjoin accepts
@@ -297,6 +297,11 @@ class FieldTower:
         coefficients: list of (UPoly, multiplicity)."""
         level = self.poly_level(f)
         f = self.lift_poly(f, level)
+        if level == 0:
+            # in the order of the squarefree part's factors, whatever
+            # their multiplicities
+            return sorted(factor_rational(f),
+                          key=lambda pk: factor_order(pk[0]))
         if f.degree < 1:
             return []
         if f.degree == 1:

@@ -291,6 +291,25 @@ def sympy_irreducibility_status(disc: CharpolyDiscriminant, locals_) -> str:
     return "unknown"
 
 
+def to_sympy(f: UPoly):
+    """f as a sympy polynomial in x over QQ."""
+    import sympy
+    return sympy.Poly(list(reversed([sympy.Rational(c) for c in f.coeffs])),
+                      sympy.Symbol("x"), domain="QQ")
+
+
+def from_sympy(p) -> UPoly:
+    return UPoly([qdiv(c.p, c.q) for c in reversed(p.all_coeffs())])
+
+
+def sympy_factor_rational(f: UPoly):
+    """Reference for :func:`specrig.qpoly.factor_rational`: sympy's
+    ``factor_list``, in its order, each factor made monic with the
+    package's coefficient types (an int where a rational is one)."""
+    _, factors = to_sympy(f).factor_list()
+    return [(from_sympy(p).monic(), int(k)) for p, k in factors]
+
+
 def no_sympy(_):
     """Stand-in for ``rigidity._bipoly_to_sympy`` in tests that prove a
     verdict is reached without sympy."""

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from conftest import (CORPUS, dense_fuchs, diag_irreg, fuchs, gen_airy, irreg,
-                      parse_report)
+from conftest import (CORPUS, airy, dense_fuchs, diag_irreg, fuchs, gen_airy,
+                      irreg, parse_report)
 from specrig import localmod, pipeline, tower
 from specrig.cli import main
 from specrig.errors import InsufficientTruncation
@@ -270,25 +270,28 @@ def test_height_two_reports(name, tmp_path, capsys, monkeypatch):
 
 
 COLD_RUN = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from specrig.cli import main
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
-    for path in sys.argv[1:]:
-        main(["analyze", path])
+    for args in json.loads(sys.argv[1]):
+        main(["analyze", *args])
 print("sympy" in sys.modules)
 """
 EXAMPLE_FILES = sorted((ROOT / "examples_input").glob("*.txt"))
 
 
-def _imports_sympy(paths):
+def _imports_sympy(paths, checked=()):
     """Whether a fresh interpreter imports sympy while it analyzes the
-    problem files at paths, one after another."""
+    problem files at paths, one after another, and then those at checked
+    with --check-reduction."""
+    runs = [[str(p)] for p in paths] + \
+        [[str(p), "--check-reduction"] for p in checked]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
                                if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_RUN, *map(str, paths)],
+        [sys.executable, "-c", COLD_RUN, json.dumps(runs)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     return {"True": True, "False": False}[proc.stdout.strip()]
 
@@ -308,3 +311,24 @@ def test_irregular_ladder_runs_without_importing_sympy(tmp_path):
     paths = [write_problem(tmp_path, diag_irreg(n), f"diag_{n}.txt")
              for n in range(2, 6)]
     assert not _imports_sympy(paths + EXAMPLE_FILES)
+
+
+def test_benchmark_inputs_run_without_importing_sympy(tmp_path):
+    """The polynomials of the benchmark inputs factor over Z without
+    sympy (x^5 + 1, x^6 - 1 and x^7 + 1 of airy ranks 5-7, a degree-8
+    polynomial of dense_fuchs rank 3, the binomials and a product of
+    three quartics of the cross_check inputs), and an irreducible fibre
+    F(2, y) proves their spectral curves have no two factors, so one
+    interpreter analyzes them all without importing it: airy ranks 5-7,
+    dense_fuchs ranks 2-3, fuchs(3, 1) and irreg(3, 1), then airy ranks
+    2-7 and gen_airy k = 1-30 with --check-reduction."""
+    texts = {**{f"airy_{n}": airy(n) for n in range(5, 8)},
+             **{f"dense_fuchs_{n}": dense_fuchs(n) for n in (2, 3)},
+             "fuchs_3_1": fuchs(3, 1), "irreg_3_1": irreg(3, 1)}
+    checked = {**{f"airy_{n}": airy(n) for n in range(2, 8)},
+               **{f"gen_airy_{k}": gen_airy(k) for k in range(1, 31)}}
+    paths = [write_problem(tmp_path, text, f"{name}.txt")
+             for name, text in texts.items()]
+    checked_paths = [write_problem(tmp_path, text, f"checked_{name}.txt")
+                     for name, text in checked.items()]
+    assert not _imports_sympy(paths, checked_paths)

@@ -16,8 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from specrig import qpoly
 from specrig.errors import InsufficientTruncation, InternalInconsistency
 from conftest import (cleared_form, clearing_scale, euclid_gcd,
-                      integer_form, poly_xgcd,
-                      series_det_bareiss, series_form)
+                      integer_form, poly_xgcd, series_det_bareiss,
+                      series_form, sympy_factor_rational)
 from specrig.qpoly import (UPoly, det_bareiss, det_cofactor, factor_rational,
                            integer_series, poly_gcd, resultant,
                            resultant_det, squarefree_part, sylvester_matrix)
@@ -652,9 +652,9 @@ class TestRationalFactorization:
         assert factors == [(P(-1, 1), 3), (P(2, 1), 1)]
 
     def test_linear_skips_sympy(self, monkeypatch):
-        def no_sympy(f):
-            raise AssertionError("linear input reached sympy")
-        monkeypatch.setattr(qpoly, "_to_sympy", no_sympy)
+        def no_kernel(f):
+            raise AssertionError("linear input reached the kernel")
+        monkeypatch.setattr(qpoly, "_zassenhaus", no_kernel)
         assert factor_rational(P(3, 2)) == [(P(Fraction(3, 2), 1), 1)]
         assert factor_rational(P(Fraction(-1, 3), Fraction(2, 3))) == \
             [(P(Fraction(-1, 2), 1), 1)]
@@ -706,8 +706,8 @@ class TestQuadraticFactorization:
     @example(P(Fraction(-10 ** 31 - 1, 3), Fraction(7, 2), 10 ** 31 + 3))
     def test_equals_sympy(self, f):
         expected = _sympy_factors(f)
-        with mock.patch.object(qpoly, "_to_sympy",
-                               side_effect=AssertionError("sympy")):
+        with mock.patch.object(qpoly, "_zassenhaus",
+                               side_effect=AssertionError("kernel")):
             got = factor_rational(f)
         assert got == expected
         assert all(type(c) is Fraction for p, _ in got for c in p.coeffs)
@@ -723,8 +723,7 @@ def _rational_root_product(draw):
     """(f, cubic): c times a product of rational linear factors q x - p
     (the root 0 included) with multiplicities, times at most one
     quadratic of :func:`_quadratic`, and, when cubic, times an
-    irreducible cubic, which must still reach sympy; f has degree 3 or
-    more."""
+    irreducible cubic; f has degree 3 or more."""
     f = UPoly([draw(_NONZERO_RATIONAL)])
     for p, q, k in draw(st.lists(
             st.tuples(st.integers(-12, 12), st.integers(1, 6),
@@ -747,6 +746,26 @@ def _searchable(f):
     return abs(ints[0] * ints[-1]) <= qpoly._ROOT_SEARCH_BOUND
 
 
+def _kernel_parts(factors):
+    """The squarefree parts the Zassenhaus kernel gets for these factors
+    (monic, with multiplicities): for each multiplicity, in increasing
+    order, the primitive integers of the product of the factors that
+    have it."""
+    parts = {}
+    for p, k in factors:
+        parts[k] = parts.get(k, UPoly([1])) * p
+    return [qpoly._primitive_integers(parts[k].coeffs)[0]
+            for k in sorted(parts)]
+
+
+def _spying_kernel():
+    """(sent, patch): the parts _zassenhaus is called with go to sent."""
+    sent, kernel = [], qpoly._zassenhaus
+    return sent, mock.patch.object(
+        qpoly, "_zassenhaus", side_effect=lambda g: sent.append(g)
+        or kernel(g))
+
+
 class TestRationalRootSplit:
     @settings(max_examples=300, deadline=None)
     @given(_rational_root_product())
@@ -758,29 +777,161 @@ class TestRationalRootSplit:
     @example((P(-2, 0, 0, 1), True))                # x^3 - 2
     def test_equals_sympy(self, case):
         """The factors of sympy's factor_list, in its order and with the
-        coefficient types of the sympy route.  f goes to sympy, whole,
-        exactly when the rational roots leave more than one quadratic
-        (an irreducible cubic, two quadratics) or the search is out of
-        bounds."""
+        coefficient types of the sympy route.  The Zassenhaus kernel gets
+        nothing when the rational roots leave a factor of degree 3 or
+        less, which is irreducible, and else the squarefree parts of what
+        they leave; when the search is out of bounds it gets those of f
+        without its roots 0."""
         f, cubic = case
         expected = _sympy_factors(f)
-        _, factors = qpoly._to_sympy(f).factor_list()
-        sympy_route = [(qpoly._from_sympy(p).monic(), int(k))
-                       for p, k in factors]
+        sympy_route = sympy_factor_rational(f)
         assert sympy_route == expected
         left = sum(p.degree * k for p, k in expected if p.degree > 1)
         assert left > 2 or not cubic
-        sent, to_sympy = [], qpoly._to_sympy
-        with mock.patch.object(qpoly, "_to_sympy",
-                               side_effect=lambda g: sent.append(g)
-                               or to_sympy(g)):
+        sent, spy = _spying_kernel()
+        with spy:
             got = factor_rational(f)
         assert got == expected
         assert repr(got) == repr(sympy_route)
-        assert sent == ([f] if left > 2 or not _searchable(f) else [])
+        if _searchable(f):
+            kernel = [(p, k) for p, k in expected if p.degree > 1] \
+                if left > 3 else []
+        else:
+            kernel = [(p, k) for p, k in expected if p != X]
+        assert sent == _kernel_parts(kernel)
 
     def test_large_coefficients_skip_the_search(self):
-        f = P(-(10 ** 7 + 1), 0, 0, 1)  # x^3 - 10000001
-        with mock.patch.object(qpoly, "_is_root",
-                               side_effect=AssertionError("searched")):
+        """x^3 - 10000001 is past the search bound, so the kernel gets it
+        whole and proves it irreducible."""
+        f = P(-(10 ** 7 + 1), 0, 0, 1)
+        sent, spy = _spying_kernel()
+        with spy, mock.patch.object(qpoly, "_is_root",
+                                    side_effect=AssertionError("searched")):
             assert factor_rational(f) == [(f, 1)]
+        assert sent == [[-(10 ** 7 + 1), 0, 0, 1]]
+
+
+# irreducible over Q, split modulo every prime into linear or quadratic
+# factors (Swinnerton-Dyer's x^4 - 10 x^2 + 1, with roots +-sqrt 2 +- sqrt 3)
+SWINNERTON_DYER = P(1, 0, -10, 0, 1)
+# the degree-12 polynomial of the cross_check benchmark workload, a product
+# of three quartics
+CROSS_CHECK_12 = P(324951171875, -124072265625, 25136718750, -4394531250,
+                   654296875, -98906250, 16421875, -2231250, 234375, -18750,
+                   1100, -45, 1)
+
+
+@st.composite
+def _integer_product(draw):
+    """c times a product of 1-4 polynomials of degree 1-4 with random
+    integer coefficients (most of degree 2 or more are irreducible), each
+    to a power 1-3; c and one factor may be rational, which makes f
+    non-monic with rational coefficients; degree 3 or more."""
+    f = UPoly([draw(_NONZERO_RATIONAL.filter(lambda c: c.denominator < 10
+                                              ** 6))])
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 4))
+        g = UPoly(draw(st.lists(st.integers(-30, 30), min_size=d,
+                                max_size=d))
+                  + [draw(st.integers(1, 12))])
+        f = f * g ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        f = f * UPoly([Fraction(draw(st.integers(-9, 9)),
+                                draw(st.integers(1, 9))), 1, 1])
+    assume(f.degree >= 3)
+    return f
+
+
+@st.composite
+def _binomial(draw):
+    """x^n + a^n or x^n - a^n for n <= 12 and 1 <= a <= 7, times a
+    rational."""
+    n, a = draw(st.integers(3, 12)), draw(st.integers(1, 7))
+    sign = draw(st.sampled_from([1, -1]))
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    return UPoly([sign * a ** n] + [0] * (n - 1) + [1]) * c
+
+
+class TestZassenhaus:
+    """factor_rational from degree 3 on, against sympy's factor_list."""
+
+    @staticmethod
+    def _check(f):
+        expected = sympy_factor_rational(f)
+        got = factor_rational(f)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_integer_product())
+    @example(SWINNERTON_DYER)
+    @example(SWINNERTON_DYER ** 2 * (X - 1))
+    @example(CROSS_CHECK_12)
+    @example(CROSS_CHECK_12 * P(Fraction(2, 3)))
+    @example(P(-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))  # x^12 - 1
+    def test_products(self, f):
+        self._check(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_binomial())
+    def test_binomials(self, f):
+        self._check(f)
+
+    @pytest.mark.parametrize("f", [SWINNERTON_DYER, CROSS_CHECK_12])
+    def test_kernel_gets_the_whole_polynomial(self, f):
+        """Neither has a rational root, so the kernel factors each whole:
+        the Swinnerton-Dyer quartic splits modulo every prime and yet is
+        irreducible, the degree-12 polynomial gives its three quartics."""
+        sent, spy = _spying_kernel()
+        with spy:
+            got = factor_rational(f)
+        assert sent == [qpoly._primitive_integers(f.coeffs)[0]]
+        assert [p.degree for p, _ in got] == \
+            ([4] if f is SWINNERTON_DYER else [4, 4, 4])
+
+    @pytest.mark.parametrize("f, lifted", [
+        ([-1, -1, 0, 0, 1], False),        # x^4 - x - 1
+        ([-2, 0, 0, 0, 0, 1], False),      # x^5 - 2
+        ([1, 0, -10, 0, 1], True)])        # Swinnerton-Dyer
+    def test_modular_degrees_prove_irreducible(self, f, lifted):
+        """Modulo the primes tried, the factor degrees of x^4 - x - 1 and
+        x^5 - 2 add up to no proper degree, so they are proved irreducible
+        without a Hensel lift.  The Swinnerton-Dyer quartic splits into
+        quadratics or linear factors modulo every prime, so only the
+        recombination proves it."""
+        calls, lift = [], qpoly._hensel_lift
+        with mock.patch.object(qpoly, "_hensel_lift", side_effect=lambda
+                               *a: calls.append(a) or lift(*a)):
+            assert qpoly._zassenhaus(f) == [f]
+        assert bool(calls) == lifted
+
+    def test_primes_tried_while_factors_are_many(self):
+        """(x - 1)(x - 2)...(x - 21) has 21 factors modulo every prime
+        from 23 on, the first that divides no difference of its roots, so
+        twenty primes are tried, and the lifts recombine to its roots."""
+        f = UPoly([1])
+        for i in range(1, 22):
+            f = f * P(-i, 1)
+        primes, ddf = [], qpoly._distinct_degree
+        with mock.patch.object(qpoly, "_distinct_degree", side_effect=lambda
+                               g, p: primes.append(p) or ddf(g, p)):
+            got = qpoly._zassenhaus([int(c) for c in f.coeffs])
+        assert primes == [p for p in range(23, 108)
+                          if all(p % q for q in range(2, p))]
+        assert sorted(got) == sorted([-i, 1] for i in range(1, 22))
+
+    def test_recombines_modular_factors(self):
+        """x^4 - 2(a + b) x^2 + (a - b)^2, with roots +-sqrt a +- sqrt b,
+        splits modulo every prime, like the Swinnerton-Dyer quartic (a, b
+        = 2, 3).  The product over (a, b) = (2, 3), (2, 5), (3, 5) has more
+        modular factors than its three factors over Q, and the kernel
+        recombines them."""
+        f = UPoly([1])
+        for a, b in ((2, 3), (2, 5), (3, 5)):
+            f = f * P((a - b) ** 2, 0, -2 * (a + b), 0, 1)
+        lifts, recombine = [], qpoly._recombine
+        with mock.patch.object(qpoly, "_recombine", side_effect=lambda g, u,
+                               *rest: lifts.append(len(u))
+                               or recombine(g, u, *rest)):
+            self._check(f)
+        assert lifts and lifts[0] > 3

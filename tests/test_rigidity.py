@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (EXAMPLE_TEXTS, airy, conjugate_by, dense_fuchs,
-                      diag_irreg, gen_airy, local_at, mat, no_sympy,
-                      sympy_irreducibility_status, unimodular)
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import (EXAMPLE_TEXTS, SQRT2_LINES, airy, conjugate_by,
+                      dense_fuchs, diag_irreg, fuchs, gen_airy, irreg,
+                      local_at, mat, no_sympy, sympy_irreducibility_status,
+                      unimodular)
 from specrig.errors import SpecrigError
 from specrig.germs import GermData
 from specrig.localmod import HTLCell, LocalModule, check_assumption
@@ -210,6 +213,78 @@ class TestExactRootCertificate:
                              real.local_charpoly, real.a_mat, real.nterms,
                              real.vdisc)
         assert irreducibility_status(disc, [forged, real]) == "unknown"
+
+
+# the blocks of the direct sums
+BLOCKS = {
+    "airy": [["0", "1"], ["z", "0"]],
+    "airy_2z": [["0", "1"], ["2*z", "0"]],
+    "airy_3": [["0", "1", "0"], ["0", "0", "1"], ["z", "0", "0"]],
+    "gen_airy_3": [["0", "1"], ["z^3", "0"]],
+    "sqrt2_lines": [["0", "1"], ["2*z^2", "0"]],
+    "z2_plus_1": [["0", "1"], ["z^2 + 1", "0"]],
+    "fuchsian": [["1/z + 2/(z - 1)", "3/z"], ["1/(z - 1)", "-1/z"]],
+    "rank1": [["5/z + z"]],
+}
+
+
+def direct_sum(names, seed):
+    """The cleared charpoly of the direct sum of the named blocks,
+    conjugated by a seeded unimodular matrix."""
+    blocks = [BLOCKS[name] for name in names]
+    n = sum(map(len, blocks))
+    rows, at = [["0"] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at:at + len(row)] = row
+        at += len(block)
+    return CharpolyDiscriminant(charpoly(conjugate_by(mat(rows),
+                                                     unimodular(n, seed))))
+
+
+class TestSpecializationCertificate:
+    @pytest.mark.parametrize("text", [
+        dense_fuchs(2), dense_fuchs(3), SQRT2_LINES,
+        *(family(3, seed) for family in (fuchs, irreg) for seed in (1, 2, 3))])
+    def test_unknown_without_sympy(self, text, monkeypatch):
+        """Irreducible over Q(z), these curves reach the specialization:
+        F(2, y) is irreducible over Q, so sympy is never asked."""
+        disc, locals_ = pole_locals(text, 0)
+        monkeypatch.setattr(rigidity, "_bipoly_to_sympy", no_sympy)
+        assert irreducibility_status(disc, locals_) == "unknown"
+
+    @pytest.mark.parametrize("rows, fibers", [
+        # y^2 = 2 z: y^2 - 4 splits over z = 2, y^2 - 6 does not
+        ([["0", "1"], ["2*z", "0"]], [[-4, 0, 1], [-6, 0, 1]]),
+        # (z - 2) y^2 = 1: D vanishes at 2, y^2 - 1 splits over z = 3
+        ([["0", "1"], ["1/(z - 2)", "0"]], [[-1, 0, 1], [-1, 0, 2]])])
+    def test_fibers_tried_in_order(self, rows, fibers, monkeypatch):
+        """z0 = 2, 3, ... until a fibre is irreducible, skipping a z0 where
+        the leading coefficient D vanishes."""
+        tried, factor = [], rigidity.factor_rational
+
+        def spy(f):
+            tried.append(list(f.coeffs))
+            return factor(f)
+        monkeypatch.setattr(rigidity, "factor_rational", spy)
+        monkeypatch.setattr(rigidity, "_bipoly_to_sympy", no_sympy)
+        assert irreducibility_status(disc_of(rows), []) == "unknown"
+        assert tried == fibers
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(BLOCKS)), min_size=1, max_size=2,
+                    unique=True),
+           st.integers(0, 20))
+    @example(["airy", "airy_2z"], 0)
+    @example(["sqrt2_lines", "z2_plus_1"], 3)
+    def test_direct_sums_agree_with_sympy(self, names, seed):
+        """A direct sum of two blocks is reducible and no fibre certifies
+        it; a single block is its own system.  Either way the verdict is
+        sympy's.  No local module is passed, so that neither of the first
+        two certificates decides."""
+        disc = direct_sum(names, seed)
+        assert irreducibility_status(disc, []) == \
+            sympy_irreducibility_status(disc, [])
 
 
 class TestSmoothness:

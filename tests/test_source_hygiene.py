@@ -1,8 +1,8 @@
 """Static guards on the package source: no unused import, no
-module-level function or class that only the tests reach, no
-module-level import of sympy, true division only where it cannot
-make a float, the point at infinity read only at named sites, and every
-specrig name the benchmark's tracer reads."""
+module-level function or class that only the tests reach, sympy
+imported by the bivariate factorization alone, true division only where
+it cannot make a float, the point at infinity read only at named sites,
+and every specrig name the benchmark's tracer reads."""
 
 import ast
 import importlib
@@ -90,29 +90,42 @@ def test_every_definition_has_a_caller_in_src():
         f"no reference in src/ outside their own bodies: {unreferenced}"
 
 
-def _import_time_modules(tree):
-    """Modules named by the import statements that run when the module is
-    imported: every one outside a function body."""
-    out = []
-    stack = list(tree.body)
+# the one (module, function) site allowed to import sympy: the bivariate
+# factorization of the spectral curve, the last certificate of
+# irreducibility_status.  A module-level import would be a site too.
+SYMPY_SITES = {("rigidity", "_bipoly_to_sympy")}
+
+
+def _sites(module, tree, hit):
+    """(module, dotted enclosing definition) of every node for which hit
+    is true; "" at module level."""
+    out = set()
+    stack = [(tree, "")]
     while stack:
-        node = stack.pop()
+        node, scope = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            out += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            out.append(node.module or "")
-        stack.extend(ast.iter_child_nodes(node))
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if hit(node):
+            out.add((module, scope))
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
     return out
 
 
+def _imports_sympy(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "sympy" for name in names)
+
+
 def test_sympy_is_imported_only_when_a_factorization_needs_it():
-    eager = [module for module, tree in sorted(MODULES.items())
-             if any(name.split(".")[0] == "sympy"
-                    for name in _import_time_modules(tree))]
-    assert not eager, f"import sympy at module level: {eager}"
+    found = set().union(*(_sites(module, tree, _imports_sympy)
+                          for module, tree in MODULES.items()))
+    assert found == SYMPY_SITES
 
 
 # the (module, function) sites allowed to use "/": series.qdiv, the one
@@ -127,24 +140,13 @@ DIVISION_SITES = {("series", "qdiv"),
                   ("puiseux", "_diff_nonzero")}
 
 
-def _division_sites(module, tree):
-    """(module, dotted enclosing definition) of every true division."""
-    out = set()
-    stack = [(tree, "")]
-    while stack:
-        node, scope = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
-                isinstance(node.op, ast.Div):
-            out.add((module, scope))
-        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
-    return out
+def _divides(node):
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+        isinstance(node.op, ast.Div)
 
 
 def test_true_division_only_at_named_sites():
-    found = set().union(*(_division_sites(module, tree)
+    found = set().union(*(_sites(module, tree, _divides)
                           for module, tree in MODULES.items()))
     assert found == DIVISION_SITES
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import poly_to_string, ref_elem, refactoring_split
 from specrig import tower
 from specrig.errors import SpecrigError, UnsupportedExtension
-from specrig.qpoly import UPoly
+from specrig.qpoly import UPoly, factor_rational, squarefree_part
 from specrig.tower import FieldTower, TowerElem
 
 
@@ -218,6 +218,28 @@ class TestSplitAgainstReference:
         linear = UPoly([-a, t.lift(3, 1)])
         assert t.split_completely(linear) == [(a / 3, 1)]
         assert t.height == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(-5, 5), min_size=1,
+                                       max_size=3), st.integers(1, 3)),
+                    min_size=1, max_size=4))
+    def test_rational_factors_in_squarefree_order(self, parts):
+        """Over Q the factors come in the order of the squarefree part's
+        factors, by degree and then coefficients whatever their
+        multiplicities, which is the order in which split_completely
+        adjoins roots; each multiplicity is the largest power that
+        divides."""
+        f = UPoly([1])
+        for coeffs, k in parts:
+            f = f * UPoly(coeffs + [1]) ** k
+        irreducible = [p for p, _ in factor_rational(squarefree_part(f))]
+        expected, rest = [], f
+        for p in irreducible:
+            k = 0
+            while rest.divmod(p)[1].is_zero():
+                rest, k = rest // p, k + 1
+            expected.append((p, k))
+        assert FieldTower().factor(f) == expected
 
 
 def _sqrt2_sqrt3(t):
