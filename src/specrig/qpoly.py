@@ -237,17 +237,8 @@ def _coprime_modulo_prime(a, b):
     modulo _PRIME."""
     if not (a[-1] % _PRIME and b[-1] % _PRIME):
         return False
-    a, b = [x % _PRIME for x in a], [x % _PRIME for x in b]
-    while len(b) > 1:
-        inv, db = pow(b[-1], -1, _PRIME), len(b) - 1
-        for k in range(len(a) - 1 - db, -1, -1):
-            q = a.pop() * inv % _PRIME
-            for j, y in enumerate(b[:db], k):
-                a[j] = (a[j] - q * y) % _PRIME
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(b) == 1
+    return len(_mod_gcd([x % _PRIME for x in a], [x % _PRIME for x in b],
+                        _PRIME)) == 1
 
 
 def _int_pseudo_remainder(a, b):
@@ -816,10 +807,11 @@ _ROOT_SEARCH_BOUND = 10 ** 7
 
 def _split_rational_roots(g, found):
     """Divide the rational roots out of g, primitive integers (lowest
-    degree first) with g(0) != 0 and a positive leading coefficient.  Each root p/q in lowest terms goes to found as
-    (q x - p as integers, multiplicity), and so does the rest once it is
-    linear, or of degree 2 or 3 with no rational root left, which makes it
-    irreducible; then the result is None.  Otherwise it is the rest.
+    degree first) with g(0) != 0 and a positive leading coefficient.
+    Each root p/q in lowest terms goes to found as (q x - p as integers,
+    multiplicity), and so does the rest once it is linear, or of degree 2
+    or 3 with no rational root left, which makes it irreducible; then the
+    result is None.  Otherwise it is the rest.
 
     A root has p | g(0) and q | lc(g).  The search stops once at most a
     linear factor is left, and does not run when |g(0) lc(g)| exceeds

@@ -13,10 +13,9 @@ from fractions import Fraction
 
 from .errors import (InternalInconsistency, SpecrigError,
                      UnsupportedExtension)
-from .germs import GermData
-from .localmod import LocalModule, delta_end
+from .localmod import delta_end
 from .matrf import CharpolyDiscriminant
-from .qpoly import UPoly, factor_rational, poly_gcd, squarefree_part
+from .qpoly import UPoly, factor_order, factor_rational, poly_gcd
 from .ratfn import Chart
 from .series import qdiv
 from .tower import FieldTower
@@ -61,15 +60,6 @@ def rigidity_index(locals_, g: int = 0) -> int:
     """rig = (2 - 2g) n^2 - sum over poles of delta(End)."""
     n = locals_[0].n
     return (2 - 2 * g) * n * n - sum(delta_end(L) for L in locals_)
-
-
-def verify_milnor_per_pole(local: LocalModule, germ: GermData) -> bool:
-    """mu (by the independent resultant oracle) must equal
-    -delta(End) - r_C + 2(n-1)(C, X_inf)_a + 1."""
-    n = local.n
-    rhs = (-delta_end(local) - germ.r_c
-           + 2 * (n - 1) * germ.local_inf + 1)
-    return germ.mu_oracle_value == rhs and germ.mu == germ.mu_oracle_value
 
 
 def cohomology_dims(rig: int):
@@ -176,7 +166,9 @@ def smoothness_check_finite_part(disc: CharpolyDiscriminant, declared_poles):
     if s.is_zero():
         return "indeterminate", "discriminant vanishes identically"
     declared = set(declared_poles)  # z0 is rational: never INFINITY
-    for pi, _k in factor_rational(squarefree_part(s)):
+    # each irreducible factor once, in factor_order whatever its
+    # multiplicity: the first singular or indeterminate one names the detail
+    for pi in sorted((p for p, _k in factor_rational(s)), key=factor_order):
         if pi.degree == 1:
             z0 = qdiv(-pi.coeffs[0], pi.coeffs[1])
             if z0 in declared or not den.eval(z0):

@@ -275,6 +275,7 @@ class Series:
         return Series({e: c for e, c in self.terms.items() if e <= 0})
 
     def __repr__(self):
-        body = " + ".join(f"({c!r})*z^{e}" for e, c in sorted(self.terms.items()))
+        body = " + ".join(f"({c!r})*z^{e}"
+                          for e, c in sorted(self.terms.items()))
         tail = "" if self.prec is None else f" + O(z^{self.prec})"
         return (body or "0") + tail

@@ -13,7 +13,7 @@ from specrig.errors import (AmbiguousComparison, InsufficientTruncation,
                             InternalInconsistency, ReductionUnavailable,
                             SpecrigError, UnsupportedExtension)
 from specrig.localmod import (check_assumption, delta_end,
-                              discriminant_identity_holds, hor_dim, irr_end,
+                              discriminant_identity_holds, irr_end,
                               irr_hom, irregularity, reduction_cross_check)
 from specrig.ratfn import INFINITY
 
@@ -119,7 +119,7 @@ class TestIrregularity:
         cell = airy_local.cells[0]
         assert irr_hom(cell, cell) == 3
         assert irr_end(airy_local) == 3
-        assert hor_dim(airy_local) == 1
+        assert airy_local.m == 1
         assert delta_end(airy_local) == 6
 
     def test_fuchsian(self, fuchsian_local):
@@ -154,14 +154,12 @@ class TestIrregularity:
         a = mat([["1/z", "0"], ["0", "3/z"]])
         local = local_at(a, F(0))
         assert check_assumption(local)
-        hor_dim(local)
         delta_end(local)
         resonant = [w for w in local.warnings if "resonant" in w]
-        assert len(resonant) == 1  # deduplicated
+        assert len(resonant) == 1  # none from delta_end
 
     def test_nonresonant_no_warning(self, fuchsian_local):
         check_assumption(fuchsian_local)
-        hor_dim(fuchsian_local)
         assert fuchsian_local.warnings == []
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (CORPUS, GENERATED, SQRT2_LINES, conjugate_by,
-                      no_sympy, unimodular)
+from conftest import (CORPUS, EXAMPLE_TEXTS, GENERATED, SQRT2_LINES,
+                      conjugate_by, no_sympy, unimodular)
 from specrig import germs, localmod, pipeline, qpoly, rigidity
 from specrig.errors import InputError, InsufficientTruncation
 from specrig.matrf import (CharpolyDiscriminant, charpoly,
@@ -42,6 +42,17 @@ class TestVerdicts:
         assert code == 0
         assert "reducible" in doc["global"]["main_theorem"]
         assert doc["global"]["chi"] == doc["global"]["rig"] == 4
+
+    def test_oracle_mu_off_by_two_fails_both_verdicts(self, monkeypatch):
+        # an even shift keeps 2 delta = mu + r_C - 1 even, so only a delta
+        # identity read off the oracle's mu can see it
+        oracle = germs.germ_milnor_oracle
+        monkeypatch.setattr(germs, "germ_milnor_oracle",
+                            lambda g: oracle(g) + 2)
+        doc, code = run(EXAMPLE_TEXTS["example_airy"])
+        assert code == 1
+        assert [p["verdicts"] for p in doc["poles"]] == [
+            {"milnor": False, "delta_identity": False}]
 
     def test_undecided_irreducibility(self):
         doc, _ = run(UNKNOWN_CURVE)

@@ -9,8 +9,9 @@ from conftest import horner_compose, residual_full, series_form
 from specrig.errors import (AmbiguousComparison, InsufficientTruncation,
                             SpecrigError)
 from specrig import puiseux
-from specrig.puiseux import (_diff_nonzero, _phase_denominator,
-                             cluster_contact, contact_pair_sum,
+from specrig.puiseux import (PuiseuxCluster, _diff_nonzero,
+                             _phase_denominator, cluster_contact,
+                             conjugate_pairs, contact_pair_sum,
                              discriminant_valuation, newton_polygon,
                              principal_contact_negative, puiseux_clusters,
                              separation_depth, taylor_shift)
@@ -228,6 +229,18 @@ class TestContact:
         clusters, _ = clusters_of(spoly({-5: -1}, 0, 1))
         c = clusters[0]
         assert principal_contact_negative(c, c, 1) == F(-3, 2)
+
+
+class TestConjugatePairs:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8))
+    def test_pair_counts(self, r1, r2):
+        c1 = PuiseuxCluster(Series.zero(), r1, FieldTower())
+        c2 = PuiseuxCluster(Series.zero(), r2, FieldTower())
+        shifts, weight = conjugate_pairs(c1, c1)
+        assert weight * len(shifts) == r1 * (r1 - 1)
+        shifts, weight = conjugate_pairs(c1, c2)
+        assert weight * len(shifts) == r1 * r2
 
 
 class TestDiscriminantIdentity:

@@ -770,7 +770,7 @@ class TestRationalRootSplit:
     @settings(max_examples=300, deadline=None)
     @given(_rational_root_product())
     @example((P(-6, 11, -6, 1), False))             # (x - 1)(x - 2)(x - 3)
-    @example((P(0, -33, 125, -156, 64), False))     # x(x - 1)(4x - 3)(16x - 11)
+    @example((P(0, -33, 125, -156, 64), False))  # x(x - 1)(4x - 3)(16x - 11)
     @example((P(3, -3, -5, 1), False))              # (x + 1)(x^2 - 6x + 3)
     @example((P(0, 0, 0, 4, -4, 1), False))         # x^3 (x - 2)^2
     @example((P(-1, 0, 0, 0, 0, 0, 1), False))      # x^6 - 1: two quadratics

@@ -12,7 +12,8 @@ from conftest import (EXAMPLE_TEXTS, SQRT2_LINES, airy, conjugate_by,
                       unimodular)
 from specrig.errors import SpecrigError
 from specrig.germs import GermData
-from specrig.localmod import HTLCell, LocalModule, check_assumption
+from specrig.localmod import (HTLCell, LocalModule, check_assumption,
+                              delta_end)
 from specrig import matrf, rigidity, tower
 from specrig.matrf import CharpolyDiscriminant, charpoly, cleared_charpoly
 from specrig.parsing import parse_problem
@@ -24,7 +25,7 @@ from specrig.rigidity import (CurveClass, arithmetic_genus,
                               cohomology_dims, euler_char_normalization,
                               irreducibility_status, rigidity_index,
                               smoothness_check_finite_part,
-                              total_inf_intersection, verify_milnor_per_pole)
+                              total_inf_intersection)
 
 
 F = Fraction
@@ -74,8 +75,13 @@ class TestGenusAndChi:
         assert rigidity_index(locals_) == 4
 
     def test_milnor_verification(self):
+        # the formula's mu is -delta(End) - r_C + 2(n-1)(C, X_inf)_a + 1,
+        # and the resultant oracle agrees
         _, locals_, germs = analyzed([["0", "1"], ["z", "0"]], [INFINITY])
-        assert verify_milnor_per_pole(locals_[0], germs[0])
+        germ = germs[0]
+        assert germ.mu == (-delta_end(locals_[0]) - germ.r_c
+                           + 2 * (germ.n - 1) * germ.local_inf + 1)
+        assert germ.mu == germ.mu_oracle_value == 4
 
     def test_cohomology_dims(self):
         assert cohomology_dims(2) == (1, 0, 1)
@@ -297,6 +303,13 @@ class TestSmoothness:
         status, detail = smoothness_check_finite_part(disc, [INFINITY])
         assert status == "singular"
         assert "z = 0" in detail
+
+    def test_first_singular_factor_in_factor_order(self):
+        # the discriminant 4 (z - 1)^2 (z - 2)^3 lists z - 1 first by
+        # multiplicity; by factor_order z - 2 comes first and is named
+        disc = disc_of([["0", "1"], ["(z - 1)^2*(z - 2)^3", "0"]])
+        assert smoothness_check_finite_part(disc, [INFINITY]) == \
+            ("singular", "singular point over z = 2")
 
     def test_singular_point_at_declared_pole_excluded(self):
         disc = disc_of([["0", "1"], ["z^2", "0"]])

@@ -2,15 +2,17 @@
 module-level function or class that only the tests reach, sympy
 imported by the bivariate factorization alone, true division only where
 it cannot make a float, the point at infinity read only at named sites,
-and every specrig name the benchmark's tracer reads."""
+every specrig name the benchmark's tracer reads, and no line of src/ or
+tests/ longer than MAX_LINE."""
 
 import ast
 import importlib
 from pathlib import Path
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "specrig"
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "specrig"
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 MODULES = {p.stem: ast.parse(p.read_text(), str(p))
            for p in sorted(SRC.glob("*.py"))}
 
@@ -235,3 +237,16 @@ def test_traced_names_resolve():
         if obj is None:
             missing.append(f"{module}.{qual}")
     assert not missing, f"traced names missing from specrig: {missing}"
+
+
+MAX_LINE = 79  # PEP 8
+
+
+def test_lines_fit_max_line():
+    long_lines = [f"{path.relative_to(TESTS.parent)}:{number}"
+                  for path in sorted(SRC.glob("*.py")) +
+                  sorted(TESTS.glob("*.py"))
+                  for number, line in enumerate(
+                      path.read_text().splitlines(), 1)
+                  if len(line) > MAX_LINE]
+    assert not long_lines, f"lines over {MAX_LINE} characters: {long_lines}"
