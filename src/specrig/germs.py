@@ -13,13 +13,11 @@ factor, which has the same valuation (see :func:`germ_milnor_oracle`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InternalInconsistency, SpecrigError
 from .localmod import HTLCell, LocalModule, delta_end, irr_end, irr_hom
 from .puiseux import pair_total
 from .qpoly import UPoly, integer_series, resultant_det
-from .series import Series
+from .series import Series, qdiv
 from .tower import TowerElem, rational_value
 
 
@@ -91,13 +89,13 @@ def germ_milnor(g: GermData) -> int:
 
 def _newton_identities(power_sums, r):
     """Elementary symmetric functions e_1..e_r from power sums s_1..s_r."""
-    es = [Series.const(Fraction(1))]
+    es = [Series.const(1)]
     for k in range(1, r + 1):
         acc = Series.zero()
         for i in range(1, k + 1):
             term = es[k - i] * power_sums[i - 1]
             acc = acc + (term if i % 2 else -term)
-        es.append(acc * Fraction(1, k))
+        es.append(acc * qdiv(1, k))
     return es[1:]
 
 
@@ -112,12 +110,12 @@ def _cluster_min_poly(cell: HTLCell) -> UPoly:
     zeta = rep.inverse(order=None if rep.prec is not None else
                        -rep.valuation() * (r + 2) + 4)
     sums = []
-    power = Series.const(Fraction(1), zeta.prec)
+    power = Series.const(1, zeta.prec)
     for _ in range(r):
         power = power * zeta
         sums.append(power.integer_part() * r)
     es = _newton_identities(sums, r)
-    coeffs = [Series.const(Fraction(1))]
+    coeffs = [Series.const(1)]
     for k, e in enumerate(es, start=1):
         coeffs.append(e if k % 2 == 0 else -e)
     # coeffs[k] multiplies zeta^{r-k}

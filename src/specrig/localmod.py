@@ -44,8 +44,7 @@ class HTLCell:
         ordq = min(q.terms) if q.terms else None
         self.p = 0 if ordq is None else int(-cluster.r * ordq)
         self.cluster = cluster
-        self.residue = (rep.terms.get(Fraction(-1), Fraction(0))
-                        if cluster.r == 1 else None)
+        self.residue = rep.terms.get(-1, 0) if cluster.r == 1 else None
 
     @property
     def is_regular(self):

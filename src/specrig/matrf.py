@@ -6,8 +6,6 @@ read at a pole in the local chart of :class:`specrig.ratfn.Chart`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError, UnsupportedPoleLocation, SpecrigError
 from .qpoly import UPoly, det_cofactor, poly_gcd, resultant_det
 from .ratfn import INFINITY, Chart, RatFn
@@ -109,8 +107,8 @@ class CharpolyDiscriminant:
             raise SpecrigError("polynomial is not squarefree in y")
         n = self.n
         chart = Chart(a)
-        return Fraction(chart.valuation(RatFn(self.res), n * (n - 1))
-                        - (2 * n - 1) * chart.valuation(RatFn(self.den)))
+        return (chart.valuation(RatFn(self.res), n * (n - 1))
+                - (2 * n - 1) * chart.valuation(RatFn(self.den)))
 
 
 def pole_order(m: MatRF, a) -> int:

@@ -20,6 +20,7 @@ from .rigidity import (CurveClass, arithmetic_genus, cohomology_dims,
                        euler_char_normalization, irreducibility_status,
                        rigidity_index, smoothness_check_finite_part,
                        total_inf_intersection)
+from .series import qdiv
 
 
 # the last truncation order tried at a pole is 2^(TRUNCATION_ATTEMPTS - 1)
@@ -74,7 +75,7 @@ def first_truncation(cp, disc, a, ceiling) -> int:
         return 1
     v = {i: chart.valuation(c, n - i)
          for i, c in enumerate(cp.coeffs[:n]) if c}
-    minord = min([Fraction(0)] + [Fraction(vi, n - i) for i, vi in v.items()])
+    minord = min([0] + [qdiv(vi, n - i) for i, vi in v.items()])
     vdisc = disc.valuation(a)
     reach = separation_depth(n, vdisc, minord) + vdisc \
         - (n - 1) ** 2 * minord
@@ -142,7 +143,8 @@ def run_analysis(spec: ProblemSpec, truncation=None,
             start = first_truncation(cp, disc, pole, base)
         else:
             base = start = truncation
-        for nterms in truncation_orders(start, base):
+        orders = list(truncation_orders(start, base))
+        for nterms in orders:
             try:
                 local, germ = _analyze_pole(a_mat, pole, nterms, cp, disc,
                                             check_reduction)
@@ -150,7 +152,9 @@ def run_analysis(spec: ProblemSpec, truncation=None,
             except InsufficientTruncation as exc:
                 last = exc
         else:
-            raise last
+            raise type(last)(
+                f"{last} (pole {_pole_str(pole)}, truncation orders "
+                f"{', '.join(map(str, orders))})") from last
         if local.nu == 0:
             # declared point is not actually a pole; validate_poles has
             # already warned, and there is no germ at infinity to analyze

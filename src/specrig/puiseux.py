@@ -17,7 +17,7 @@ from math import comb, lcm
 from .errors import (AmbiguousComparison, InputError, InsufficientTruncation,
                      InternalInconsistency, SpecrigError)
 from .qpoly import UPoly, integer_series, resultant_det
-from .series import INF, Series, qdiv
+from .series import INF, Series, qdiv, qnorm
 from .tower import FieldTower, TowerElem
 
 
@@ -85,7 +85,7 @@ def newton_polygon(F: UPoly) -> NewtonPolygon:
     def hull_val(x):
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x1 <= x <= x2:
-                return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
+                return y1 + qdiv(y2 - y1, x2 - x1) * (x - x1)
         raise InternalInconsistency("hull query outside span")
     for i, prec in unknown.items():
         if i < hull[0][0] or i > hull[-1][0]:
@@ -96,7 +96,7 @@ def newton_polygon(F: UPoly) -> NewtonPolygon:
                 "does not clear the Newton polygon")
     edges = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
+        slope = qnorm(qdiv(y2 - y1, x2 - x1))
         points = []
         for i in range(x1, x2 + 1):
             if i in known and known[i] == y1 + slope * (i - x1):
@@ -172,13 +172,13 @@ def discriminant_valuation(F: UPoly):
     valuation less s (2 deg F - 1).  Kept as the test reference for
     :meth:`CharpolyDiscriminant.valuation`, which the pipeline reads."""
     if F.degree < 2:
-        return Fraction(0)
+        return 0
     s = -min((min(c.terms) for c in F.coeffs if c.terms), default=0)
     P = integer_series(F.map_coeffs(lambda c: c.shift(s)))
     res = resultant_det(P, P.derivative())
     if not res:
         raise SpecrigError("polynomial is not squarefree in y")
-    return Fraction(res.valuation() - s * (2 * F.degree - 1))
+    return res.valuation() - s * (2 * F.degree - 1)
 
 
 def separation_depth(n, vdisc, minord):
@@ -190,10 +190,10 @@ def separation_depth(n, vdisc, minord):
     vdisc/2 - (pairs - 1) * minord.
     """
     if n < 2:
-        return Fraction(1)
+        return 1
     pairs = n * (n - 1) // 2
-    bound = Fraction(vdisc, 2) - (pairs - 1) * min(minord, 0)
-    return max(Fraction(0), bound) + 1
+    bound = qdiv(vdisc, 2) - (pairs - 1) * min(minord, 0)
+    return qnorm(max(0, bound) + 1)
 
 
 def puiseux_clusters(F: UPoly, vdisc):
@@ -211,7 +211,7 @@ def puiseux_clusters(F: UPoly, vdisc):
     if n < 1:
         raise SpecrigError("need deg_y >= 1")
     poly = newton_polygon(F)
-    minord = min((e.rho for e in poly.edges), default=Fraction(0))
+    minord = min((e.rho for e in poly.edges), default=0)
     tower = FieldTower()
     clusters = []
     _descend(F, poly, {}, None, 1, n, tower,
@@ -252,12 +252,37 @@ def _descend(F, poly, prev_terms, last_exp, lattice, mult, tower, target,
             nt = dict(prev_terms)
             nt[rho] = c
             if m == 1 and rho >= target:
-                rep = Series(nt, rho + Fraction(1, new_lattice))
+                rep = Series(nt, rho + qdiv(1, new_lattice))
                 out.append(PuiseuxCluster(rep, new_lattice, tower))
                 continue
             F_next = taylor_shift(F, c, rho)
+            bound = _alone_bound(F_next) if m == 1 else None
+            if bound is not None and bound >= target:
+                out.append(PuiseuxCluster(Series(nt, bound), new_lattice,
+                                          tower))
+                continue
             _descend(F_next, newton_polygon(F_next), nt, rho, new_lattice, m,
                      tower, target, out, depth_guard + 1)
+
+
+def _alone_bound(G: UPoly):
+    """A lower bound on the order of the one root of G of order above
+    rho, for G = F(y + c z^rho) where c z^rho starts exactly one root of
+    F, and G's y^0 coefficient vanishes only to its precision; None for
+    any other G.
+
+    G is monic with roots w_j = y_j - c z^rho: one root w continues the
+    root of F being descended, of order > rho, and every other root has
+    order <= rho.  So v(G_0) is the sum of all orders, and v(G_1), the
+    least order of the (n - 1)-fold products, is that sum without
+    ord w, reached only by omitting w.  Hence
+    ord w = v(G_0) - v(G_1) >= prec(G_0) - v(G_1).  This is what ends a
+    root that is exact beside a truncated one: it is shifted to the
+    exact zero, which a truncated G_0 never shows."""
+    g0, g1 = G.coeffs[0], G.coeffs[1]
+    if g0.terms or g0.prec is None or not g1.terms:
+        return None
+    return qnorm(g0.prec - min(g1.terms))
 
 
 def taylor_shift(F: UPoly, c, rho) -> UPoly:
@@ -286,7 +311,7 @@ def taylor_shift(F: UPoly, c, rho) -> UPoly:
     powers = [1]
     for _ in range(1, n):
         powers.append(powers[-1] * c)
-    exponents = {}  # lattice point -> its Fraction, shared by every G_j
+    exponents = {}  # lattice point -> its exponent, shared by every G_j
     out = []
     for j in range(n):
         terms = {}
@@ -306,10 +331,10 @@ def taylor_shift(F: UPoly, c, rho) -> UPoly:
         for e, a in terms.items():
             if a and (prec is None or e < prec):
                 if e not in exponents:
-                    exponents[e] = Fraction(e, den)
+                    exponents[e] = qdiv(e, den)
                 clean[exponents[e]] = a
         out.append(Series._of(clean, None if prec is None
-                              else Fraction(prec, den)))
+                              else qdiv(prec, den)))
     return UPoly(out)
 
 

@@ -426,8 +426,6 @@ class _ZSeries:
     def __init__(self, c, prec=None):
         n = len(c)
         if prec is not None:
-            if isinstance(prec, Fraction) and prec.denominator == 1:
-                prec = prec.numerator
             n = min(n, _cap(prec))
         while n and not c[n - 1]:
             n -= 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qpoly import UPoly, poly_gcd
-from .series import Series, qdiv
+from .series import Series, qdiv, qnorm
 
 INFINITY = "inf"  # token for the point at infinity
 _ONE = UPoly([1])
@@ -145,7 +145,6 @@ class RatFn:
             return None
         if a == INFINITY:
             return self.den.degree - self.num.degree
-        a = Fraction(a)
         return _root_order(self.num, a) - _root_order(self.den, a)
 
     def at_infinity(self) -> "RatFn":
@@ -168,8 +167,9 @@ class RatFn:
         """Substitute z = w + a (local coordinate w = z - a).  This is an
         automorphism of Q[z], so coprime parts stay coprime and the
         monic denominator stays monic."""
-        a = Fraction(a)
-        arg = UPoly([a, Fraction(1)])
+        if not a:
+            return self
+        arg = UPoly([qnorm(a), 1])
         return RatFn._coprime(self.num.compose(arg), self.den.compose(arg))
 
     def expand_local(self, nterms: int) -> Series:
@@ -180,7 +180,7 @@ class RatFn:
             return Series.zero()
         vd = _root_order_zero(self.den)
         if vd == self.den.degree:
-            return Series({Fraction(k - vd): c
+            return Series({k - vd: c
                            for k, c in enumerate(self.num.coeffs) if c})
         vn = _root_order_zero(self.num)
         v = vn - vd
@@ -196,8 +196,8 @@ class RatFn:
             if c:
                 for j in range(1, min(len(den.coeffs), nterms - k)):
                     rem[k + j] -= c * den.coeffs[j]
-        return Series({Fraction(v + i): c for i, c in enumerate(out) if c},
-                      Fraction(v + nterms))
+        return Series({v + i: c for i, c in enumerate(out) if c},
+                      v + nterms)
 
     def __repr__(self):
         return f"RatFn({list(self.num.coeffs)}, {list(self.den.coeffs)})"
@@ -212,11 +212,21 @@ def _monic_den(num: UPoly, den: UPoly):
 
 
 def _root_order(p: UPoly, a) -> int:
+    """Multiplicity of the root a of p (0 for p = 0).  Each Horner pass
+    is a synthetic division by z - a: its partial sums are the quotient's
+    coefficients, highest first, and its last one is the remainder p(a)."""
     if not a:
         return _root_order_zero(p)
+    c = p.coeffs
     k = 0
-    while p.degree >= 0 and not p.eval(a):
-        p = p // UPoly([-a, Fraction(1)])
+    while len(c) > 1:
+        acc, quot = 0, []
+        for x in reversed(c):
+            acc = acc * a + x
+            quot.append(acc)
+        if acc:
+            break
+        c = quot[-2::-1]
         k += 1
     return k
 
@@ -278,7 +288,7 @@ class Chart:
         if a == INFINITY:
             self.point, self.sign, self.order = INFINITY, -1, -2
         else:
-            self.point, self.sign, self.order = Fraction(a), 1, 0
+            self.point, self.sign, self.order = qnorm(Fraction(a)), 1, 0
 
     def valuation(self, f: RatFn, weight: int = 0):
         """ord_t of f(z(t)) (dz/dt)^weight; None for f = 0."""
@@ -313,10 +323,10 @@ class Chart:
         cleared by den = u^k."""
         inf = self.point == INFINITY
         terms = {(self.order - e if inf else e - self.order):
-                 self.sign * Fraction(v) for e, v in terms.items()}
-        u = UPoly([Fraction(0) if inf else -self.point, Fraction(1)])
+                 self.sign * v for e, v in terms.items()}
+        u = UPoly([0 if inf else -self.point, 1])
         k = max(0, -min(terms, default=0))
-        dense = [Fraction(0)] * (max(terms, default=0) + k + 1)
+        dense = [0] * (max(terms, default=0) + k + 1)
         for e, v in terms.items():
             dense[e + k] = v
         return UPoly(dense).compose(u), u ** k

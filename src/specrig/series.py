@@ -21,7 +21,7 @@ from math import ceil, lcm
 
 from .errors import InsufficientTruncation, SpecrigError
 
-INF = Fraction(10 ** 12)  # sentinel used only in internal min/max bookkeeping
+INF = 10 ** 12  # sentinel used only in internal min/max bookkeeping
 
 
 def qdiv(a, b):
@@ -37,20 +37,26 @@ def qdiv(a, b):
     return a / b
 
 
-def _fr(e):
-    return e if isinstance(e, Fraction) else Fraction(e)
+def qnorm(x):
+    """The rational x (an int or a Fraction) in the normal form of the
+    rational layer: an int when it is an integer, else a Fraction."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
 
 
 class Series:
-    """Sparse series sum_e c_e z^e, exponents Fraction, with precision."""
+    """Sparse series sum_e c_e z^e with precision; every exponent and the
+    precision are in :func:`qnorm` form, so a series on the lattice Z
+    runs on ints alone."""
 
     __slots__ = ("terms", "prec")
 
     def __init__(self, terms=None, prec=None):
         clean = {}
-        p = None if prec is None else _fr(prec)
+        p = None if prec is None else qnorm(prec)
         for e, c in (terms or {}).items():
-            e = _fr(e)
+            e = qnorm(e)
             if not c:
                 continue
             if p is not None and e >= p:
@@ -61,8 +67,8 @@ class Series:
 
     @staticmethod
     def _of(terms, prec):
-        """A series from a term map that is already clean: Fraction
-        exponents below prec and nonzero coefficients."""
+        """A series from a term map that is already clean: exponents in
+        :func:`qnorm` form below prec, and nonzero coefficients."""
         s = object.__new__(Series)
         s.terms = terms
         s.prec = prec
@@ -76,11 +82,11 @@ class Series:
 
     @staticmethod
     def monomial(coeff, exp, prec=None):
-        return Series({_fr(exp): coeff}, prec)
+        return Series({exp: coeff}, prec)
 
     @staticmethod
     def const(c, prec=None):
-        return Series({Fraction(0): c}, prec)
+        return Series({0: c}, prec)
 
     # -- predicates -----------------------------------------------------
 
@@ -104,7 +110,6 @@ class Series:
             f"series vanishes to its precision {self.prec}; valuation unknown")
 
     def coeff(self, e):
-        e = _fr(e)
         if self.prec is not None and e >= self.prec:
             raise InsufficientTruncation(
                 f"coefficient at {e} beyond precision {self.prec}")
@@ -175,7 +180,7 @@ class Series:
             precs.append(self.prec + other.low())
         if other.prec is not None:
             precs.append(other.prec + self.low())
-        prec = min(precs) if precs else None
+        prec = qnorm(min(precs)) if precs else None
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -183,26 +188,25 @@ class Series:
                 if prec is not None and e >= prec:
                     continue
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Series._of({e: c for e, c in terms.items() if c}, prec)
+        return Series._of({qnorm(e): c for e, c in terms.items() if c},
+                          prec)
 
     __rmul__ = __mul__
 
     def shift(self, e):
         """Multiply by z^e."""
-        e = _fr(e)
-        return Series._of({k + e: c for k, c in self.terms.items()},
-                          None if self.prec is None else self.prec + e)
+        return Series._of({qnorm(k + e): c for k, c in self.terms.items()},
+                          None if self.prec is None
+                          else qnorm(self.prec + e))
 
     def scale_exponents(self, factor):
         """Substitute z -> z^factor (factor a positive rational)."""
-        factor = _fr(factor)
         if factor <= 0:
             raise SpecrigError("exponent scale must be positive")
         return Series({k * factor: c for k, c in self.terms.items()},
                       None if self.prec is None else self.prec * factor)
 
     def truncate(self, prec):
-        prec = _fr(prec)
         if self.prec is not None and self.prec < prec:
             raise InsufficientTruncation(
                 f"cannot extend precision {self.prec} to {prec}")
@@ -225,9 +229,9 @@ class Series:
         if len(self.terms) == 1 and self.prec is None:
             return Series.monomial(qdiv(1, c0), -v)
         if self.prec is not None:
-            bound = self.prec - v
+            bound = qnorm(self.prec - v)
         elif order is not None:
-            bound = _fr(order)
+            bound = qnorm(order)
         else:
             raise SpecrigError(
                 "inverse of an exact multi-term series needs an order")
@@ -248,9 +252,9 @@ class Series:
                     acc = acc - c * x
             b[m] = acc
         inv = qdiv(1, c0)
-        terms = {Fraction(m, den) - v: x * inv
+        terms = {qnorm(qdiv(m, den) - v): x * inv
                  for m, x in enumerate(b) if x}
-        return Series._of(terms, bound - v)
+        return Series._of(terms, qnorm(bound - v))
 
     def __bool__(self):
         # not provably zero: a series that vanishes only up to its

@@ -20,7 +20,6 @@ residue and nothing beyond them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, floor
 
 from .errors import (InsufficientTruncation, InternalInconsistency,
@@ -29,18 +28,17 @@ from .qpoly import UPoly, det_cofactor, poly_gcd, row_reduce
 from .series import INF, Series, qdiv
 from .tower import FieldTower, rational_value
 
-# -- constant matrices over a field (Fraction / tower elements) -------------
+# -- constant matrices over a field (rationals / tower elements) ------------
 
 
 def cmat_identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def cmat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k) if a[i][t]),
-                 Fraction(0)) for j in range(m)] for i in range(n)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k) if a[i][t])
+             for j in range(m)] for i in range(n)]
 
 
 def cmat_charpoly(a) -> UPoly:
@@ -57,8 +55,8 @@ def null_vector(a):
     free = next((c for c in range(len(a)) if c not in pivots), None)
     if free is None:
         raise SpecrigError("matrix is nonsingular; no kernel vector")
-    v = [Fraction(0)] * len(a)
-    v[free] = Fraction(1)
+    v = [0] * len(a)
+    v[free] = 1
     for row, col in zip(red, pivots):
         v[col] = -row[free]
     return v
@@ -159,7 +157,7 @@ def split_once(g):
                 tmk, bk = t_coeffs[m - k], b_coeffs[k]
                 s = [[s[i][j] - bk[i] * tmk[i][j] for j in range(n)]
                      for i in range(n)]
-        tm = [[s[i][j] * inv[i][j] if i != j else Fraction(0)
+        tm = [[s[i][j] * inv[i][j] if i != j else 0
                for j in range(n)] for i in range(n)]
         bm = [s[i][i] for i in range(n)]
         t_coeffs.append(tm)
@@ -388,8 +386,8 @@ def htl_from_reduction(g, s_hint: int, tower: FieldTower):
     for b in full_split(gt, tower):
         tb = b.shift(1)
         low = tb.nonpositive_part()
-        inv = Fraction(1, s_hint)
+        inv = qdiv(1, s_hint)
         q = Series({e * inv: c * inv for e, c in low.terms.items() if e < 0})
-        residue = low.terms.get(Fraction(0), Fraction(0)) * inv
+        residue = low.terms.get(0, 0) * inv
         cells.append((q, residue))
     return cells

@@ -534,6 +534,18 @@ def horner_compose(f: UPoly, g: UPoly) -> UPoly:
     return acc
 
 
+def division_root_order(p: UPoly, a) -> int:
+    """Multiplicity of the root a of p (0 for p = 0) by evaluating p at
+    a and, while that vanishes, dividing p by z - a over Fractions: the
+    reference for ``ratfn._root_order``, which gets the value and the
+    quotient from one Horner pass."""
+    k = 0
+    while p.degree >= 0 and not p.eval(a):
+        p = p // UPoly([-a, Fraction(1)])
+        k += 1
+    return k
+
+
 def euclid_gcd(f: UPoly, g: UPoly) -> UPoly:
     """Reference for :func:`specrig.qpoly.poly_gcd` over Q: the monic gcd
     by Euclid's algorithm over the coefficient field (zero for two zero

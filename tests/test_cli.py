@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import (CORPUS, airy, dense_fuchs, diag_irreg, fuchs, gen_airy,
-                      irreg, parse_report)
+                      irreg, parse_report, problem_text)
 from specrig import localmod, pipeline, tower
 from specrig.cli import main
 from specrig.errors import InsufficientTruncation
@@ -105,9 +105,27 @@ class TestExitCodes:
 
         monkeypatch.setattr(localmod, "localize_charpoly", never_enough)
         assert main(["analyze", path, *options]) == 2
-        assert "error: InsufficientTruncation: forced" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: InsufficientTruncation: forced" in err
+        assert (f"(pole inf, truncation orders "
+                f"{', '.join(map(str, orders))})") in err
         return orders
+
+    @pytest.mark.parametrize("options", [[], ["--truncation", "50"],
+                                         ["--truncation", "400"]])
+    def test_exact_root_beside_a_truncated_one(self, tmp_path, capsys,
+                                               options):
+        """At each pole of diag(1/z, 2/(z - 1)) one root is an exact
+        Laurent polynomial, the other a truncated series; the input is
+        analysed, not refused for truncation."""
+        path = write_problem(tmp_path, problem_text(
+            ["0", "1", "inf"], [["1/z", "0"], ["0", "2/(z-1)"]]))
+        assert main(["analyze", path, *options]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["global"]["irreducibility"] == "reducible"
+        assert doc["global"]["rig"] == doc["global"]["chi"] == 2
+        assert [p["verdicts"] for p in doc["poles"]] == \
+            [{"milnor": True, "delta_identity": True}] * 3
 
     def test_exhausted_truncation(self, tmp_path, capsys, monkeypatch):
         """The orders double from the a-priori first order (1 here: the

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (CORPUS, EXAMPLE_TEXTS, GENERATED, SQRT2_LINES,
-                      conjugate_by, no_sympy, unimodular)
+                      conjugate_by, no_sympy, problem_text, unimodular)
 from specrig import germs, localmod, pipeline, qpoly, rigidity
 from specrig.errors import InputError, InsufficientTruncation
 from specrig.matrf import (CharpolyDiscriminant, charpoly,
@@ -136,7 +137,49 @@ def _first_orders(spec):
         for pole in spec.poles}
 
 
+@st.composite
+def _split_fuchsian(draw):
+    """(text, seed) of a diagonal or upper triangular rank 2-3 system
+    with poles 0, 1, inf and the seed of its unimodular conjugation (0:
+    none).  Its diagonal entries a/z + b/(z - 1) have pairwise distinct
+    residues at every pole (a at 0, b at 1, -(a + b) at inf), and an
+    entry with b = 0 or a = 0 is an exact Laurent root beside truncated
+    ones."""
+    n = draw(st.integers(2, 3))
+    residues = draw(st.lists(st.tuples(st.integers(-3, 3),
+                                       st.integers(-3, 3)),
+                             min_size=n, max_size=n).filter(
+        lambda ab: all(len({f(a, b) for a, b in ab}) == n for f in (
+            lambda a, b: a, lambda a, b: b, lambda a, b: a + b))))
+    triangular = draw(st.booleans())
+    rows = [["0"] * n for _ in range(n)]
+    for i, (a, b) in enumerate(residues):
+        rows[i][i] = f"{a}/z + {b}/(z-1)"
+        for j in range(i + 1, n if triangular else i + 1):
+            rows[i][j] = (f"{draw(st.integers(-3, 3))}/z + "
+                          f"{draw(st.integers(-3, 3))}/(z-1)")
+    return (problem_text(["0", "1", "inf"], rows),
+            draw(st.integers(0, 99)))
+
+
 class TestPrecisionPolicy:
+    @settings(max_examples=40, deadline=None)
+    @given(_split_fuchsian())
+    def test_split_systems_are_certified(self, system):
+        """The roots of a split Fuchsian system are a/z + b/(z - 1), some
+        exact at a pole and some truncated there; every pole is
+        certified, with both verdicts true."""
+        text, seed = system
+        spec = parse_problem(text)
+        if seed:
+            spec = ProblemSpec("z", [], conjugate_by(
+                spec.matrix, unimodular(spec.matrix.n, seed)), spec.poles,
+                spec.genus)
+        doc, code = run_analysis(spec)
+        assert code == 0
+        assert all(p["verdicts"] == {"milnor": True, "delta_identity": True}
+                   for p in doc["poles"])
+
     def test_orders_double_up_to_the_ceiling(self):
         assert list(truncation_orders(5, 5)) == [5, 10, 20, 40]
         assert list(truncation_orders(3, 20)) == [3, 6, 12, 24, 48, 96, 160]
@@ -237,11 +280,27 @@ def _numbers(x):
         yield x
 
 
+def _exponents(x):
+    """Every series exponent and precision inside x, through
+    polynomials, series and truncated integer series."""
+    if isinstance(x, UPoly):
+        for c in x.coeffs:
+            yield from _exponents(c)
+    elif isinstance(x, Series):
+        yield from x.terms
+        if x.prec is not None:
+            yield x.prec
+    elif isinstance(x, qpoly._ZSeries) and x.prec is not None:
+        yield x.prec
+
+
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_exact_data_holds_no_float(name, monkeypatch):
     """The charpoly, its discriminant, every local charpoly and cluster
     representative, and every germ equation of an analysis hold
-    rationals (int or Fraction), never a float."""
+    rationals (int or Fraction), never a float; each exponent and
+    precision among them is an int when it is an integer, else a
+    Fraction of denominator > 1."""
     data = []
     build, equation = pipeline.build_local, germs.germ_equation
 
@@ -265,6 +324,10 @@ def test_exact_data_holds_no_float(name, monkeypatch):
     values = [v for x in data for v in _numbers(x)]
     assert values
     assert all(isinstance(v, (int, Fraction)) for v in values)
+    exponents = [e for x in data for e in _exponents(x)]
+    assert exponents
+    assert all(type(e) is int or type(e) is Fraction and e.denominator > 1
+               for e in exponents)
 
 
 class TestDocument:

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import diag_irreg, no_sympy
+from conftest import diag_irreg, division_root_order, no_sympy
 from specrig import pipeline, rigidity
 from specrig.parsing import parse_problem
 from specrig.qpoly import UPoly, poly_gcd
-from specrig.ratfn import (INFINITY, Chart, RatFn, expand_at,
+from specrig.ratfn import (INFINITY, Chart, RatFn, _root_order, expand_at,
                            ratfn_pole_points)
 
 
@@ -83,6 +83,22 @@ class TestValuation:
                 if vf is None or vg is None:
                     continue
                 assert (f * g).valuation(a) == vf + vg
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(-3, 3), st.sampled_from([F(1, 2), F(-3, 2)]),
+                     st.fractions(-3, 3, max_denominator=4)),
+           st.lists(st.one_of(st.integers(-5, 5),
+                              st.fractions(-5, 5, max_denominator=4)),
+                    max_size=5),
+           st.integers(0, 6))
+    @example(F(1, 2), [], 3)  # the zero polynomial
+    @example(F(-3, 2), [7], 0)  # a constant
+    @example(2, [F(1, 3), 1], 6)
+    def test_root_order_matches_division(self, a, g, k):
+        """The order of a as a root of (z - a)^k g, read off one Horner
+        pass per division, equals the evaluate-then-divide reference."""
+        p = UPoly([-a, 1]) ** k * UPoly(g)
+        assert _root_order(p, a) == division_root_order(p, a)
 
 
 def _reference_normal(num, den):

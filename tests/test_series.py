@@ -238,3 +238,32 @@ class TestAgainstReferences:
         else:
             got, ref = a.inverse(), geometric_inverse(a)
         assert _form(got) == _form(ref)
+
+
+def _normal(x):
+    """An exponent or precision in normal form: an int when integral,
+    else a Fraction of denominator > 1."""
+    return type(x) is int or type(x) is F and x.denominator > 1
+
+
+class TestExponentNormalForm:
+    """Every exponent and precision a series holds is in normal form,
+    whatever form its inputs came in: 2 == Fraction(2), so the term-map
+    comparisons above cannot see it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_series(), _series(), _VAL, _EXP, st.integers(-2, 8))
+    def test_after_every_operation(self, a, b, c, e, order):
+        out = [a, a + b, a - b, -a, a * b, a * c, a.shift(e),
+               a.integer_part(), Series.const(c, e), Series.monomial(c, e)]
+        if e > 0:
+            out.append(a.scale_exponents(e))
+        if a.prec is None or e <= a.prec:
+            out.append(a.truncate(e))
+        if a.prec is None or a.prec > 0:
+            out.append(a.nonpositive_part())
+        if a.terms:
+            out.append(a.inverse(order=order))
+        for s in out:
+            assert all(_normal(k) for k in s.terms)
+            assert s.prec is None or _normal(s.prec)
