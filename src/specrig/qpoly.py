@@ -591,37 +591,6 @@ def det_bareiss(rows):
     return -det if negate else det
 
 
-def row_reduce(rows):
-    """Gauss-Jordan elimination over an exact field: (reduced rows, pivot
-    columns), the i-th pivot column belonging to reduced row i.
-
-    The pivot is the first nonzero entry of the column at or below the
-    current row; it is scaled by qdiv(1, x) for a rational and by
-    x.inverse() for a tower element.  Callers read an inverse, a solution
-    or a kernel vector off the result and decide themselves what a
-    missing pivot means.
-    """
-    m = [list(r) for r in rows]
-    pivots = []
-    for col in range(len(m[0]) if m else 0):
-        top = len(pivots)
-        if top == len(m):
-            break
-        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[top], m[piv] = m[piv], m[top]
-        lead = m[top][col]
-        inv = qdiv(1, lead) if _rational(lead) else lead.inverse()
-        m[top] = [x * inv for x in m[top]]
-        for r, row in enumerate(m):
-            if r != top and row[col]:
-                f = row[col]
-                m[r] = [x - f * y for x, y in zip(row, m[top])]
-        pivots.append(col)
-    return m, pivots
-
-
 def lcm_integers(values):
     """(the integers den * v, den) for rationals v, den the lcm of their
     denominators."""
@@ -953,7 +922,7 @@ def _distinct_degree(g, p):
         if len(u) > 1:
             out.append((u, d))
             g = _mod_divmod(g, u, p)[0]
-            h = _mod_divmod(h, g, p)[1]
+            h = _mod_rem(h, g, p)
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return out
@@ -1108,10 +1077,24 @@ def _mod_divmod(a, b, m):
     return _trim(quot), _trim([x % m for x in a[:db]])
 
 
+def _mod_rem(a, b, m):
+    """a mod b, modulo m: the remainder of _mod_divmod, no quotient."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    tail = b[:db]
+    for k in range(len(a) - 1 - db, -1, -1):
+        q = a[k + db] * inv % m
+        if q:
+            for j, y in enumerate(tail, k):
+                a[j] -= q * y
+    return _trim([x % m for x in a[:db]])
+
+
 def _mod_gcd(a, b, p):
     """Monic gcd modulo a prime; a is nonzero."""
     while b:
-        a, b = b, _mod_divmod(a, b, p)[1]
+        a, b = b, _mod_rem(a, b, p)
     return _mod_monic(a, p)
 
 
@@ -1133,11 +1116,11 @@ def _mod_powmod(a, e, g, m):
     out = [1]
     while True:
         if e & 1:
-            out = _mod_divmod(_mod_mul(out, a, m), g, m)[1]
+            out = _mod_rem(_mod_mul(out, a, m), g, m)
         e >>= 1
         if not e:
             return out
-        a = _mod_divmod(_mod_mul(a, a, m), g, m)[1]
+        a = _mod_rem(_mod_mul(a, a, m), g, m)
 
 
 def _factor_quadratic(c, b, a):

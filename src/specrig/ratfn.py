@@ -320,7 +320,7 @@ class Chart:
 
         y = sign sum terms[e] t^(e - order) is a Laurent polynomial in
         u = t = z - a at a rational point and in u = 1/t = z at infinity,
-        cleared by den = u^k."""
+        cleared by den = u^k; only a finite point composes with u."""
         inf = self.point == INFINITY
         terms = {(self.order - e if inf else e - self.order):
                  self.sign * v for e, v in terms.items()}
@@ -329,4 +329,5 @@ class Chart:
         dense = [0] * (max(terms, default=0) + k + 1)
         for e, v in terms.items():
             dense[e + k] = v
-        return UPoly(dense).compose(u), u ** k
+        num = UPoly(dense)
+        return (num if inf else num.compose(u)), u ** k

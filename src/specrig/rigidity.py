@@ -145,7 +145,7 @@ def _is_root(f: UPoly, num: UPoly, den: UPoly) -> bool:
     """Whether y = num / den is a root of f, by the exact sum
     sum_j f_j num^j den^(n - j) over Q[z], evaluated by Horner."""
     acc = UPoly()
-    den_power = UPoly.const(Fraction(1))
+    den_power = UPoly.const(1)
     for j in range(f.degree, -1, -1):
         acc = acc * num + f.coeffs[j] * den_power
         den_power = den_power * den

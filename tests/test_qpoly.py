@@ -852,6 +852,17 @@ def _binomial(draw):
     return UPoly([sign * a ** n] + [0] * (n - 1) + [1]) * c
 
 
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 2 ** 61 - 1]), data=st.data())
+def test_remainder_only_reduction(p, data):
+    """_mod_rem, which powmod, gcd and the distinct-degree split reduce
+    through, gives the remainder of _mod_divmod."""
+    a = data.draw(st.lists(st.integers(0, p - 1), max_size=12))
+    b = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)
+                  .filter(lambda c: c[-1]))
+    assert qpoly._mod_rem(a, b, p) == qpoly._mod_divmod(a, b, p)[1]
+
+
 class TestZassenhaus:
     """factor_rational from degree 3 on, against sympy's factor_list."""
 

@@ -6,10 +6,10 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (EXAMPLE_TEXTS, SQRT2_LINES, airy, conjugate_by,
-                      dense_fuchs, diag_irreg, fuchs, gen_airy, irreg,
-                      local_at, mat, no_sympy, sympy_irreducibility_status,
-                      unimodular)
+from conftest import (EXAMPLE_TEXTS, SQRT2_LINES, airy, composed_root_in_z,
+                      conjugate_by, dense_fuchs, diag_irreg,
+                      fraction_is_root, fuchs, gen_airy, irreg, local_at, mat,
+                      no_sympy, sympy_irreducibility_status, unimodular)
 from specrig.errors import SpecrigError
 from specrig.germs import GermData
 from specrig.localmod import (HTLCell, LocalModule, check_assumption,
@@ -18,7 +18,8 @@ from specrig import matrf, rigidity, tower
 from specrig.matrf import CharpolyDiscriminant, charpoly, cleared_charpoly
 from specrig.parsing import parse_problem
 from specrig.puiseux import PuiseuxCluster
-from specrig.ratfn import INFINITY
+from specrig.qpoly import UPoly
+from specrig.ratfn import INFINITY, Chart
 from specrig.series import Series
 from specrig.tower import FieldTower
 from specrig.rigidity import (CurveClass, arithmetic_genus,
@@ -219,6 +220,35 @@ class TestExactRootCertificate:
                              real.local_charpoly, real.a_mat, real.nterms,
                              real.vdisc)
         assert irreducibility_status(disc, [forged, real]) == "unknown"
+
+
+_COEFFS = st.one_of(st.integers(-4, 4),
+                   st.fractions(-3, 3, max_denominator=4))
+
+
+class TestRootCertificateArithmetic:
+    @settings(max_examples=80, deadline=None)
+    @given(point=st.sampled_from([0, F(-2, 3), 5, INFINITY]),
+           terms=st.dictionaries(st.integers(-4, 4), _COEFFS, max_size=4),
+           c=_COEFFS, off=_COEFFS)
+    @example(point=INFINITY, terms={}, c=0, off=1)
+    def test_matches_the_composition_reference(self, point, terms, c, off):
+        """root_in_z, which composes with u only at a finite point, and
+        _is_root, whose Horner sum starts from the int 1, give what the
+        composition and the Fraction sum gave: on the curve
+        (den y - num)(y - c) = 0, which has the candidate as a root, and
+        on the same curve through num / den + off instead, which has it
+        only when c is that root or off is 0."""
+        chart = Chart(point)
+        num, den = chart.root_in_z(terms)
+        assert (num, den) == composed_root_in_z(chart, terms)
+        for shift in (0, off):
+            moved = num + den * UPoly.const(shift)
+            f = UPoly([moved * UPoly.const(c), -(moved + den * c), den])
+            expected = fraction_is_root(f, num, den)
+            assert rigidity._is_root(f, num, den) == expected
+            if not shift:
+                assert expected
 
 
 # the blocks of the direct sums

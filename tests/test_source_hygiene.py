@@ -2,8 +2,9 @@
 module-level function or class that only the tests reach, sympy
 imported by the bivariate factorization alone, true division only where
 it cannot make a float, the point at infinity read only at named sites,
-every specrig name the benchmark's tracer reads, and no line of src/ or
-tests/ longer than MAX_LINE."""
+every specrig name the benchmark's tracer reads, a reduction route that
+imports no other route, and no line of src/ or tests/ longer than
+MAX_LINE."""
 
 import ast
 import importlib
@@ -237,6 +238,37 @@ def test_traced_names_resolve():
         if obj is None:
             missing.append(f"{module}.{qual}")
     assert not missing, f"traced names missing from specrig: {missing}"
+
+
+def _specrig_imports(tree):
+    """The specrig modules a module imports, by relative or absolute
+    name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("specrig"):
+                last = module.split(".")[-1]
+                out |= ({last} if last and last != "specrig"
+                        else {alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("specrig.")}
+    return out & set(MODULES)
+
+
+def test_reduction_route_reads_the_matrix_only():
+    """The splitting route, and every module it reaches by import, never
+    imports the Puiseux route, the local module or the germ oracle: its
+    cells must come from the matrix alone to check theirs."""
+    reached, todo = set(), ["splitting"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += _specrig_imports(MODULES[module])
+    assert "tower" in reached
+    assert not reached & {"puiseux", "localmod", "germs"}, sorted(reached)
 
 
 MAX_LINE = 79  # PEP 8

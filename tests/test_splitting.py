@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import ceil
 from pathlib import Path
 from unittest import mock
 
@@ -19,18 +18,20 @@ from specrig.errors import (InsufficientTruncation, ReductionUnavailable,
 from specrig.matrf import default_truncation, localize, pole_order
 from specrig.parsing import parse_problem
 from specrig.pipeline import run_analysis
-from specrig.qpoly import UPoly, det_cofactor, resultant_det, row_reduce
+from specrig.qpoly import UPoly, det_cofactor, resultant_det
 from specrig.report import serialize
-from specrig.series import INF, Series
-from specrig.splitting import (_balance, _charpoly_squarefree, _cmat_inverse,
+from specrig.series import INF, Series, qdiv
+from specrig.splitting import (_balance, _charpoly_squarefree,
                                cmat_charpoly, cmat_identity, cmat_mul,
-                               full_split, htl_from_reduction, null_vector,
-                               ramified_pullback, smat_coeff, smat_mul,
-                               smat_prec, smat_val, split_once)
+                               full_split, htl_from_reduction,
+                               ramified_pullback, smat_coeff, smat_prec,
+                               smat_val)
 from specrig.tower import FieldTower, rational_value
 
-from conftest import (balance_reference, dense_split_once, gen_airy, mat,
-                      smat_sub)
+from conftest import (balance_reference, cmat_inverse, dense_split_once,
+                      gauss_jordan_eigenbasis, gauss_jordan_split, gen_airy,
+                      mat, null_vector, row_reduce, smat_mul, smat_sub,
+                      split_series, unimodular)
 
 
 F = Fraction
@@ -85,9 +86,9 @@ class TestLinearAlgebra:
         rhs = data.draw(st.lists(entry, min_size=n, max_size=n))
         if not det_cofactor(m):
             with pytest.raises(SpecrigError, match="^singular matrix$"):
-                _cmat_inverse(m)
+                cmat_inverse(m)
             return
-        inv = _cmat_inverse(m)
+        inv = cmat_inverse(m)
         assert cmat_mul(inv, m) == cmat_identity(n)
         x = cmat_mul(inv, [[c] for c in rhs])
         assert cmat_mul(m, x) == [[c] for c in rhs]
@@ -138,7 +139,7 @@ class TestLinearAlgebra:
             t = [[diag[i] if i == j else a[i][j] if i < j else F(0)
                   for j in range(n)] for i in range(n)]
             p = data.draw(_square(entry, n))
-            a = (cmat_mul(cmat_mul(p, t), _cmat_inverse(p))
+            a = (cmat_mul(cmat_mul(p, t), cmat_inverse(p))
                  if det_cofactor(p) else t)
         cp = cmat_charpoly(a)
         der = cp.derivative()
@@ -165,14 +166,14 @@ class TestSplitOnce:
     def test_eigenvalue_series_2x2(self):
         # [[1, t], [t, 2]]: eigenvalues 1 - t^2 + ..., 2 + t^2 + ...
         g = smat([[1, {1: 1}], [{1: 1}, 2]], prec=4)
-        _, (b1, b2) = split_once(g)
+        _, (b1, b2) = split_series(g)
         assert b1.coeff(0) == 1 and b1.coeff(2) == -1
         assert b2.coeff(0) == 2 and b2.coeff(2) == 1
         assert b1.coeff(1) == 0 and b2.coeff(1) == 0
 
     def test_residual_vanishes(self):
         g = smat([[0, {1: 2}], [{2: -1}, 3]], prec=6)
-        T, eigs = split_once(g)
+        T, eigs = split_series(g)
         assert residual_vanishes(g, T, eigs)
         assert all(T[i][j].coeff(0) == (i == j)
                    for i in range(2) for j in range(2))
@@ -180,15 +181,15 @@ class TestSplitOnce:
     def test_block_diagonal_required(self):
         g = smat([[0, 1], [1, 3]], prec=4)
         with pytest.raises(SpecrigError):
-            split_once(g)
+            split_series(g)
         # diagonal, but with a repeated entry
         g = smat([[2, {1: 1}], [{1: 1}, 2]], prec=4)
         with pytest.raises(SpecrigError, match="distinct entries"):
-            split_once(g)
+            split_series(g)
 
     def test_trace_preserved(self):
         g = smat([[1, {1: 3}], [{1: -2}, 4]], prec=5)
-        _, (b1, b2) = split_once(g)
+        _, (b1, b2) = split_series(g)
         diff = b1 + b2 - (g[0][0] + g[1][1])
         assert diff.known_zero_to_prec()
 
@@ -196,17 +197,17 @@ class TestSplitOnce:
         g = smat([[1, 0, {1: 1}],
                   [0, 2, {2: 1}],
                   [{1: -1}, {1: 1}, 5]], prec=5)
-        T, eigs = split_once(g)
+        T, eigs = split_series(g)
         assert [e.coeff(0) for e in eigs] == [1, 2, 5]
         assert all(e.prec == 5 for e in eigs)
         assert residual_vanishes(g, T, eigs)
 
     def test_needs_truncated_input(self):
         with pytest.raises(SpecrigError, match="needs truncated input"):
-            split_once(smat([[1, 0], [0, 2]]))
+            split_series(smat([[1, 0], [0, 2]]))
         with pytest.raises(InsufficientTruncation):
-            split_once([[Series.const(F(1)), Series.zero(0)],
-                        [Series.zero(0), Series.const(F(2), 1)]])
+            split_series([[Series.const(F(1)), Series.zero(0)],
+                          [Series.zero(0), Series.const(F(2), 1)]])
 
 
 class TestFullSplit:
@@ -351,18 +352,20 @@ class TestReductionPrecision:
         assert cells[0] == cells[1] == cells[2]
 
     def test_split_input_stops_at_the_residue(self, monkeypatch):
+        """Every coefficient matrix handed to split_once lies below
+        t^max(0, r0 + 1): the t^{r0 + m} one for m < len(a)."""
         seen = []
         original = splitting.split_once
 
-        def spy(g):
-            seen.append((smat_val(g), smat_prec(g)))
-            return original(g)
+        def spy(a, r0):
+            seen.append((r0, len(a)))
+            return original(a, r0)
 
         monkeypatch.setattr(splitting, "split_once", spy)
         g = localize(dense_fuchs(3), 0, 32)
         htl_from_reduction(g, 1, FieldTower())
         assert seen
-        assert all(prec <= max(0, val + 1) for val, prec in seen)
+        assert all(r0 + orders - 1 < max(0, r0 + 1) for r0, orders in seen)
 
 
 def _leading_if_certified(g):
@@ -575,7 +578,7 @@ def test_randomized_certificates():
     rng = random.Random(2024)
     for _ in range(20):
         g = random_split_example(rng)
-        T, eigs = split_once(g)
+        T, eigs = split_series(g)
         assert residual_vanishes(g, T, eigs)
         r0 = smat_val(g)
         assert [e.coeff(r0) for e in eigs] == \
@@ -586,7 +589,7 @@ def test_sparse_orders_match_the_dense_recurrence():
     rng = random.Random(2025)
     for _ in range(30):
         g = random_split_example(rng, sparse=True)
-        T, eigs = split_once(g)
+        T, eigs = split_series(g)
         T_ref, eigs_ref = dense_split_once(g)
         assert [_as_terms(row) for row in T] == \
             [_as_terms(row) for row in T_ref]
@@ -594,9 +597,10 @@ def test_sparse_orders_match_the_dense_recurrence():
 
 
 def test_balanced_gen_airy_split_skips_zero_blocks(monkeypatch):
-    """After balancing, gen_airy_k29 at inf (pullback 2) has one nonzero
-    higher-order block, so the split forms at most one matrix product per
-    order instead of order^2 / 2 of them."""
+    """After balancing, gen_airy_k29 at inf (pullback 2) has 31 orders
+    below the cut and one nonzero coefficient matrix, the leading one, so
+    the split, its residual included, forms at most one matrix product
+    per order instead of order^2 / 2 of them."""
     a = mat([["0", "1"], ["z^29", "0"]])
     g = localize(a, "inf", default_truncation(2, pole_order(a, "inf")))
     products, orders = [], []
@@ -606,9 +610,9 @@ def test_balanced_gen_airy_split_skips_zero_blocks(monkeypatch):
         products.append(1)
         return mul(x, y)
 
-    def counting_split(h):
-        orders.append(ceil(smat_prec(h) - smat_val(h)) - 1)
-        return split(h)
+    def counting_split(coeffs, r0):
+        orders.append(len(coeffs) - 1)
+        return split(coeffs, r0)
 
     monkeypatch.setattr(splitting, "cmat_mul", counting_mul)
     monkeypatch.setattr(splitting, "split_once", counting_split)
@@ -738,11 +742,98 @@ def test_one_pass_split_matches_block_reference(field, data):
     g, truncated = data.draw(_diagonal_leading(field))
     tower = _SQRT2.tower if field != "Q" else FieldTower()
     if truncated:
-        T, eigs = split_once(g)
+        T, eigs = split_series(g)
         assert _as_terms(eigs) == _as_terms(_reference_eigenvalue_series(g))
         assert residual_vanishes(g, T, eigs)
     # full_split cuts exact and truncated input alike before it splits
     cut = full_split(g, tower)
-    with mock.patch.object(splitting, "split_once",
-                           lambda h: (None, _reference_eigenvalue_series(h))):
+    with mock.patch.object(splitting, "split_once", lambda a, r0: (
+            None, _reference_eigenvalue_series(_series_of(a, r0)))):
         assert _as_terms(cut) == _as_terms(full_split(g, tower))
+
+
+def _series_of(a, r0):
+    """The series matrix sum_m a[m] t^{r0 + m}, certified below
+    t^{r0 + len(a)}."""
+    n = len(a[0])
+    return [[Series({r0 + m: am[i][j] for m, am in enumerate(a)},
+                    r0 + len(a)) for j in range(n)] for i in range(n)]
+
+
+# -- the eigenbasis of the adjugate against the Gauss-Jordan one -----------
+
+
+# monic irreducible polynomials over Q by degree, low coefficient first:
+# rational roots; sqrt 2, i, the golden ratio, a cube root of unity,
+# sqrt 3, -1 +- sqrt 3; the cube root of 2 and x^3 - x - 1 (Galois group
+# S3), x^3 - 3x + 1 (cyclic), x^3 + x + 1
+_IRREDUCIBLE = {1: [[-r, 1] for r in range(-3, 4)],
+                2: [[-2, 0, 1], [1, 0, 1], [-1, -1, 1], [1, 1, 1],
+                    [-3, 0, 1], [-2, 2, 1]],
+                3: [[-2, 0, 0, 1], [-1, -1, 0, 1], [1, -3, 0, 1],
+                    [1, 1, 0, 1]]}
+_PARTITIONS = {2: [(1, 1), (2,)], 3: [(1, 1, 1), (2, 1), (3,)],
+               4: [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1)]}
+
+
+@st.composite
+def _squarefree_leading(draw):
+    """A rational matrix of size 2-4 with squarefree charpoly: companion
+    blocks of distinct monic irreducible factors of degree 1-3, so that
+    quadratic and cubic factors put eigenvalues in the tower, conjugated
+    by a seeded unimodular matrix."""
+    n = draw(st.integers(2, 4))
+    degrees = draw(st.sampled_from(_PARTITIONS[n]))
+    factors = []
+    for d in sorted(set(degrees)):
+        factors += draw(st.lists(st.sampled_from(_IRREDUCIBLE[d]),
+                                 min_size=degrees.count(d),
+                                 max_size=degrees.count(d),
+                                 unique_by=tuple))
+    c = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for f in factors:
+        d = len(f) - 1
+        for i in range(d):
+            if i:
+                c[at + i][at + i - 1] = F(1)
+            c[at + i][at + d - 1] = F(-f[i])
+        at += d
+    p = unimodular(n, draw(st.integers(1, 50)))
+    return cmat_mul(cmat_mul(p, c), cmat_inverse(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a0=_squarefree_leading(), data=st.data())
+def test_adjugate_eigenbasis_matches_gauss_jordan(a0, data):
+    """V from the adjugate diagonalizes a0, V^-1 is its inverse, and the
+    split after it gives the eigenvalue series that the Gauss-Jordan
+    eigenbasis and a split over series matrices gave."""
+    n = len(a0)
+    cp = cmat_charpoly(a0)
+    tower = FieldTower()
+    eigs = [e for e, _ in tower.split_completely(cp)]
+    v, vinv = splitting._eigenbasis(a0, cp, eigs)
+    assert cmat_mul(vinv, v) == cmat_identity(n)
+    assert cmat_mul(vinv, cmat_mul(a0, v)) == \
+        [[eigs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    # the columns differ from the elimination's by nonzero scalars only
+    v_ref, _ = gauss_jordan_eigenbasis(a0, eigs)
+    for j in range(n):
+        k = next(i for i in range(n) if v_ref[i][j])
+        ratio = v[k][j] * qdiv(1, v_ref[k][j])
+        assert [v[i][j] for i in range(n)] == \
+            [v_ref[i][j] * ratio for i in range(n)]
+    r = data.draw(st.integers(-2, 0))
+    orders = data.draw(st.integers(1, 3))
+    higher = data.draw(st.lists(st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=n, max_size=n), min_size=orders, max_size=orders))
+    prec = data.draw(st.sampled_from([None, r + orders + 1]))
+    g = [[Series({r + m: F(am[i][j]) for m, am in enumerate([a0] + higher)},
+                 prec) for j in range(n)] for i in range(n)]
+    ours = full_split(g, tower)
+    ref = gauss_jordan_split(g, tower)
+    for e in ours:
+        ref.remove(e)  # equal values, in whatever order the roots come
+    assert not ref
